@@ -147,14 +147,15 @@ def norm_ppf(p):
 
 
 def expit(x):
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    With e = exp(-|x|) <= 1 this is 1 / (1 + e) for x >= 0 and e / (1 + e)
+    otherwise, so neither branch can overflow.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def logit(p):

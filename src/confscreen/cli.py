@@ -152,48 +152,32 @@ def _emit_results(args, config: dict, rows: list[dict], extra: dict | None = Non
         _atomic_write(args.out, json.dumps(doc, indent=2) + "\n")
 
 
-def _estimate_rows(estimates, inferences, names) -> list[dict]:
-    rows = []
-    for est, inf, name in zip(estimates, inferences, names):
-        rows.append(
-            {
-                "id": est.covariate_id if not isinstance(est.covariate_id, tuple) else list(est.covariate_id),
-                "name": name,
-                "theta": est.theta_hat,
-                "phi": est.phi_hat,
-                "psi": est.psi_hat,
-                "se_phi": inf.se_phi if inf else None,
-                "ci_lo": inf.ci_phi[0] if inf else None,
-                "ci_hi": inf.ci_phi[1] if inf else None,
-                "p_value": inf.p_phi if inf else None,
-                "rank": None,
-                "selected": None,
-                "warnings": list(est.diagnostics.get("warnings", [])),
-            }
-        )
-    return rows
+def _row(est, inf, name, **fields) -> dict:
+    """One output row of an estimate and its inference; ``fields`` override or extend it."""
+    row = {
+        "id": est.covariate_id if not isinstance(est.covariate_id, tuple) else list(est.covariate_id),
+        "name": name,
+        "theta": est.theta_hat,
+        "phi": est.phi_hat,
+        "psi": est.psi_hat,
+        "se_phi": inf.se_phi if inf else None,
+        "ci_lo": inf.ci_phi[0] if inf else None,
+        "ci_hi": inf.ci_phi[1] if inf else None,
+        "p_value": inf.p_phi if inf else None,
+        "rank": None,
+        "selected": None,
+    }
+    row.update(fields)
+    return row
 
 
-def _load_inputs(args):
+def _score_inputs(args):
+    """(estimates, inferences, names) of every covariate or group; plug-ins get no inference."""
     dataset = load_csv(args.data, args.outcome, args.exposure, args.outcome_kind)
     basis = BasisConfig(degree=args.degree)
     estimator_kind = _ESTIMATOR_FLAG[args.estimator]
-    return dataset, basis, estimator_kind
-
-
-def _inferences_for(estimates, estimator_kind, alpha):
-    if estimator_kind in ("dr", "tmle"):
-        return [infer_scores(est, alpha) for est in estimates]
-    return [None] * len(estimates)
-
-
-def cmd_score(args) -> int:
-    config = _resolved_config(args)
-    start = time.monotonic()
-    dataset, basis, estimator_kind = _load_inputs(args)
     if args.groups:
-        spec = load_groups(args.groups, dataset)
-        members = spec.member_indices(dataset)
+        members = load_groups(args.groups, dataset).member_indices(dataset)
         estimates = score_groups(dataset, members, estimator_kind, basis, threads=args.threads)
         names = [name for name, _ in members]
     else:
@@ -201,8 +185,21 @@ def cmd_score(args) -> int:
             dataset, estimator_kind, basis, threads=args.threads, saturated=args.saturated
         )
         names = list(dataset.column_names)
-    inferences = _inferences_for(estimates, estimator_kind, args.alpha)
-    rows = _estimate_rows(estimates, inferences, names)
+    if estimator_kind in ("dr", "tmle"):
+        inferences = [infer_scores(est, args.alpha) for est in estimates]
+    else:
+        inferences = [None] * len(estimates)
+    return estimates, inferences, names
+
+
+def cmd_score(args) -> int:
+    config = _resolved_config(args)
+    start = time.monotonic()
+    estimates, inferences, names = _score_inputs(args)
+    rows = [
+        _row(est, inf, name, warnings=list(est.diagnostics.get("warnings", [])))
+        for est, inf, name in zip(estimates, inferences, names)
+    ]
     _emit_results(args, config, rows)
     _write_manifest(args.out, config, time.monotonic() - start, args.threads)
     return 0
@@ -211,18 +208,7 @@ def cmd_score(args) -> int:
 def cmd_rank(args) -> int:
     config = _resolved_config(args)
     start = time.monotonic()
-    dataset, basis, estimator_kind = _load_inputs(args)
-    if args.groups:
-        spec = load_groups(args.groups, dataset)
-        members = spec.member_indices(dataset)
-        estimates = score_groups(dataset, members, estimator_kind, basis, threads=args.threads)
-        names = [name for name, _ in members]
-    else:
-        estimates = score_all(
-            dataset, estimator_kind, basis, threads=args.threads, saturated=args.saturated
-        )
-        names = list(dataset.column_names)
-    inferences = _inferences_for(estimates, estimator_kind, args.alpha)
+    estimates, inferences, names = _score_inputs(args)
     has_inference = inferences[0] is not None
     report = rank(estimates, args.score, names=names, inferences=inferences if has_inference else None)
     if args.top_k is not None:
@@ -231,25 +217,11 @@ def cmd_rank(args) -> int:
         report = select_by_test(report, args.alpha)
 
     by_name = {name: (est, inf) for name, est, inf in zip(names, estimates, inferences)}
-    rows = []
-    for row in report.rows:
-        est, inf = by_name[row.name]
-        rows.append(
-            {
-                "id": row.id if not isinstance(row.id, tuple) else list(row.id),
-                "name": row.name,
-                "theta": est.theta_hat,
-                "phi": est.phi_hat,
-                "psi": est.psi_hat,
-                "se_phi": inf.se_phi if inf else None,
-                "ci_lo": inf.ci_phi[0] if inf else None,
-                "ci_hi": inf.ci_phi[1] if inf else None,
-                "p_value": row.p_value,
-                "rank": row.rank,
-                "selected": bool(row.selected),
-                "flags": list(row.flags),
-            }
-        )
+    rows = [
+        _row(*by_name[row.name], row.name, p_value=row.p_value, rank=row.rank,
+             selected=bool(row.selected), flags=list(row.flags))
+        for row in report.rows
+    ]
     _emit_results(args, config, rows, extra={"selection_rule": list(report.selection_rule)})
     _write_manifest(args.out, config, time.monotonic() - start, args.threads)
     return 0

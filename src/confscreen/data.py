@@ -44,6 +44,11 @@ class Dataset:
 
     For a bounded outcome kind the stored outcome lives in [0, 1]; the affine
     map back to the original scale is (scale, offset): original = scale * stored + offset.
+
+    Construction also derives what every scored target shares:
+    ``exposure_float``, ``arm_masks`` (rows exposure == 0 and == 1), the means
+    ``outcome_mean`` (original scale) and ``exposure_mean``, and the centered
+    ``outcome_centered`` and ``exposure_centered``.  All arrays are read-only.
     """
 
     outcome: np.ndarray
@@ -85,14 +90,25 @@ class Dataset:
         if self.outcome_kind == "bounded" and (outcome.min() < 0.0 or outcome.max() > 1.0):
             raise ValidationError("bounded outcome values must lie in [0, 1]")
         exposure = exposure.astype(np.int64)
+        exposure_float = exposure.astype(float)
+        outcome_original = self.outcome_scale * outcome + self.outcome_offset
+        outcome_mean = float(outcome_original.mean())
+        exposure_mean = float(exposure.mean())
         for name, value in (
             ("outcome", outcome),
             ("exposure", exposure),
             ("covariates", covariates),
+            ("exposure_float", exposure_float),
+            ("arm_masks", np.stack([exposure == 0, exposure == 1])),
+            ("_outcome_original", outcome_original),
+            ("outcome_centered", outcome_original - outcome_mean),
+            ("exposure_centered", exposure_float - exposure_mean),
         ):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "column_names", tuple(self.column_names))
+        object.__setattr__(self, "outcome_mean", outcome_mean)
+        object.__setattr__(self, "exposure_mean", exposure_mean)
 
     @property
     def n(self) -> int:
@@ -103,8 +119,8 @@ class Dataset:
         return self.covariates.shape[1]
 
     def outcome_original(self) -> np.ndarray:
-        """Outcome mapped back to its original (pre-rescaling) scale."""
-        return self.outcome_scale * self.outcome + self.outcome_offset
+        """Outcome mapped back to its original (pre-rescaling) scale (read-only)."""
+        return self._outcome_original
 
     def column_index(self, name: str) -> int:
         try:

@@ -14,8 +14,6 @@ affine transform.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,11 +22,10 @@ from . import influence
 from ._stats import expit, logit
 from .data import Dataset, ValidationError
 from .nuisance import (
-    PROB_CLIP,
     BasisConfig,
+    _clip_prob,
     fit_nuisances,
     fit_saturated,
-    fit_tau,
 )
 
 __all__ = [
@@ -48,7 +45,9 @@ __all__ = [
 ]
 
 PSI_DENOM_TOL = 1e-12
-ESTIMATOR_KINDS = ("plugin_om", "plugin_ps", "dr", "tmle")
+# Nuisance parts each estimator fits.
+ESTIMATOR_PARTS = {"plugin_om": ("tau",), "plugin_ps": ("pi",), "dr": ("tau", "pi"), "tmle": ("pi", "q")}
+ESTIMATOR_KINDS = tuple(ESTIMATOR_PARTS)
 
 
 @dataclass
@@ -95,14 +94,36 @@ def scores_from_theta(theta: float, mu_o: float, mu_e: float) -> tuple[float, fl
     return phi, exposed / unexposed
 
 
+def _mean(x: np.ndarray):
+    """``np.mean`` of a 1-D array without its wrapper: the same sum, the same result."""
+    return np.add.reduce(x) / x.shape[0]
+
+
+def _in_sample(dataset: Dataset, fit, part: str) -> np.ndarray:
+    """Nuisance ``part`` ("tau", "pi", "q0" or "q1") at the dataset's covariates.
+
+    A NuisanceFit trained on ``dataset`` already holds these values; any
+    other fit is evaluated through its ``tau_at``/``pi_at``/``q_at``.
+    """
+    if getattr(fit, "training_data", None) is dataset:
+        stored = getattr(fit, f"{part}_fitted")
+        if stored is not None:
+            return stored
+    c = dataset.covariates[:, fit.columns]
+    if part == "tau":
+        return fit.tau_at(c)
+    if part == "pi":
+        return fit.pi_at(c)
+    return fit.q_at(int(part[1]), c)
+
+
 def theta_naive(dataset: Dataset, fit) -> float:
     """Naive plug-in: sample mean of I(E=1) tau_hat(C)."""
-    tau = fit.tau_at(dataset.covariates[:, fit.columns])
-    return float(np.mean(dataset.exposure * tau))
+    return float(_mean(dataset.exposure_float * _in_sample(dataset, fit, "tau")))
 
 
 def _both_arms(dataset: Dataset) -> None:
-    if not (0.0 < dataset.exposure.mean() < 1.0):
+    if not (0.0 < dataset.exposure_mean < 1.0):
         raise ValidationError("both exposure arms must be present")
 
 
@@ -113,13 +134,13 @@ def _original_scale(dataset: Dataset, values: np.ndarray) -> np.ndarray:
 def plugin_scores_om(dataset: Dataset, fit) -> ScoreEstimate:
     """Plug-in scores from the outcome-regression route (arm means of tau_hat)."""
     _both_arms(dataset)
-    tau = _original_scale(dataset, fit.tau_at(dataset.covariates[:, fit.columns]))
-    mu_e = float(dataset.exposure.mean())
-    theta = float(np.mean(dataset.exposure * tau))
+    tau = _original_scale(dataset, _in_sample(dataset, fit, "tau"))
+    mu_e = dataset.exposure_mean
+    theta = float(_mean(dataset.exposure_float * tau))
     # Under the outcome-model plug-in measure, mu_O is the mean of tau over
     # the empirical covariate distribution; this keeps phi identical to the
     # within-arm mean difference.
-    mu_o = float(tau.mean())
+    mu_o = float(_mean(tau))
     phi, psi = scores_from_theta(theta, mu_o, mu_e)
     return ScoreEstimate(
         covariate_id=fit.columns[0] if len(fit.columns) == 1 else fit.columns,
@@ -136,11 +157,10 @@ def plugin_scores_om(dataset: Dataset, fit) -> ScoreEstimate:
 def plugin_scores_ps(dataset: Dataset, fit) -> ScoreEstimate:
     """Plug-in scores from the propensity route: E{O pi_hat(C)} / mean(E) etc."""
     _both_arms(dataset)
-    pi = fit.pi_at(dataset.covariates[:, fit.columns])
-    o = _original_scale(dataset, dataset.outcome)
-    mu_e = float(dataset.exposure.mean())
-    theta = float(np.mean(o * pi))
-    mu_o = float(o.mean())
+    pi = _in_sample(dataset, fit, "pi")
+    mu_e = dataset.exposure_mean
+    theta = float(_mean(dataset.outcome_original() * pi))
+    mu_o = dataset.outcome_mean
     phi, psi = scores_from_theta(theta, mu_o, mu_e)
     return ScoreEstimate(
         covariate_id=fit.columns[0] if len(fit.columns) == 1 else fit.columns,
@@ -167,14 +187,14 @@ def _finalize_efficient(
 
     ``tau`` and ``theta`` are expected on the original outcome scale.
     """
-    o = _original_scale(dataset, dataset.outcome)
-    e = dataset.exposure
-    mu_o = float(o.mean())
-    mu_e = float(e.mean())
+    mu_o = dataset.outcome_mean
+    mu_e = dataset.exposure_mean
     phi, psi = scores_from_theta(theta, mu_o, mu_e)
-    d_theta = influence.eic_theta(o, e, pi, tau, theta)
-    d_mu_o = influence.ic_mu(o, mu_o)
-    d_mu_e = influence.ic_mu(e.astype(float), mu_e)
+    d_theta = influence.eic_theta(dataset.outcome_original(), dataset.exposure_float, pi, tau, theta)
+    # The influence curves of the plain means mu_O and mu_E are the centered
+    # values, shared by every target of the dataset.
+    d_mu_o = dataset.outcome_centered
+    d_mu_e = dataset.exposure_centered
     d_phi = influence.ic_phi(d_theta, d_mu_o, d_mu_e, theta, mu_o, mu_e)
     values = {
         "d_theta": d_theta,
@@ -182,11 +202,11 @@ def _finalize_efficient(
         "d_mu_e": d_mu_e,
         "d_phi": d_phi,
     }
-    if psi is not None and theta > 0.0:
+    if psi is not None:
         values["d_psi"] = influence.ic_psi(d_theta, d_mu_o, d_mu_e, theta, mu_o, mu_e)
     else:
         diagnostics.setdefault("warnings", []).append(
-            "ratio-score influence curve undefined (theta <= 0 or vanishing denominator)"
+            "ratio-score influence curve undefined (vanishing denominator)"
         )
     return ScoreEstimate(
         covariate_id=covariate_id,
@@ -204,12 +224,10 @@ def _finalize_efficient(
 def theta_dr(dataset: Dataset, fit) -> ScoreEstimate:
     """One-step doubly robust correction of the naive plug-in."""
     _both_arms(dataset)
-    c = dataset.covariates[:, fit.columns]
-    tau = _original_scale(dataset, fit.tau_at(c))
-    pi = fit.pi_at(c)
-    o = _original_scale(dataset, dataset.outcome)
-    theta_n = float(np.mean(dataset.exposure * tau))
-    theta = theta_n + float(np.mean(o * pi - tau * pi))
+    tau = _original_scale(dataset, _in_sample(dataset, fit, "tau"))
+    pi = _in_sample(dataset, fit, "pi")
+    theta_n = float(_mean(dataset.exposure_float * tau))
+    theta = theta_n + float(_mean(dataset.outcome_original() * pi - tau * pi))
     diagnostics = {"theta_naive": theta_n, "warnings": list(fit.warnings)}
     cov_id = fit.columns[0] if len(fit.columns) == 1 else fit.columns
     return _finalize_efficient(dataset, "dr", cov_id, theta, pi, tau, diagnostics)
@@ -225,30 +243,34 @@ def _offset_logistic_mle(h: np.ndarray, y: np.ndarray, base: np.ndarray) -> floa
     Newton with step-halving on the mean score; bisection fallback when a
     sign change brackets the root.  ``y`` may be fractional in [0, 1].
     """
-    n = y.shape[0]
+
+    def score_and_mu(eps: float) -> tuple[float, np.ndarray]:
+        mu = expit(base + eps * h)
+        return float(_mean(h * (y - mu))), mu
 
     def mean_score(eps: float) -> float:
-        return float(np.mean(h * (y - expit(base + eps * h))))
+        return score_and_mu(eps)[0]
 
-    s0 = mean_score(0.0)
+    s0, mu = score_and_mu(0.0)
     if abs(s0) < NEWTON_TOL:
         return 0.0
     eps = 0.0
     s = s0
+    hh = h * h
     for _ in range(NEWTON_MAX_STEPS):
-        mu = expit(base + eps * h)
-        info = float(np.mean(h * h * mu * (1.0 - mu)))
+        # ``mu`` is expit(base + eps * h) at the current eps.
+        info = float(_mean(hh * mu * (1.0 - mu)))
         if info <= 0.0:
             break
         step = s / info
         scale = 1.0
         for _ in range(30):
             cand = eps + scale * step
-            s_cand = mean_score(cand)
+            s_cand, mu_cand = score_and_mu(cand)
             if abs(s_cand) <= abs(s):
                 break
             scale *= 0.5
-        eps, s = cand, s_cand
+        eps, s, mu = cand, s_cand, mu_cand
         if abs(s) < NEWTON_TOL:
             return eps
     # Bisection fallback: expand a bracket around 0 on the score sign change.
@@ -280,18 +302,17 @@ def fluctuate_pi(state: TmleState, dataset: Dataset) -> tuple[TmleState, float]:
     already vanishes (e.g. saturated fits) the state is left untouched.
     """
     h1 = -2.0 * state.pi_values * (state.q1_values - state.q0_values) - state.q0_values
-    e = dataset.exposure.astype(float)
-    if np.max(np.abs(h1)) == 0.0:
+    e = dataset.exposure_float
+    if np.abs(h1).max() == 0.0:
         state.eps1 = 0.0
         return state, 0.0
-    score0 = float(np.mean(h1 * (e - state.pi_values)))
+    score0 = float(_mean(h1 * (e - state.pi_values)))
     if abs(score0) < NEWTON_TOL:
         state.eps1 = 0.0
         return state, 0.0
-    pi = np.clip(state.pi_values, PROB_CLIP, 1.0 - PROB_CLIP)
-    base = logit(pi)
+    base = logit(_clip_prob(state.pi_values))
     eps1 = _offset_logistic_mle(h1, e, base)
-    state.pi_values = np.clip(expit(base + eps1 * h1), PROB_CLIP, 1.0 - PROB_CLIP)
+    state.pi_values = _clip_prob(expit(base + eps1 * h1))
     state.eps1 = eps1
     return state, eps1
 
@@ -304,30 +325,24 @@ def fluctuate_q(state: TmleState, dataset: Dataset, outcome_kind: str = "continu
     outcome: logistic path on logit(Q) with the Bernoulli loss.
     """
     h2 = -state.pi_values
-    e = dataset.exposure
-    q_obs = np.where(e == 1, state.q1_values, state.q0_values)
+    q_obs = np.where(dataset.arm_masks[1], state.q1_values, state.q0_values)
     o = dataset.outcome
     if outcome_kind == "bounded":
-        resid_score = float(np.mean(h2 * (o - q_obs)))
+        resid_score = float(_mean(h2 * (o - q_obs)))
         if abs(resid_score) < NEWTON_TOL:
             state.eps2 = 0.0
             return state, 0.0
-        q_obs_c = np.clip(q_obs, PROB_CLIP, 1.0 - PROB_CLIP)
-        eps2 = _offset_logistic_mle(h2, o, logit(q_obs_c))
+        eps2 = _offset_logistic_mle(h2, o, logit(_clip_prob(q_obs)))
         for attr in ("q0_values", "q1_values"):
-            q = np.clip(getattr(state, attr), PROB_CLIP, 1.0 - PROB_CLIP)
-            setattr(
-                state,
-                attr,
-                np.clip(expit(logit(q) + eps2 * h2), PROB_CLIP, 1.0 - PROB_CLIP),
-            )
+            q = _clip_prob(getattr(state, attr))
+            setattr(state, attr, _clip_prob(expit(logit(q) + eps2 * h2)))
         state.eps2 = eps2
         return state, eps2
-    denom = float(np.sum(h2 * h2))
+    denom = float(np.add.reduce(h2 * h2))
     if denom < 1e-14:
         state.eps2 = 0.0
         return state, 0.0
-    eps2 = float(np.sum(h2 * (o - q_obs)) / denom)
+    eps2 = float(np.add.reduce(h2 * (o - q_obs)) / denom)
     state.q0_values = state.q0_values + eps2 * h2
     state.q1_values = state.q1_values + eps2 * h2
     state.eps2 = eps2
@@ -349,11 +364,10 @@ def tmle_theta(
     influence curve vanishes.
     """
     _both_arms(dataset)
-    c = dataset.covariates[:, fit.columns]
     state = TmleState(
-        pi_values=fit.pi_at(c),
-        q0_values=fit.q_at(0, c),
-        q1_values=fit.q_at(1, c),
+        pi_values=_in_sample(dataset, fit, "pi"),
+        q0_values=_in_sample(dataset, fit, "q0"),
+        q1_values=_in_sample(dataset, fit, "q1"),
     )
     converged = False
     for k in range(max_iter):
@@ -371,13 +385,13 @@ def tmle_theta(
     # This is the form that zeroes the empirical influence-curve equation;
     # the observed-arm average mean(E * tau) differs by O_p(n^{-1/2}) and is
     # reported in the diagnostics.
-    theta = float(np.mean(state.pi_values * tau))
+    theta = float(_mean(state.pi_values * tau))
     diagnostics = {
         "iterations": state.iteration + 1,
         "final_eps1": abs(state.eps1),
         "final_eps2": abs(state.eps2),
         "trace": list(state.trace),
-        "theta_observed_arm": float(np.mean(dataset.exposure * tau)),
+        "theta_observed_arm": float(_mean(dataset.exposure_float * tau)),
         "warnings": list(fit.warnings),
     }
     if not converged:
@@ -391,10 +405,8 @@ def tmle_theta(
 
 def _constant_estimate(dataset: Dataset, cov_id, kind: str) -> ScoreEstimate:
     """Degenerate estimate for a constant covariate: phi = 0, psi = 1."""
-    o = _original_scale(dataset, dataset.outcome)
-    mu_o = float(o.mean())
-    mu_e = float(dataset.exposure.mean())
-    n = dataset.n
+    mu_o = dataset.outcome_mean
+    mu_e = dataset.exposure_mean
     est = ScoreEstimate(
         covariate_id=cov_id,
         estimator_kind=kind,
@@ -406,14 +418,8 @@ def _constant_estimate(dataset: Dataset, cov_id, kind: str) -> ScoreEstimate:
         diagnostics={"constant": True, "warnings": ["constant covariate: scores fixed at null"]},
     )
     if kind in ("dr", "tmle"):
-        zero = np.zeros(n)
-        est.influence_values = {
-            "d_theta": zero,
-            "d_mu_o": zero,
-            "d_mu_e": zero,
-            "d_phi": zero,
-            "d_psi": zero,
-        }
+        names = ("d_theta", "d_mu_o", "d_mu_e", "d_phi", "d_psi")
+        est.influence_values = dict.fromkeys(names, np.zeros(dataset.n))
     return est
 
 
@@ -440,14 +446,8 @@ def score_covariate(
         if len(cols) != 1:
             raise ValidationError("saturated fits support single covariates only")
         fit = fit_saturated(dataset, cols[0])
-    elif estimator_kind == "plugin_om":
-        fit = fit_tau(dataset, cols, basis)
-    elif estimator_kind == "plugin_ps":
-        fit = fit_nuisances(dataset, cols, basis, parts=("pi",))
-    elif estimator_kind == "dr":
-        fit = fit_nuisances(dataset, cols, basis, parts=("tau", "pi"))
     else:
-        fit = fit_nuisances(dataset, cols, basis, parts=("pi", "q"))
+        fit = fit_nuisances(dataset, cols, basis, parts=ESTIMATOR_PARTS[estimator_kind])
 
     if estimator_kind == "plugin_om":
         return plugin_scores_om(dataset, fit)
@@ -456,12 +456,6 @@ def score_covariate(
     if estimator_kind == "dr":
         return theta_dr(dataset, fit)
     return tmle_theta(dataset, fit)
-
-
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        threads = os.cpu_count() or 1
-    return max(1, int(threads))
 
 
 def score_all(
@@ -473,19 +467,12 @@ def score_all(
 ) -> list[ScoreEstimate]:
     """Score every covariate; results are returned in column order.
 
-    Per-covariate estimation is independent and runs on a thread pool; the
-    gather order is fixed by column index, so output is thread-count
-    invariant.
+    ``threads`` is accepted and ignored: targets are scored one after another
+    on the calling thread, because a thread pool over these small fits
+    measured slower than one thread for every estimator.
     """
     basis = basis or BasisConfig()
-    threads = _resolve_threads(threads)
-    jobs = list(range(dataset.p))
-    if threads == 1:
-        return [score_covariate(dataset, j, estimator_kind, basis, saturated) for j in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(
-            pool.map(lambda j: score_covariate(dataset, j, estimator_kind, basis, saturated), jobs)
-        )
+    return [score_covariate(dataset, j, estimator_kind, basis, saturated) for j in range(dataset.p)]
 
 
 def score_groups(
@@ -495,17 +482,14 @@ def score_groups(
     basis: BasisConfig | None = None,
     threads: int | None = None,
 ) -> list[ScoreEstimate]:
-    """Score covariate groups with additive group bases; output order follows the input groups."""
-    basis = basis or BasisConfig()
-    threads = _resolve_threads(threads)
+    """Score covariate groups with additive group bases; output order follows the input groups.
 
-    def run(item):
-        name, cols = item
+    ``threads`` is accepted and ignored, as in ``score_all``.
+    """
+    basis = basis or BasisConfig()
+    estimates = []
+    for name, cols in group_indices:
         est = score_covariate(dataset, cols, estimator_kind, basis)
         est.covariate_id = name
-        return est
-
-    if threads == 1:
-        return [run(item) for item in group_indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, group_indices))
+        estimates.append(est)
+    return estimates

@@ -4,8 +4,8 @@ The influence curves for the difference and ratio scores are obtained by
 the delta method applied to their representations in terms of
 (theta, mu_O, mu_E).  Note that the partial in the mu_E direction is
 -theta/mu_E^2 - (mu_O - theta)/(1 - mu_E)^2 for the difference score and
--1/(mu_E (1 - mu_E)) on the log scale for the ratio; both are validated
-against central finite differences in the test suite.
+-psi/(mu_E (1 - mu_E)) for the ratio; both are validated against central
+finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -69,18 +69,32 @@ def ic_phi(d_theta, d_mu_o, d_mu_e, theta, mu_o, mu_e):
 
 
 def ic_psi(d_theta, d_mu_o, d_mu_e, theta, mu_o, mu_e):
-    """Delta-method influence curve of the ratio score (via its log decomposition)."""
+    """Delta-method influence curve of the ratio score, on its natural scale.
+
+    The partials of psi = theta (1 - mu_E) / (mu_E (mu_O - theta)) exist for
+    every theta != mu_O, whatever its sign.
+    """
     _check_mu_e(mu_e)
-    if abs(mu_o - theta) < 1e-12:
+    gap = mu_o - theta
+    if abs(gap) < 1e-12:
         raise ValidationError("ratio-score denominator vanishes")
-    if theta <= 0.0:
-        raise ValidationError("ratio-score influence curve requires theta > 0")
-    psi = (theta / mu_e) / ((mu_o - theta) / (1.0 - mu_e))
-    return psi * (
-        mu_o * np.asarray(d_theta, dtype=float) / (theta * (mu_o - theta))
-        - np.asarray(d_mu_o, dtype=float) / (mu_o - theta)
-        - np.asarray(d_mu_e, dtype=float) / (mu_e * (1.0 - mu_e))
+    psi = (theta / mu_e) / (gap / (1.0 - mu_e))
+    return (
+        ((1.0 - mu_e) * mu_o / (mu_e * gap * gap)) * np.asarray(d_theta, dtype=float)
+        - (psi / gap) * np.asarray(d_mu_o, dtype=float)
+        - (psi / (mu_e * (1.0 - mu_e))) * np.asarray(d_mu_e, dtype=float)
     )
+
+
+_WALD_Z: dict[float, float] = {}
+
+
+def _wald_z(alpha: float) -> float:
+    """Two-sided Wald quantile norm_ppf(1 - alpha/2), computed once per alpha."""
+    z = _WALD_Z.get(alpha)
+    if z is None:
+        z = _WALD_Z[alpha] = norm_ppf(1.0 - alpha / 2.0)
+    return z
 
 
 def wald_inference(
@@ -101,8 +115,10 @@ def wald_inference(
         raise ValidationError("need at least 2 observations for Wald inference")
     if not (0.0 < alpha < 1.0):
         raise ValidationError("alpha must lie in (0, 1)")
-    se = float(values.std(ddof=1) / np.sqrt(n))
-    z = norm_ppf(1.0 - alpha / 2.0)
+    # values.std(ddof=1) without its wrapper: the same sums, the same result.
+    centered = values - np.add.reduce(values) / n
+    se = float(np.sqrt(np.add.reduce(centered * centered) / (n - 1)) / np.sqrt(n))
+    z = _wald_z(alpha)
     ci = (estimate - z * se, estimate + z * se)
     if se == 0.0:
         p = 1.0 if estimate == null_value else 0.0

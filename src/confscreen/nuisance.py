@@ -104,18 +104,19 @@ def _fit_logistic(
     coefficients (perfect or quasi-separation) trigger a ridge-penalized
     refit; returns (coefficients, used_ridge).
     """
+    p_dim = X.shape[1]
 
     def run(ridge: float) -> tuple[np.ndarray, float, bool]:
-        p_dim = X.shape[1]
+        ridge_eye = ridge * np.eye(p_dim)
         beta = np.zeros(p_dim)
         eta = X @ beta
         mu = expit(eta)
         ll = _bernoulli_loglik(y, mu) - 0.5 * ridge * beta @ beta
         ok = True
         for _ in range(max_iter):
-            w = np.clip(mu * (1.0 - mu), 1e-10, None)
+            w = np.maximum(mu * (1.0 - mu), 1e-10)
             grad = X.T @ (y - mu) - ridge * beta
-            hess = (X.T * w) @ X + ridge * np.eye(p_dim)
+            hess = (X.T * w) @ X + ridge_eye
             try:
                 step = np.linalg.solve(hess, grad)
             except np.linalg.LinAlgError:
@@ -133,14 +134,14 @@ def _fit_logistic(
             beta, mu = cand, mu_c
             # On the standardized basis, coefficients past ~15 mean the fit is
             # climbing a separation ray rather than approaching an interior MLE.
-            if not np.all(np.isfinite(beta)) or np.max(np.abs(beta)) > 15.0:
+            if not np.isfinite(beta).all() or np.abs(beta).max() > 15.0:
                 ok = False
                 break
             if ll_c - ll < tol:
                 ll = ll_c
                 break
             ll = ll_c
-        return beta, ll, ok and np.all(np.isfinite(beta))
+        return beta, ll, ok and np.isfinite(beta).all()
 
     beta, _, ok = run(0.0)
     if ok:
@@ -150,13 +151,21 @@ def _fit_logistic(
 
 
 def _bernoulli_loglik(y: np.ndarray, mu: np.ndarray) -> float:
-    mu = np.clip(mu, 1e-12, 1.0 - 1e-12)
-    return float(np.sum(y * np.log(mu) + (1.0 - y) * np.log1p(-mu)))
+    mu = np.minimum(np.maximum(mu, 1e-12), 1.0 - 1e-12)
+    return float(np.add.reduce(y * np.log(mu) + (1.0 - y) * np.log1p(-mu)))
+
+
+def _clip_prob(p: np.ndarray) -> np.ndarray:
+    """Clip probabilities to [PROB_CLIP, 1 - PROB_CLIP] (``np.clip`` without its wrapper)."""
+    return np.minimum(np.maximum(p, PROB_CLIP), 1.0 - PROB_CLIP)
 
 
 @dataclass
 class NuisanceFit:
-    """Fitted polynomial nuisance models for one covariate or group."""
+    """Fitted polynomial nuisance models for one covariate or group.
+
+    ``*_fitted`` hold each fitted part's values at ``training_data``'s covariates.
+    """
 
     columns: tuple[int, ...]
     basis: BasisConfig
@@ -167,6 +176,11 @@ class NuisanceFit:
     pi_coeffs: np.ndarray | None = None
     q0_coeffs: np.ndarray | None = None
     q1_coeffs: np.ndarray | None = None
+    tau_fitted: np.ndarray | None = None
+    pi_fitted: np.ndarray | None = None
+    q0_fitted: np.ndarray | None = None
+    q1_fitted: np.ndarray | None = None
+    training_data: Dataset | None = field(default=None, repr=False, compare=False)
     warnings: list[str] = field(default_factory=list)
 
     def _standardized(self, c: np.ndarray) -> np.ndarray:
@@ -191,16 +205,18 @@ class NuisanceFit:
     def pi_at(self, c: np.ndarray) -> np.ndarray:
         if self.pi_coeffs is None:
             raise ValidationError("fit has no propensity part")
-        return np.clip(expit(self.design(c) @ self.pi_coeffs), PROB_CLIP, 1.0 - PROB_CLIP)
+        return _clip_prob(expit(self.design(c) @ self.pi_coeffs))
 
     def q_at(self, e: int, c: np.ndarray) -> np.ndarray:
         coeffs = self.q1_coeffs if e == 1 else self.q0_coeffs
         if coeffs is None:
             raise ValidationError("fit has no exposure-response part")
-        vals = self.design(c) @ coeffs
+        return self._q_values(self.design(c) @ coeffs)
+
+    def _q_values(self, linear: np.ndarray) -> np.ndarray:
         if self.outcome_kind == "bounded":
-            vals = np.clip(expit(vals), PROB_CLIP, 1.0 - PROB_CLIP)
-        return vals
+            return _clip_prob(expit(linear))
+        return linear
 
     def compose_tau_at(self, c: np.ndarray) -> np.ndarray:
         pi = self.pi_at(c)
@@ -220,71 +236,60 @@ def _prepare(dataset: Dataset, columns, basis: BasisConfig) -> NuisanceFit:
         centers=centers,
         scales=scales,
         outcome_kind=dataset.outcome_kind,
+        training_data=dataset,
     )
 
 
 def fit_tau(dataset: Dataset, columns, basis: BasisConfig) -> NuisanceFit:
     """Least-squares fit of the outcome on the polynomial basis."""
-    fit = _prepare(dataset, columns, basis)
-    X = fit.design(dataset.covariates[:, fit.columns])
-    fit.tau_coeffs, ridged = _solve_lstsq(X, dataset.outcome)
-    if ridged:
-        fit.warnings.append("tau: rank-deficient design, ridge fallback used")
-    return fit
+    return fit_nuisances(dataset, columns, basis, parts=("tau",))
 
 
 def fit_pi(dataset: Dataset, columns, basis: BasisConfig) -> NuisanceFit:
     """Logistic maximum-likelihood fit of the exposure via IRLS."""
-    fit = _prepare(dataset, columns, basis)
-    X = fit.design(dataset.covariates[:, fit.columns])
-    fit.pi_coeffs, ridged = _fit_logistic(X, dataset.exposure.astype(float))
-    if ridged:
-        fit.warnings.append("pi: separation detected, ridge fallback used")
-    return fit
+    return fit_nuisances(dataset, columns, basis, parts=("pi",))
 
 
 def fit_q(dataset: Dataset, columns, basis: BasisConfig) -> NuisanceFit:
     """Per-arm outcome regressions on the shared polynomial basis."""
-    fit = _prepare(dataset, columns, basis)
-    X = fit.design(dataset.covariates[:, fit.columns])
-    n_basis = X.shape[1]
-    for arm in (0, 1):
-        mask = dataset.exposure == arm
-        count = int(mask.sum())
-        if count < n_basis + 1:
-            raise ValidationError(
-                f"exposure arm {arm} has {count} observations; "
-                f"need at least {n_basis + 1} for the requested basis"
-            )
-        if dataset.outcome_kind == "bounded":
-            coeffs, ridged = _fit_logistic(X[mask], dataset.outcome[mask])
-        else:
-            coeffs, ridged = _solve_lstsq(X[mask], dataset.outcome[mask])
-        if arm == 0:
-            fit.q0_coeffs = coeffs
-        else:
-            fit.q1_coeffs = coeffs
-        if ridged:
-            fit.warnings.append(f"q{arm}: degenerate fit, ridge fallback used")
-    return fit
+    return fit_nuisances(dataset, columns, basis, parts=("q",))
 
 
 def fit_nuisances(dataset: Dataset, columns, basis: BasisConfig, parts=("tau", "pi", "q")) -> NuisanceFit:
-    """Fit the requested nuisance parts into a single NuisanceFit."""
+    """Fit the requested parts ("tau", "pi", "q") and their in-sample values from one design matrix.
+
+    q holds the per-arm outcome regressions (logistic for a bounded outcome).
+    """
     fit = _prepare(dataset, columns, basis)
     X = fit.design(dataset.covariates[:, fit.columns])
     if "tau" in parts:
         fit.tau_coeffs, ridged = _solve_lstsq(X, dataset.outcome)
+        fit.tau_fitted = X @ fit.tau_coeffs
         if ridged:
             fit.warnings.append("tau: rank-deficient design, ridge fallback used")
     if "pi" in parts:
-        fit.pi_coeffs, ridged = _fit_logistic(X, dataset.exposure.astype(float))
+        fit.pi_coeffs, ridged = _fit_logistic(X, dataset.exposure_float)
+        fit.pi_fitted = _clip_prob(expit(X @ fit.pi_coeffs))
         if ridged:
             fit.warnings.append("pi: separation detected, ridge fallback used")
     if "q" in parts:
-        qfit = fit_q(dataset, columns, basis)
-        fit.q0_coeffs, fit.q1_coeffs = qfit.q0_coeffs, qfit.q1_coeffs
-        fit.warnings.extend(w for w in qfit.warnings if w.startswith("q"))
+        n_basis = X.shape[1]
+        solver = _fit_logistic if dataset.outcome_kind == "bounded" else _solve_lstsq
+        for arm, mask in enumerate(dataset.arm_masks):
+            count = int(mask.sum())
+            if count < n_basis + 1:
+                raise ValidationError(
+                    f"exposure arm {arm} has {count} observations; "
+                    f"need at least {n_basis + 1} for the requested basis"
+                )
+            coeffs, ridged = solver(X[mask], dataset.outcome[mask])
+            fitted = fit._q_values(X @ coeffs)
+            if arm == 0:
+                fit.q0_coeffs, fit.q0_fitted = coeffs, fitted
+            else:
+                fit.q1_coeffs, fit.q1_fitted = coeffs, fitted
+            if ridged:
+                fit.warnings.append(f"q{arm}: degenerate fit, ridge fallback used")
     return fit
 
 

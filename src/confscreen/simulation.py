@@ -437,16 +437,18 @@ def _ranking_order(distances: np.ndarray) -> np.ndarray:
 
 
 def roc_curve(distances, labels) -> np.ndarray:
-    """ROC points (sensitivity, 1 - specificity) sweeping top-K for K = 0..p."""
-    distances = np.asarray(distances, dtype=float)
-    order = _ranking_order(distances)
-    points = [(0.0, 0.0)]
-    selected: list[int] = []
-    for j in order:
-        selected.append(int(j))
-        sens, spec = evaluate_selection(selected, labels)
-        points.append((sens, 1.0 - spec))
-    return np.asarray(points)
+    """ROC points (sensitivity, 1 - specificity) sweeping top-K for K = 0..p.
+
+    Counts cumulate along the ranking; the rates are those of ``evaluate_selection``.
+    """
+    positive = np.array([lab == LABEL_CONFOUNDER for lab in labels], dtype=bool)
+    n_pos = int(positive.sum())
+    n_neg = positive.size - n_pos
+    tp = np.cumsum(positive[_ranking_order(np.asarray(distances, dtype=float))])
+    fp = np.arange(1, tp.size + 1) - tp
+    sens = tp / n_pos if n_pos else np.ones(tp.size)
+    fpr = 1.0 - (n_neg - fp) / n_neg if n_neg else np.zeros(tp.size)
+    return np.vstack([[0.0, 0.0], np.column_stack([sens, fpr])])
 
 
 def roc_auc(points: np.ndarray) -> float:

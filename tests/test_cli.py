@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from confscreen import SimScenario, generate, write_csv
 from confscreen.cli import CSV_COLUMNS, main
 
 SIX_ROWS = "O,E,C\n1,1,1\n0,1,1\n1,0,1\n0,0,0\n1,1,0\n0,0,1\n"
@@ -226,3 +227,17 @@ def test_unknown_flag_exit_2(six_csv, tmp_path, capsys):
     code = main(["score", "--data", six_csv, "--bogus", "1",
                  "--out", str(tmp_path / "x.json")])
     assert code == 2
+
+
+def test_rank_ratio_alpha_test_with_negative_theta(tmp_path):
+    # c10 of this design has theta < 0; its ratio score still gets a p-value.
+    data = tmp_path / "low.csv"
+    write_csv(generate(SimScenario(kind="low_dim", n=400, p=15, seed=3), 0).dataset, data)
+    out = tmp_path / "rank.csv"
+    code = main(["rank", "--data", str(data), "--outcome", "outcome", "--exposure", "exposure",
+                 "--score", "ratio", "--out", str(out), "--format", "csv"])
+    assert code == 0
+    with open(out) as fh:
+        rows = {row["name"]: row for row in csv.DictReader(fh)}
+    assert float(rows["c10"]["theta"]) < 0.0
+    assert rows["c10"]["p_value"] != ""

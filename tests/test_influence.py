@@ -79,10 +79,23 @@ def test_ic_psi_matches_finite_differences():
         assert got == pytest.approx(expected, rel=1e-4, abs=1e-8)
 
 
+def test_ic_psi_matches_finite_differences_at_negative_theta():
+    # The natural-scale curve exists wherever psi does, including theta <= 0.
+    rng = np.random.default_rng(103)
+    for _ in range(100):
+        mu_e = rng.uniform(0.15, 0.85)
+        mu_o = rng.uniform(0.2, 2.0)
+        theta = -rng.uniform(0.1, 0.9) * mu_o
+        d = rng.normal(size=3)
+        expected = _numeric_gradient(_psi, (theta, mu_o, mu_e)) @ d
+        got = ic_psi(d[0:1], d[1:2], d[2:3], theta, mu_o, mu_e)[0]
+        assert got == pytest.approx(expected, rel=1e-4, abs=1e-8)
+
+
 def test_ic_psi_domain_errors():
     d = np.zeros(1)
     with pytest.raises(ValidationError):
-        ic_psi(d, d, d, -0.1, 0.5, 0.5)
+        ic_psi(d, d, d, 0.2, 0.5, 0.0)
     with pytest.raises(ValidationError):
         ic_psi(d, d, d, 0.5, 0.5, 0.5)
 

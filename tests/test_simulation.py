@@ -155,6 +155,34 @@ def test_roc_curve_worst_ranking():
     assert roc_auc(points) == pytest.approx(0.0)
 
 
+def _roc_curve_by_sets(distances, labels):
+    """Reference: re-evaluate the selected set at every K."""
+    order = np.lexsort((np.arange(len(distances)), -np.asarray(distances, dtype=float)))
+    points = [(0.0, 0.0)]
+    for k in range(1, len(order) + 1):
+        sens, spec = evaluate_selection(order[:k], labels)
+        points.append((sens, 1.0 - spec))
+    return np.asarray(points)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_roc_curve_matches_set_evaluation(seed):
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 40))
+    # Few distinct values force ties; -inf marks undefined ratio scores.
+    distances = rng.choice([0.0, 0.5, 1.0, 2.0, -np.inf], size=p)
+    kinds = ["confounder", "precision", "instrument", "spurious"]
+    label_sets = [
+        list(rng.choice(kinds, size=p)),
+        ["spurious"] * p,
+        ["confounder"] * p,
+    ]
+    for labels in label_sets:
+        got = roc_curve(distances, labels)
+        want = _roc_curve_by_sets(distances, labels)
+        assert np.array_equal(got, want)
+
+
 def test_run_replicates_smoke():
     sc = SimScenario(kind="low_dim", n=200, p=15, seed=8, replicates=2)
     res = run_replicates(sc, "tmle", rule=("top_k", 5))

@@ -51,3 +51,23 @@ def test_expit_symmetry():
 def test_norm_cdf_monotone():
     x = np.linspace(-10, 10, 1001)
     assert np.all(np.diff(norm_cdf(x)) >= 0.0)
+
+
+def _expit_two_branch(x):
+    """Reference: the logistic function evaluated separately on each sign."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_expit_matches_two_branch_reference_bitwise():
+    rng = np.random.default_rng(7)
+    x = np.concatenate(
+        [rng.normal(scale=s, size=20_000) for s in (1e-3, 1.0, 30.0, 300.0)]
+        + [np.array([0.0, -0.0, 709.0, -709.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf])]
+    )
+    assert np.array_equal(expit(x).view(np.int64), _expit_two_branch(x).view(np.int64))
