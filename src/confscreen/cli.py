@@ -21,10 +21,9 @@ import scipy
 
 from . import __version__
 from .data import DataError, load_csv, load_groups
-from .estimators import score_all, score_groups
-from .influence import infer_scores
+from .estimators import INFERENCE_KINDS, score_all, score_groups
 from .nuisance import BasisConfig
-from .ranking import rank, select_by_test, select_top_k
+from .ranking import screen
 from .simulation import SimScenario, run_replicates, uniform_closed_form_phi
 
 __all__ = ["main", "build_parser"]
@@ -59,8 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--data", required=True, help="input CSV with header row")
             p.add_argument("--outcome", required=True, help="outcome column name")
             p.add_argument("--exposure", required=True, help="binary exposure column name")
-            p.add_argument("--groups", default=None, help="JSON file of name -> column list")
-            p.add_argument(
+            targets = p.add_mutually_exclusive_group()
+            targets.add_argument("--groups", default=None, help="JSON file of name -> column list")
+            targets.add_argument(
                 "--saturated",
                 action="store_true",
                 help="use exact per-level fits for discrete covariates",
@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--top-k", type=int, default=None, help="select the top K ranks instead of testing")
         p.add_argument("--outcome-kind", choices=("continuous", "bounded"), default="continuous")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -89,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("rank", help="rank covariates and select a subset"), True)
     p_sim = sub.add_parser("simulate", help="run a synthetic-design experiment")
     p_sim.add_argument("--scenario", required=True, help="JSON scenario file")
+    p_sim.add_argument("--seed", type=int, default=None, help="override the scenario's seed")
     add_common(p_sim, False)
     return parser
 
@@ -171,8 +171,15 @@ def _row(est, inf, name, **fields) -> dict:
     return row
 
 
-def _score_inputs(args):
-    """(estimates, inferences, names) of every covariate or group; plug-ins get no inference."""
+def _selection_rule(args) -> tuple:
+    return ("top_k", args.top_k) if args.top_k is not None else ("alpha_test", args.alpha)
+
+
+def _screen_inputs(args, rule):
+    """(estimates, inferences, names, report) of every covariate or group, screened with ``rule``.
+
+    Plug-in estimates get no inference: their inferences are all None.
+    """
     dataset = load_csv(args.data, args.outcome, args.exposure, args.outcome_kind)
     basis = BasisConfig(degree=args.degree)
     estimator_kind = _ESTIMATOR_FLAG[args.estimator]
@@ -185,17 +192,14 @@ def _score_inputs(args):
             dataset, estimator_kind, basis, threads=args.threads, saturated=args.saturated
         )
         names = list(dataset.column_names)
-    if estimator_kind in ("dr", "tmle"):
-        inferences = [infer_scores(est, args.alpha) for est in estimates]
-    else:
-        inferences = [None] * len(estimates)
-    return estimates, inferences, names
+    report, inferences = screen(estimates, args.score, rule, args.alpha, names)
+    return estimates, inferences or [None] * len(estimates), names, report
 
 
 def cmd_score(args) -> int:
     config = _resolved_config(args)
     start = time.monotonic()
-    estimates, inferences, names = _score_inputs(args)
+    estimates, inferences, names, _ = _screen_inputs(args, None)
     rows = [
         _row(est, inf, name, warnings=list(est.diagnostics.get("warnings", [])))
         for est, inf, name in zip(estimates, inferences, names)
@@ -208,14 +212,7 @@ def cmd_score(args) -> int:
 def cmd_rank(args) -> int:
     config = _resolved_config(args)
     start = time.monotonic()
-    estimates, inferences, names = _score_inputs(args)
-    has_inference = inferences[0] is not None
-    report = rank(estimates, args.score, names=names, inferences=inferences if has_inference else None)
-    if args.top_k is not None:
-        report = select_top_k(report, args.top_k)
-    else:
-        report = select_by_test(report, args.alpha)
-
+    estimates, inferences, names, report = _screen_inputs(args, _selection_rule(args))
     by_name = {name: (est, inf) for name, est, inf in zip(names, estimates, inferences)}
     rows = [
         _row(*by_name[row.name], row.name, p_value=row.p_value, rank=row.rank,
@@ -253,8 +250,8 @@ def cmd_simulate(args) -> int:
     scenario = _load_scenario(args.scenario, args.seed)
     estimator_kind = _ESTIMATOR_FLAG[args.estimator]
     basis = BasisConfig(degree=args.degree)
-    rule = ("top_k", args.top_k) if args.top_k is not None else ("alpha_test", args.alpha)
-    if rule[0] == "alpha_test" and estimator_kind not in ("dr", "tmle"):
+    rule = _selection_rule(args)
+    if rule[0] == "alpha_test" and estimator_kind not in INFERENCE_KINDS:
         raise DataError("alpha-test selection needs --estimator dr or tmle; pass --top-k instead")
     result = run_replicates(
         scenario,

@@ -17,7 +17,6 @@ __all__ = [
     "GroupSpec",
     "load_csv",
     "load_groups",
-    "standardize",
     "write_csv",
 ]
 
@@ -91,7 +90,7 @@ class Dataset:
             raise ValidationError("bounded outcome values must lie in [0, 1]")
         exposure = exposure.astype(np.int64)
         exposure_float = exposure.astype(float)
-        outcome_original = self.outcome_scale * outcome + self.outcome_offset
+        outcome_original = self.to_original_scale(outcome)
         outcome_mean = float(outcome_original.mean())
         exposure_mean = float(exposure.mean())
         for name, value in (
@@ -121,6 +120,10 @@ class Dataset:
     def outcome_original(self) -> np.ndarray:
         """Outcome mapped back to its original (pre-rescaling) scale (read-only)."""
         return self._outcome_original
+
+    def to_original_scale(self, values: np.ndarray) -> np.ndarray:
+        """Map values on the stored outcome scale back to the original scale."""
+        return self.outcome_scale * values + self.outcome_offset
 
     def column_index(self, name: str) -> int:
         try:
@@ -245,17 +248,3 @@ def load_groups(path, dataset: Dataset) -> GroupSpec:
     spec = GroupSpec(groups=tuple(groups))
     spec.validate(dataset)
     return spec
-
-
-def standardize(column) -> tuple[np.ndarray, float, float]:
-    """Center and scale a column to sample mean 0, sample sd 1 (divisor n-1).
-
-    A constant column is returned unchanged with sd recorded as 0; callers
-    treat sd == 0 as the constant-column flag.
-    """
-    column = np.asarray(column, dtype=float)
-    mean = float(column.mean())
-    sd = float(column.std(ddof=1)) if column.size > 1 else 0.0
-    if sd == 0.0:
-        return column.copy(), mean, 0.0
-    return (column - mean) / sd, mean, sd

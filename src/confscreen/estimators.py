@@ -24,6 +24,7 @@ from .data import Dataset, ValidationError
 from .nuisance import (
     BasisConfig,
     _clip_prob,
+    _constant_columns,
     fit_nuisances,
     fit_saturated,
 )
@@ -48,6 +49,8 @@ PSI_DENOM_TOL = 1e-12
 # Nuisance parts each estimator fits.
 ESTIMATOR_PARTS = {"plugin_om": ("tau",), "plugin_ps": ("pi",), "dr": ("tau", "pi"), "tmle": ("pi", "q")}
 ESTIMATOR_KINDS = tuple(ESTIMATOR_PARTS)
+# Estimators whose estimates carry influence values, hence SEs, CIs and p-values.
+INFERENCE_KINDS = ("dr", "tmle")
 
 
 @dataclass
@@ -127,57 +130,51 @@ def _both_arms(dataset: Dataset) -> None:
         raise ValidationError("both exposure arms must be present")
 
 
-def _original_scale(dataset: Dataset, values: np.ndarray) -> np.ndarray:
-    return dataset.outcome_scale * values + dataset.outcome_offset
+def _target_id(columns: tuple[int, ...]):
+    """Id of a target: the column index of a single covariate, else the column tuple."""
+    return columns[0] if len(columns) == 1 else columns
 
 
-def plugin_scores_om(dataset: Dataset, fit) -> ScoreEstimate:
-    """Plug-in scores from the outcome-regression route (arm means of tau_hat)."""
-    _both_arms(dataset)
-    tau = _original_scale(dataset, _in_sample(dataset, fit, "tau"))
+def _estimate(dataset: Dataset, kind: str, fit, theta: float, mu_o: float, diagnostics: dict) -> ScoreEstimate:
+    """Scores of ``fit``'s target from theta and mu_O, without influence values."""
     mu_e = dataset.exposure_mean
-    theta = float(_mean(dataset.exposure_float * tau))
-    # Under the outcome-model plug-in measure, mu_O is the mean of tau over
-    # the empirical covariate distribution; this keeps phi identical to the
-    # within-arm mean difference.
-    mu_o = float(_mean(tau))
     phi, psi = scores_from_theta(theta, mu_o, mu_e)
     return ScoreEstimate(
-        covariate_id=fit.columns[0] if len(fit.columns) == 1 else fit.columns,
-        estimator_kind="plugin_om",
+        covariate_id=_target_id(fit.columns),
+        estimator_kind=kind,
         theta_hat=theta,
         mu_o_hat=mu_o,
         mu_e_hat=mu_e,
         phi_hat=phi,
         psi_hat=psi,
-        diagnostics={"warnings": list(fit.warnings)},
+        diagnostics=diagnostics,
     )
+
+
+def plugin_scores_om(dataset: Dataset, fit) -> ScoreEstimate:
+    """Plug-in scores from the outcome-regression route (arm means of tau_hat)."""
+    _both_arms(dataset)
+    tau = dataset.to_original_scale(_in_sample(dataset, fit, "tau"))
+    theta = float(_mean(dataset.exposure_float * tau))
+    # Under the outcome-model plug-in measure, mu_O is the mean of tau over
+    # the empirical covariate distribution; this keeps phi identical to the
+    # within-arm mean difference.
+    mu_o = float(_mean(tau))
+    return _estimate(dataset, "plugin_om", fit, theta, mu_o, {"warnings": list(fit.warnings)})
 
 
 def plugin_scores_ps(dataset: Dataset, fit) -> ScoreEstimate:
     """Plug-in scores from the propensity route: E{O pi_hat(C)} / mean(E) etc."""
     _both_arms(dataset)
     pi = _in_sample(dataset, fit, "pi")
-    mu_e = dataset.exposure_mean
     theta = float(_mean(dataset.outcome_original() * pi))
-    mu_o = dataset.outcome_mean
-    phi, psi = scores_from_theta(theta, mu_o, mu_e)
-    return ScoreEstimate(
-        covariate_id=fit.columns[0] if len(fit.columns) == 1 else fit.columns,
-        estimator_kind="plugin_ps",
-        theta_hat=theta,
-        mu_o_hat=mu_o,
-        mu_e_hat=mu_e,
-        phi_hat=phi,
-        psi_hat=psi,
-        diagnostics={"warnings": list(fit.warnings)},
-    )
+    return _estimate(dataset, "plugin_ps", fit, theta, dataset.outcome_mean, {"warnings": list(fit.warnings)})
 
 
 def _finalize_efficient(
     dataset: Dataset,
     kind: str,
-    covariate_id,
+    fit,
     theta: float,
     pi: np.ndarray,
     tau: np.ndarray,
@@ -189,48 +186,37 @@ def _finalize_efficient(
     """
     mu_o = dataset.outcome_mean
     mu_e = dataset.exposure_mean
-    phi, psi = scores_from_theta(theta, mu_o, mu_e)
+    est = _estimate(dataset, kind, fit, theta, mu_o, diagnostics)
     d_theta = influence.eic_theta(dataset.outcome_original(), dataset.exposure_float, pi, tau, theta)
     # The influence curves of the plain means mu_O and mu_E are the centered
     # values, shared by every target of the dataset.
     d_mu_o = dataset.outcome_centered
     d_mu_e = dataset.exposure_centered
     d_phi = influence.ic_phi(d_theta, d_mu_o, d_mu_e, theta, mu_o, mu_e)
-    values = {
+    est.influence_values = {
         "d_theta": d_theta,
         "d_mu_o": d_mu_o,
         "d_mu_e": d_mu_e,
         "d_phi": d_phi,
     }
-    if psi is not None:
-        values["d_psi"] = influence.ic_psi(d_theta, d_mu_o, d_mu_e, theta, mu_o, mu_e)
+    if est.psi_hat is not None:
+        est.influence_values["d_psi"] = influence.ic_psi(d_theta, d_mu_o, d_mu_e, theta, mu_o, mu_e)
     else:
         diagnostics.setdefault("warnings", []).append(
             "ratio-score influence curve undefined (vanishing denominator)"
         )
-    return ScoreEstimate(
-        covariate_id=covariate_id,
-        estimator_kind=kind,
-        theta_hat=theta,
-        mu_o_hat=mu_o,
-        mu_e_hat=mu_e,
-        phi_hat=phi,
-        psi_hat=psi,
-        influence_values=values,
-        diagnostics=diagnostics,
-    )
+    return est
 
 
 def theta_dr(dataset: Dataset, fit) -> ScoreEstimate:
     """One-step doubly robust correction of the naive plug-in."""
     _both_arms(dataset)
-    tau = _original_scale(dataset, _in_sample(dataset, fit, "tau"))
+    tau = dataset.to_original_scale(_in_sample(dataset, fit, "tau"))
     pi = _in_sample(dataset, fit, "pi")
     theta_n = float(_mean(dataset.exposure_float * tau))
     theta = theta_n + float(_mean(dataset.outcome_original() * pi - tau * pi))
     diagnostics = {"theta_naive": theta_n, "warnings": list(fit.warnings)}
-    cov_id = fit.columns[0] if len(fit.columns) == 1 else fit.columns
-    return _finalize_efficient(dataset, "dr", cov_id, theta, pi, tau, diagnostics)
+    return _finalize_efficient(dataset, "dr", fit, theta, pi, tau, diagnostics)
 
 
 NEWTON_TOL = 1e-10
@@ -379,7 +365,7 @@ def tmle_theta(
             converged = True
             break
     tau = state.pi_values * state.q1_values + (1.0 - state.pi_values) * state.q0_values
-    tau = _original_scale(dataset, tau)
+    tau = dataset.to_original_scale(tau)
     # Substitution estimator over the empirical covariate distribution: the
     # fitted exposure law is pi_hat, so E_fit{I(E=1) tau(C)} = mean(pi * tau).
     # This is the form that zeroes the empirical influence-curve equation;
@@ -399,8 +385,7 @@ def tmle_theta(
             f"tmle did not converge in {max_iter} iterations "
             f"(|eps1|={abs(state.eps1):.3e}, |eps2|={abs(state.eps2):.3e})"
         )
-    cov_id = fit.columns[0] if len(fit.columns) == 1 else fit.columns
-    return _finalize_efficient(dataset, "tmle", cov_id, theta, state.pi_values, tau, diagnostics)
+    return _finalize_efficient(dataset, "tmle", fit, theta, state.pi_values, tau, diagnostics)
 
 
 def _constant_estimate(dataset: Dataset, cov_id, kind: str) -> ScoreEstimate:
@@ -417,7 +402,7 @@ def _constant_estimate(dataset: Dataset, cov_id, kind: str) -> ScoreEstimate:
         psi_hat=1.0,
         diagnostics={"constant": True, "warnings": ["constant covariate: scores fixed at null"]},
     )
-    if kind in ("dr", "tmle"):
+    if kind in INFERENCE_KINDS:
         names = ("d_theta", "d_mu_o", "d_mu_e", "d_phi", "d_psi")
         est.influence_values = dict.fromkeys(names, np.zeros(dataset.n))
     return est
@@ -437,10 +422,8 @@ def score_covariate(
         cols = (int(columns),)
     else:
         cols = tuple(int(j) for j in columns)
-    cov_id = cols[0] if len(cols) == 1 else cols
-    col_sd = dataset.covariates[:, cols].std(axis=0, ddof=1)
-    if np.all(col_sd == 0.0):
-        return _constant_estimate(dataset, cov_id, estimator_kind)
+    if _constant_columns(dataset.covariates[:, cols]).all():
+        return _constant_estimate(dataset, _target_id(cols), estimator_kind)
 
     if saturated:
         if len(cols) != 1:

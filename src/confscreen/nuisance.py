@@ -223,13 +223,22 @@ class NuisanceFit:
         return pi * self.q_at(1, c) + (1.0 - pi) * self.q_at(0, c)
 
 
+def _constant_columns(c: np.ndarray) -> np.ndarray:
+    """Which columns of ``c`` hold one value in every row.
+
+    Decided by exact equality: the sample sd of a constant column can be a
+    rounding-level nonzero (a column of 1.1 at n=500 gives 2.2e-16).
+    """
+    return (c == c[0]).all(axis=0)
+
+
 def _prepare(dataset: Dataset, columns, basis: BasisConfig) -> NuisanceFit:
     if isinstance(columns, (int, np.integer)):
         columns = (int(columns),)
     columns = tuple(int(j) for j in columns)
     c = dataset.covariates[:, columns]
     centers = c.mean(axis=0)
-    scales = c.std(axis=0, ddof=1)
+    scales = np.where(_constant_columns(c), 0.0, c.std(axis=0, ddof=1))
     return NuisanceFit(
         columns=columns,
         basis=basis,

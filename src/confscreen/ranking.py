@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .data import Dataset, GroupSpec, ValidationError
-from .estimators import ScoreEstimate, score_groups
+from .estimators import INFERENCE_KINDS, ScoreEstimate, score_groups
 from .influence import InferenceResult, infer_scores
 from .nuisance import BasisConfig
 
-__all__ = ["RankRow", "RankingReport", "rank", "select_top_k", "select_by_test", "rank_groups"]
+__all__ = ["RankRow", "RankingReport", "rank", "select_top_k", "select_by_test", "screen", "rank_groups"]
 
 SCORE_KINDS = ("difference", "ratio")
 
@@ -128,6 +128,34 @@ def select_by_test(report: RankingReport, alpha: float) -> RankingReport:
     return RankingReport(rows=rows, score_kind=report.score_kind, selection_rule=("alpha_test", alpha))
 
 
+def screen(
+    estimates: list[ScoreEstimate],
+    score_kind: str,
+    rule: tuple | None = None,
+    alpha: float = 0.10,
+    names: list[str] | None = None,
+) -> tuple[RankingReport, list[InferenceResult] | None]:
+    """Infer, rank and select: the screening path from estimates to a selected ranking.
+
+    Estimates of an estimator in ``INFERENCE_KINDS`` get Wald inference at
+    level ``alpha``; the inferences (None for plug-ins) are returned in input
+    order next to the report.  ``rule`` is ``("top_k", k)``,
+    ``("alpha_test", level)`` or None for no selection.
+    """
+    inferences = None
+    if all(est.estimator_kind in INFERENCE_KINDS for est in estimates):
+        inferences = [infer_scores(est, alpha) for est in estimates]
+    report = rank(estimates, score_kind, names=names, inferences=inferences)
+    if rule is None:
+        return report, inferences
+    kind, param = rule
+    if kind == "top_k":
+        return select_top_k(report, int(param)), inferences
+    if kind == "alpha_test":
+        return select_by_test(report, float(param)), inferences
+    raise ValidationError(f"unknown selection rule {kind!r}")
+
+
 def rank_groups(
     dataset: Dataset,
     groups: GroupSpec,
@@ -142,16 +170,4 @@ def rank_groups(
     groups.validate(dataset)
     members = groups.member_indices(dataset)
     estimates = score_groups(dataset, members, estimator_kind, basis, threads=threads)
-    inferences = None
-    if estimator_kind in ("dr", "tmle"):
-        inferences = [infer_scores(est, alpha) for est in estimates]
-    report = rank(estimates, score_kind, names=[name for name, _ in members], inferences=inferences)
-    if rule is not None:
-        kind, param = rule
-        if kind == "top_k":
-            report = select_top_k(report, int(param))
-        elif kind == "alpha_test":
-            report = select_by_test(report, float(param))
-        else:
-            raise ValidationError(f"unknown selection rule {kind!r}")
-    return report
+    return screen(estimates, score_kind, rule, alpha, names=[name for name, _ in members])[0]

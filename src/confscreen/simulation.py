@@ -16,10 +16,9 @@ import numpy as np
 
 from ._stats import expit, norm_ppf
 from .data import Dataset, ValidationError
-from .estimators import ScoreEstimate, score_all
-from .influence import infer_scores
+from .estimators import score_all
 from .nuisance import BasisConfig
-from .ranking import rank, select_by_test, select_top_k
+from .ranking import screen
 
 __all__ = [
     "SimScenario",
@@ -29,14 +28,12 @@ __all__ = [
     "substream",
     "generate",
     "gen_low_dim",
-    "gen_high_dim",
     "gen_misspecified",
     "gen_uniform",
     "oracle_phi",
     "evaluate_selection",
     "roc_curve",
     "roc_auc",
-    "coverage_experiment",
     "run_replicates",
 ]
 
@@ -155,7 +152,10 @@ def _make_dataset(y, e, c):
 
 
 def gen_low_dim(scenario: SimScenario, replicate: int = 0) -> SimulatedData:
-    """Correlated-Gaussian design with linear outcome and logistic exposure."""
+    """Correlated-Gaussian design with linear outcome and logistic exposure.
+
+    It is also the ``high_dim`` design, whose extra columns are spurious.
+    """
     gen = substream(scenario.seed, replicate)
     n, p = scenario.n, scenario.p
     c = _ar1_covariates(gen, n, p, scenario.rho)
@@ -163,11 +163,6 @@ def gen_low_dim(scenario: SimScenario, replicate: int = 0) -> SimulatedData:
     e = (_uniforms(gen, n) < expit(c @ alphas)).astype(np.int64)
     y = scenario.theta * e + c @ betas + _normals(gen, n)
     return SimulatedData(dataset=_make_dataset(y, e, c), labels=_labels_gaussian(p))
-
-
-def gen_high_dim(scenario: SimScenario, replicate: int = 0) -> SimulatedData:
-    """Same design at high dimension (the extra columns are spurious)."""
-    return gen_low_dim(scenario, replicate)
 
 
 def _mis_f(j: int, c: np.ndarray) -> np.ndarray:
@@ -227,7 +222,7 @@ def gen_uniform(scenario: SimScenario, replicate: int = 0) -> SimulatedData:
 
 _GENERATORS = {
     "low_dim": gen_low_dim,
-    "high_dim": gen_high_dim,
+    "high_dim": gen_low_dim,
     "misspecified": gen_misspecified,
     "uniform_closed_form": gen_uniform,
 }
@@ -353,7 +348,6 @@ def _oracle_misspecified(scenario, cols, mc_size, oracle_seed, chunk=200_000, in
     if len(cols) != 1:
         raise ValidationError("misspecified oracle supports single covariates only")
     j = cols[0]
-    p = scenario.p
     gen = substream(oracle_seed, 0)
 
     # Mean outcome contribution of the other covariates (independent normals).
@@ -363,7 +357,6 @@ def _oracle_misspecified(scenario, cols, mc_size, oracle_seed, chunk=200_000, in
 
     if scenario.theta != 0.0:
         # Empirical distribution of the exposure-model terms excluding j.
-        zr = _normals(gen, (inner, 1))  # fixed draw keeps tau_j a deterministic function
         r_inner = np.full(inner, -15.0)
         zi = _normals(gen, (inner, 15))
         for k in range(15):
@@ -391,7 +384,6 @@ def _oracle_misspecified(scenario, cols, mc_size, oracle_seed, chunk=200_000, in
                 p_e[lo:hi] = expit(fj[lo:hi, None] + r_inner[None, :]).mean(axis=1)
             tau = tau + scenario.theta * p_e
         acc.add(tau, e)
-    _ = p
     return acc.result()
 
 
@@ -431,20 +423,25 @@ def evaluate_selection(selected, labels) -> tuple[float, float]:
     return sens, spec
 
 
-def _ranking_order(distances: np.ndarray) -> np.ndarray:
-    # Descending distance, ties broken by ascending index (matches rank()).
-    return np.lexsort((np.arange(distances.size), -distances))
-
-
 def roc_curve(distances, labels) -> np.ndarray:
     """ROC points (sensitivity, 1 - specificity) sweeping top-K for K = 0..p.
+
+    Covariates are ranked as ``rank`` ranks them: by descending distance,
+    ties broken by ascending index.
+    """
+    distances = np.asarray(distances, dtype=float)
+    return _roc_along(np.lexsort((np.arange(distances.size), -distances)), labels)
+
+
+def _roc_along(order, labels) -> np.ndarray:
+    """ROC points of the ranking that lists the covariate indices ``order`` first to last.
 
     Counts cumulate along the ranking; the rates are those of ``evaluate_selection``.
     """
     positive = np.array([lab == LABEL_CONFOUNDER for lab in labels], dtype=bool)
     n_pos = int(positive.sum())
     n_neg = positive.size - n_pos
-    tp = np.cumsum(positive[_ranking_order(np.asarray(distances, dtype=float))])
+    tp = np.cumsum(positive[np.asarray(order)])
     fp = np.arange(1, tp.size + 1) - tp
     sens = tp / n_pos if n_pos else np.ones(tp.size)
     fpr = 1.0 - (n_neg - fp) / n_neg if n_neg else np.zeros(tp.size)
@@ -485,6 +482,7 @@ def run_replicates(
 ) -> SimResult:
     """Run the scenario's replicates and collect selection metrics.
 
+    Each replicate is screened by ``ranking.screen`` with ``rule`` and ``alpha``.
     ``oracle_values`` (length-p array) enables per-covariate CI coverage
     indicators; pass None to skip coverage.
     """
@@ -497,35 +495,23 @@ def run_replicates(
     cover = np.full((reps, p), np.nan) if oracle_values is not None else None
     roc_sum = np.zeros((p + 1, 2))
     labels = None
-    with_inference = estimator_kind in ("dr", "tmle")
 
     for r in range(reps):
         sim = generate(scenario, r)
         labels = sim.labels
         estimates = score_all(sim.dataset, estimator_kind, basis, threads=threads)
-        inferences = [infer_scores(est, alpha) for est in estimates] if with_inference else None
-        report = rank(estimates, score_kind, names=list(sim.dataset.column_names), inferences=inferences)
-        if rule[0] == "top_k":
-            report = select_top_k(report, int(rule[1]))
-        else:
-            report = select_by_test(report, float(rule[1]))
+        report, inferences = screen(estimates, score_kind, rule, alpha, names=list(sim.dataset.column_names))
         selected = [row.id for row in report.rows if row.selected]
         s, sp = evaluate_selection(selected, labels)
         sens[r], spec[r] = s, sp
         phis[r] = [est.phi_hat for est in estimates]
-        if with_inference:
+        if inferences is not None:
             ses[r] = [inf.se_phi for inf in inferences]
             if cover is not None:
                 for j, inf in enumerate(inferences):
                     lo, hi = inf.ci_phi
                     cover[r, j] = float(lo <= oracle_values[j] <= hi)
-        null = 0.0 if score_kind == "difference" else 1.0
-        distances = np.array(
-            [abs(est.phi_hat - null) if score_kind == "difference"
-             else (abs(est.psi_hat - null) if est.psi_hat is not None else -np.inf)
-             for est in estimates]
-        )
-        roc_sum += roc_curve(distances, labels)
+        roc_sum += _roc_along([row.id for row in report.rows], labels)
 
     roc_mean = roc_sum / reps
     aggregates = {
@@ -551,46 +537,3 @@ def run_replicates(
         oracle_values=None if oracle_values is None else np.asarray(oracle_values, dtype=float),
         aggregates=aggregates,
     )
-
-
-def coverage_experiment(
-    scenario: SimScenario,
-    estimator_kind: str = "tmle",
-    alpha: float = 0.10,
-    replicates: int | None = None,
-    columns=None,
-    basis: BasisConfig | None = None,
-    oracle_values=None,
-    oracle_mc_size: int = 1_000_000,
-    oracle_seed: int = 777,
-) -> dict:
-    """Empirical CI coverage of the oracle difference score, per covariate.
-
-    Returns {column index: (coverage, binomial SE)}.
-    """
-    if estimator_kind not in ("dr", "tmle"):
-        raise ValidationError("coverage experiment needs an influence-based estimator")
-    basis = basis or BasisConfig()
-    reps = replicates or scenario.replicates
-    columns = list(range(scenario.p)) if columns is None else [int(j) for j in columns]
-    if oracle_values is None:
-        oracle_values = {
-            j: oracle_phi(scenario, j, mc_size=oracle_mc_size, oracle_seed=oracle_seed).value
-            for j in columns
-        }
-    hits = {j: 0 for j in columns}
-    from .estimators import score_covariate
-
-    for r in range(reps):
-        sim = generate(scenario, r)
-        for j in columns:
-            est = score_covariate(sim.dataset, j, estimator_kind, basis)
-            inf = infer_scores(est, alpha)
-            lo, hi = inf.ci_phi
-            if lo <= oracle_values[j] <= hi:
-                hits[j] += 1
-    out = {}
-    for j in columns:
-        cov = hits[j] / reps
-        out[j] = (cov, float(np.sqrt(cov * (1.0 - cov) / reps)))
-    return out

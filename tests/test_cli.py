@@ -229,6 +229,24 @@ def test_unknown_flag_exit_2(six_csv, tmp_path, capsys):
     assert code == 2
 
 
+def test_groups_with_saturated_exit_2(wide_csv, tmp_path):
+    groups = tmp_path / "g.json"
+    groups.write_text(json.dumps({"g": ["x0"]}))
+    for command in ("score", "rank"):
+        code = main([command, "--data", wide_csv, "--outcome", "y", "--exposure", "treat",
+                     "--groups", str(groups), "--saturated", "--out", str(tmp_path / "x.json")])
+        assert code == 2
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_seed_only_for_simulate_exit_2(wide_csv, tmp_path):
+    for command in ("score", "rank"):
+        code = main([command, "--data", wide_csv, "--outcome", "y", "--exposure", "treat",
+                     "--seed", "3", "--out", str(tmp_path / "x.json")])
+        assert code == 2
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_rank_ratio_alpha_test_with_negative_theta(tmp_path):
     # c10 of this design has theta < 0; its ratio score still gets a p-value.
     data = tmp_path / "low.csv"

@@ -1,4 +1,4 @@
-"""Dataset loading, validation, groups, and standardization."""
+"""Dataset loading, validation, and groups."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from confscreen import (
     ValidationError,
     load_csv,
     load_groups,
-    standardize,
     write_csv,
 )
 
@@ -173,17 +172,3 @@ def test_groups_bad_json(tmp_path):
     path.write_text("not json")
     with pytest.raises(ParseError):
         load_groups(path, ds)
-
-
-def test_standardize_moments():
-    x = np.array([1.0, 2.0, 3.0, 4.0, 10.0])
-    z, mean, sd = standardize(x)
-    assert z.mean() == pytest.approx(0.0, abs=1e-12)
-    assert z.std(ddof=1) == pytest.approx(1.0, abs=1e-12)
-    assert mean == pytest.approx(4.0) and sd == pytest.approx(x.std(ddof=1))
-
-
-def test_standardize_constant_column():
-    z, mean, sd = standardize(np.full(5, 7.0))
-    assert sd == 0.0 and mean == 7.0
-    np.testing.assert_array_equal(z, np.full(5, 7.0))

@@ -171,11 +171,13 @@ def test_phi_self_consistency_invariant():
 
 def test_constant_covariate_scores_null():
     rng = np.random.default_rng(16)
-    ds = _dataset(rng.normal(size=50), np.tile([0, 1], 25), np.full(50, 3.0))
-    for kind in ("plugin_om", "dr", "tmle"):
-        est = score_covariate(ds, 0, kind, BasisConfig(degree=3))
-        assert est.phi_hat == 0.0 and est.psi_hat == 1.0
-        assert est.diagnostics.get("constant")
+    # A column of 1.1 at n=500 has a rounding-level sample sd (about 2e-16), not 0.
+    for n, value in ((50, 3.0), (500, 1.1)):
+        ds = _dataset(rng.normal(size=n), np.tile([0, 1], n // 2), np.full(n, value))
+        for kind in ("plugin_om", "plugin_ps", "dr", "tmle"):
+            est = score_covariate(ds, 0, kind, BasisConfig(degree=3))
+            assert est.phi_hat == 0.0 and est.psi_hat == 1.0
+            assert est.diagnostics.get("constant")
 
 
 def test_bounded_outcome_back_transform():

@@ -161,6 +161,28 @@ def test_q_bounded_constant():
     np.testing.assert_allclose(fit.q_at(1, grid), 0.5, atol=1e-6)
 
 
+def test_fit_nuisances_standardization_moments():
+    x = np.array([1.0, 2.0, 3.0, 4.0, 10.0])
+    ds = _dataset([0.0, 1.0, 0.5, 2.0, 1.0], [1, 0, 1, 0, 1], x)
+    fit = fit_nuisances(ds, 0, BasisConfig(degree=1), parts=("tau",))
+    assert fit.centers[0] == pytest.approx(4.0) and fit.scales[0] == pytest.approx(x.std(ddof=1))
+    z = fit.design(x)[:, 1]
+    assert z.mean() == pytest.approx(0.0, abs=1e-12)
+    assert z.std(ddof=1) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fit_nuisances_constant_column_passthrough():
+    # A constant member keeps its raw values in the design and records scale 0,
+    # also when its sample sd is rounding-level nonzero (a column of 1.1 at n=500).
+    rng = np.random.default_rng(3)
+    for n, value in ((5, 7.0), (500, 1.1)):
+        c = np.column_stack([rng.normal(size=n), np.full(n, value)])
+        ds = _dataset(rng.normal(size=n), np.tile([0, 1], n)[:n], c)
+        fit = fit_nuisances(ds, (0, 1), BasisConfig(degree=1), parts=("tau",))
+        assert fit.scales[1] == 0.0 and fit.centers[1] == pytest.approx(value)
+        np.testing.assert_array_equal(fit.design(c)[:, 2], np.full(n, value))
+
+
 def test_q_small_arm_error_names_arm_and_count():
     ds = _dataset([0.0, 1.0, 2.0, 3.0], [1, 0, 0, 0], np.arange(4.0))
     with pytest.raises(ValidationError, match="arm 0 has 3"):

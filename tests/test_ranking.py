@@ -13,6 +13,7 @@ from confscreen import (
     rank,
     rank_groups,
     score_covariate,
+    screen,
     select_by_test,
     select_top_k,
 )
@@ -164,6 +165,20 @@ def test_rank_groups_with_rule():
     )
     assert sum(row.selected for row in report.rows) == 1
     assert report.rows[0].name == "g1"
+
+
+def test_screen_infers_only_efficient_estimates():
+    ds = _sim_dataset()
+    basis = BasisConfig(degree=2)
+    plugin = [score_covariate(ds, j, "plugin_om", basis) for j in range(3)]
+    report, inferences = screen(plugin, "difference", ("top_k", 2))
+    assert inferences is None
+    assert [row.selected for row in report.rows] == [True, True, False]
+    efficient = [score_covariate(ds, j, "dr", basis) for j in range(3)]
+    report, inferences = screen(efficient, "difference", alpha=0.05)
+    assert report.selection_rule is None and not any(row.selected for row in report.rows)
+    assert [inf.alpha for inf in inferences] == [0.05] * 3
+    assert {row.id: row.p_value for row in report.rows} == {j: inf.p_phi for j, inf in enumerate(inferences)}
 
 
 def test_rank_groups_unknown_rule():

@@ -1,21 +1,28 @@
 """Synthetic designs, substream reproducibility, oracles, selection metrics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from confscreen import (
+    BasisConfig,
     SimScenario,
     ValidationError,
     evaluate_selection,
     gen_misspecified,
     generate,
+    infer_scores,
     oracle_phi,
     roc_auc,
     roc_curve,
     run_replicates,
+    score_all,
+    score_covariate,
     substream,
     uniform_closed_form_phi,
 )
+from confscreen import simulation
 
 UNIFORM = SimScenario(
     kind="uniform_closed_form",
@@ -198,3 +205,49 @@ def test_run_replicates_deterministic():
     b = run_replicates(sc, "dr", rule=("top_k", 3), threads=3)
     np.testing.assert_array_equal(a.phi_hats, b.phi_hats)
     np.testing.assert_array_equal(a.sensitivity, b.sensitivity)
+
+
+def test_run_replicates_coverage_matches_hand_loop():
+    scenario = replace(UNIFORM, replicates=3)
+    oracle = [uniform_closed_form_phi(scenario, j) for j in range(scenario.p)]
+    basis = BasisConfig(degree=2)
+    result = run_replicates(scenario, "dr", basis, rule=("top_k", 1), oracle_values=oracle)
+    hits = np.empty((3, scenario.p))
+    ses = np.empty((3, scenario.p))
+    for r in range(3):
+        dataset = generate(scenario, r).dataset
+        for j in range(scenario.p):
+            inf = infer_scores(score_covariate(dataset, j, "dr", basis), 0.10)
+            lo, hi = inf.ci_phi
+            hits[r, j] = lo <= oracle[j] <= hi
+            ses[r, j] = inf.se_phi
+    np.testing.assert_array_equal(result.coverage, hits)
+    np.testing.assert_array_equal(result.se_hats, ses)
+    assert result.aggregates["coverage"] == hits.mean(axis=0).tolist()
+
+
+@pytest.mark.parametrize("score_kind", ["difference", "ratio"])
+def test_run_replicates_roc_matches_roc_curve(monkeypatch, score_kind):
+    def scores_with_tie_and_undefined_psi(dataset, *args, **kwargs):
+        estimates = score_all(dataset, *args, **kwargs)
+        estimates[1].psi_hat = None
+        estimates[3].phi_hat, estimates[3].psi_hat = estimates[2].phi_hat, estimates[2].psi_hat
+        return estimates
+
+    monkeypatch.setattr(simulation, "score_all", scores_with_tie_and_undefined_psi)
+    scenario = SimScenario(kind="low_dim", n=120, p=15, seed=8, replicates=2)
+    basis = BasisConfig(degree=1)
+    result = run_replicates(scenario, "plugin_om", basis, score_kind, rule=("top_k", 5))
+    null = 0.0 if score_kind == "difference" else 1.0
+    want = np.zeros((scenario.p + 1, 2))
+    for r in range(scenario.replicates):
+        sim = generate(scenario, r)
+        estimates = scores_with_tie_and_undefined_psi(sim.dataset, "plugin_om", basis)
+        scores = [est.phi_hat if score_kind == "difference" else est.psi_hat for est in estimates]
+        want += roc_curve([abs(s - null) if s is not None else -np.inf for s in scores], sim.labels)
+    np.testing.assert_array_equal(result.roc_mean, want / scenario.replicates)
+
+
+def test_run_replicates_unknown_rule():
+    with pytest.raises(ValidationError, match="rule"):
+        run_replicates(UNIFORM, "plugin_om", BasisConfig(degree=1), rule=("zap", 1))
