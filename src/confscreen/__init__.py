@@ -4,148 +4,28 @@ Per-covariate (and per-group) scores are estimated by naive plug-ins, a
 one-step doubly robust correction, or targeted maximum likelihood, with
 influence-curve standard errors, confidence intervals, and Wald tests, plus
 a simulation harness with ground-truth oracles for the synthetic designs.
+
+The public names are those of each module's ``__all__``, re-exported here.
 """
 
 __version__ = "1.0.0"
 
-from ._stats import expit, logit, norm_cdf, norm_ppf
-from .data import (
-    DataError,
-    Dataset,
-    GroupSpec,
-    MissingColumnError,
-    ParseError,
-    ValidationError,
-    load_csv,
-    load_groups,
-    write_csv,
-)
-from .estimators import (
-    ScoreEstimate,
-    TmleState,
-    fluctuate_pi,
-    fluctuate_q,
-    plugin_scores_om,
-    plugin_scores_ps,
-    score_all,
-    score_covariate,
-    score_groups,
-    scores_from_theta,
-    theta_dr,
-    theta_naive,
-    tmle_theta,
-)
-from .influence import (
-    InferenceResult,
-    eic_theta,
-    ic_mu,
-    ic_phi,
-    ic_psi,
-    infer_scores,
-    wald_inference,
-)
-from .nuisance import (
-    BasisConfig,
-    NuisanceFit,
-    SaturatedFit,
-    compose_tau,
-    fit_nuisances,
-    fit_pi,
-    fit_q,
-    fit_saturated,
-    fit_tau,
-)
-from .ranking import (
-    RankingReport,
-    RankRow,
-    rank,
-    rank_groups,
-    screen,
-    select_by_test,
-    select_top_k,
-)
-from .simulation import (
-    OracleValue,
-    SimResult,
-    SimScenario,
-    SimulatedData,
-    evaluate_selection,
-    gen_low_dim,
-    gen_misspecified,
-    gen_uniform,
-    generate,
-    oracle_phi,
-    roc_auc,
-    roc_curve,
-    run_replicates,
-    substream,
-    uniform_closed_form_phi,
-)
+from . import _stats, data, estimators, influence, nuisance, ranking, simulation
+from ._stats import *  # noqa: F401,F403
+from .data import *  # noqa: F401,F403
+from .estimators import *  # noqa: F401,F403
+from .influence import *  # noqa: F401,F403
+from .nuisance import *  # noqa: F401,F403
+from .ranking import *  # noqa: F401,F403
+from .simulation import *  # noqa: F401,F403
 
 __all__ = [
     "__version__",
-    "norm_cdf",
-    "norm_ppf",
-    "expit",
-    "logit",
-    "DataError",
-    "MissingColumnError",
-    "ParseError",
-    "ValidationError",
-    "Dataset",
-    "GroupSpec",
-    "load_csv",
-    "load_groups",
-    "write_csv",
-    "BasisConfig",
-    "NuisanceFit",
-    "SaturatedFit",
-    "fit_tau",
-    "fit_pi",
-    "fit_q",
-    "fit_nuisances",
-    "fit_saturated",
-    "compose_tau",
-    "ScoreEstimate",
-    "TmleState",
-    "scores_from_theta",
-    "theta_naive",
-    "plugin_scores_om",
-    "plugin_scores_ps",
-    "theta_dr",
-    "tmle_theta",
-    "fluctuate_pi",
-    "fluctuate_q",
-    "score_covariate",
-    "score_all",
-    "score_groups",
-    "InferenceResult",
-    "eic_theta",
-    "ic_mu",
-    "ic_phi",
-    "ic_psi",
-    "wald_inference",
-    "infer_scores",
-    "RankRow",
-    "RankingReport",
-    "rank",
-    "select_top_k",
-    "select_by_test",
-    "screen",
-    "rank_groups",
-    "SimScenario",
-    "SimulatedData",
-    "SimResult",
-    "OracleValue",
-    "substream",
-    "generate",
-    "gen_low_dim",
-    "gen_misspecified",
-    "gen_uniform",
-    "uniform_closed_form_phi",
-    "oracle_phi",
-    "evaluate_selection",
-    "roc_curve",
-    "roc_auc",
-    "run_replicates",
+    *_stats.__all__,
+    *data.__all__,
+    *nuisance.__all__,
+    *estimators.__all__,
+    *influence.__all__,
+    *ranking.__all__,
+    *simulation.__all__,
 ]

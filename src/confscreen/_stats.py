@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["norm_cdf", "norm_ppf", "expit", "logit"]
+
 _SQRT_2PI = 2.5066282746310002
 
 # Hart/West numerator and denominator coefficients (central region).

@@ -47,30 +47,32 @@ _ESTIMATOR_FLAG = {"plugin-om": "plugin_om", "plugin-ps": "plugin_ps", "dr": "dr
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand registers only the options it acts on; any other option exits 2."""
     parser = argparse.ArgumentParser(
         prog="confscreen",
         description="Rank and select confounders by difference/ratio confounding scores.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    p_score = sub.add_parser("score", help="estimate scores for every covariate")
+    p_rank = sub.add_parser("rank", help="rank covariates and select a subset")
+    p_sim = sub.add_parser("simulate", help="run a synthetic-design experiment")
 
-    def add_common(p, needs_data: bool):
-        if needs_data:
-            p.add_argument("--data", required=True, help="input CSV with header row")
-            p.add_argument("--outcome", required=True, help="outcome column name")
-            p.add_argument("--exposure", required=True, help="binary exposure column name")
-            targets = p.add_mutually_exclusive_group()
-            targets.add_argument("--groups", default=None, help="JSON file of name -> column list")
-            targets.add_argument(
-                "--saturated",
-                action="store_true",
-                help="use exact per-level fits for discrete covariates",
-            )
-        p.add_argument(
-            "--estimator",
-            choices=sorted(_ESTIMATOR_FLAG),
-            default="tmle",
+    for p in (p_score, p_rank):
+        p.add_argument("--data", required=True, help="input CSV with header row")
+        p.add_argument("--outcome", required=True, help="outcome column name")
+        p.add_argument("--exposure", required=True, help="binary exposure column name")
+        p.add_argument("--outcome-kind", choices=("continuous", "bounded"), default="continuous")
+        targets = p.add_mutually_exclusive_group()
+        targets.add_argument("--groups", default=None, help="JSON file of name -> column list")
+        targets.add_argument(
+            "--saturated",
+            action="store_true",
+            help="use exact per-level fits for discrete covariates",
         )
-        p.add_argument("--score", choices=("difference", "ratio"), default="difference")
+    p_sim.add_argument("--scenario", required=True, help="JSON scenario file")
+    p_sim.add_argument("--seed", type=int, default=None, help="override the scenario's seed")
+    for p in (p_score, p_rank, p_sim):
+        p.add_argument("--estimator", choices=sorted(_ESTIMATOR_FLAG), default="tmle")
         p.add_argument("--degree", type=int, default=3, help="polynomial basis degree")
         p.add_argument(
             "--alpha",
@@ -78,18 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
             default=0.10,
             help="test level; confidence intervals are at 1 - alpha (default 90%%)",
         )
-        p.add_argument("--top-k", type=int, default=None, help="select the top K ranks instead of testing")
-        p.add_argument("--outcome-kind", choices=("continuous", "bounded"), default="continuous")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None, help="recorded in the manifest; scoring uses one thread")
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    add_common(sub.add_parser("score", help="estimate scores for every covariate"), True)
-    add_common(sub.add_parser("rank", help="rank covariates and select a subset"), True)
-    p_sim = sub.add_parser("simulate", help="run a synthetic-design experiment")
-    p_sim.add_argument("--scenario", required=True, help="JSON scenario file")
-    p_sim.add_argument("--seed", type=int, default=None, help="override the scenario's seed")
-    add_common(p_sim, False)
+    for p in (p_rank, p_sim):
+        p.add_argument("--score", choices=("difference", "ratio"), default="difference")
+        p.add_argument("--top-k", type=int, default=None, help="select the top K ranks instead of testing")
     return parser
 
 
@@ -175,7 +171,7 @@ def _selection_rule(args) -> tuple:
     return ("top_k", args.top_k) if args.top_k is not None else ("alpha_test", args.alpha)
 
 
-def _screen_inputs(args, rule):
+def _screen_inputs(args, score_kind: str, rule):
     """(estimates, inferences, names, report) of every covariate or group, screened with ``rule``.
 
     Plug-in estimates get no inference: their inferences are all None.
@@ -185,21 +181,19 @@ def _screen_inputs(args, rule):
     estimator_kind = _ESTIMATOR_FLAG[args.estimator]
     if args.groups:
         members = load_groups(args.groups, dataset).member_indices(dataset)
-        estimates = score_groups(dataset, members, estimator_kind, basis, threads=args.threads)
+        estimates = score_groups(dataset, members, estimator_kind, basis)
         names = [name for name, _ in members]
     else:
-        estimates = score_all(
-            dataset, estimator_kind, basis, threads=args.threads, saturated=args.saturated
-        )
+        estimates = score_all(dataset, estimator_kind, basis, saturated=args.saturated)
         names = list(dataset.column_names)
-    report, inferences = screen(estimates, args.score, rule, args.alpha, names)
+    report, inferences = screen(estimates, score_kind, rule, args.alpha, names)
     return estimates, inferences or [None] * len(estimates), names, report
 
 
 def cmd_score(args) -> int:
     config = _resolved_config(args)
     start = time.monotonic()
-    estimates, inferences, names, _ = _screen_inputs(args, None)
+    estimates, inferences, names, _ = _screen_inputs(args, "difference", None)
     rows = [
         _row(est, inf, name, warnings=list(est.diagnostics.get("warnings", [])))
         for est, inf, name in zip(estimates, inferences, names)
@@ -212,7 +206,7 @@ def cmd_score(args) -> int:
 def cmd_rank(args) -> int:
     config = _resolved_config(args)
     start = time.monotonic()
-    estimates, inferences, names, report = _screen_inputs(args, _selection_rule(args))
+    estimates, inferences, names, report = _screen_inputs(args, args.score, _selection_rule(args))
     by_name = {name: (est, inf) for name, est, inf in zip(names, estimates, inferences)}
     rows = [
         _row(*by_name[row.name], row.name, p_value=row.p_value, rank=row.rank,
@@ -238,8 +232,18 @@ def _load_scenario(path: str, seed_override) -> SimScenario:
         raise DataError(f"{path}: unknown scenario fields {sorted(unknown)}")
     if seed_override is not None:
         raw["seed"] = seed_override
+    # Exact JSON types: 2.0, "200" and true are not counts, and "0.5" is not a number.
+    for keys, types, what in (
+        (("n", "p", "replicates", "seed"), (int,), "an integer"),
+        (("rho", "theta", "beta0"), (int, float), "a number"),
+    ):
+        for key in keys:
+            if key in raw and type(raw[key]) not in types:
+                raise DataError(f"{path}: scenario field {key!r} must be {what}, got {raw[key]!r}")
     for key in ("alphas", "betas"):
-        if key in raw and raw[key] is not None:
+        if raw.get(key) is not None:
+            if not isinstance(raw[key], list) or any(type(v) not in (int, float) for v in raw[key]):
+                raise DataError(f"{path}: scenario field {key!r} must be a list of numbers")
             raw[key] = tuple(float(v) for v in raw[key])
     return SimScenario(**raw)
 
@@ -260,7 +264,6 @@ def cmd_simulate(args) -> int:
         score_kind=args.score,
         rule=rule,
         alpha=args.alpha,
-        threads=args.threads,
     )
     aggregates = dict(result.aggregates)
     if scenario.kind == "uniform_closed_form":

@@ -79,9 +79,6 @@ class TmleState:
     pi_values: np.ndarray
     q0_values: np.ndarray
     q1_values: np.ndarray
-    eps1: float = 0.0
-    eps2: float = 0.0
-    iteration: int = 0
     trace: list = field(default_factory=list)
 
 
@@ -120,14 +117,15 @@ def _in_sample(dataset: Dataset, fit, part: str) -> np.ndarray:
     return fit.q_at(int(part[1]), c)
 
 
+def _naive(dataset: Dataset, fit) -> tuple[np.ndarray, float]:
+    """tau_hat at the dataset's covariates and the naive plug-in theta, both on the original scale."""
+    tau = dataset.to_original_scale(_in_sample(dataset, fit, "tau"))
+    return tau, float(_mean(dataset.exposure_float * tau))
+
+
 def theta_naive(dataset: Dataset, fit) -> float:
-    """Naive plug-in: sample mean of I(E=1) tau_hat(C)."""
-    return float(_mean(dataset.exposure_float * _in_sample(dataset, fit, "tau")))
-
-
-def _both_arms(dataset: Dataset) -> None:
-    if not (0.0 < dataset.exposure_mean < 1.0):
-        raise ValidationError("both exposure arms must be present")
+    """Naive plug-in: sample mean of I(E=1) tau_hat(C), on the original outcome scale."""
+    return _naive(dataset, fit)[1]
 
 
 def _target_id(columns: tuple[int, ...]):
@@ -153,9 +151,7 @@ def _estimate(dataset: Dataset, kind: str, fit, theta: float, mu_o: float, diagn
 
 def plugin_scores_om(dataset: Dataset, fit) -> ScoreEstimate:
     """Plug-in scores from the outcome-regression route (arm means of tau_hat)."""
-    _both_arms(dataset)
-    tau = dataset.to_original_scale(_in_sample(dataset, fit, "tau"))
-    theta = float(_mean(dataset.exposure_float * tau))
+    tau, theta = _naive(dataset, fit)
     # Under the outcome-model plug-in measure, mu_O is the mean of tau over
     # the empirical covariate distribution; this keeps phi identical to the
     # within-arm mean difference.
@@ -165,7 +161,6 @@ def plugin_scores_om(dataset: Dataset, fit) -> ScoreEstimate:
 
 def plugin_scores_ps(dataset: Dataset, fit) -> ScoreEstimate:
     """Plug-in scores from the propensity route: E{O pi_hat(C)} / mean(E) etc."""
-    _both_arms(dataset)
     pi = _in_sample(dataset, fit, "pi")
     theta = float(_mean(dataset.outcome_original() * pi))
     return _estimate(dataset, "plugin_ps", fit, theta, dataset.outcome_mean, {"warnings": list(fit.warnings)})
@@ -210,10 +205,8 @@ def _finalize_efficient(
 
 def theta_dr(dataset: Dataset, fit) -> ScoreEstimate:
     """One-step doubly robust correction of the naive plug-in."""
-    _both_arms(dataset)
-    tau = dataset.to_original_scale(_in_sample(dataset, fit, "tau"))
+    tau, theta_n = _naive(dataset, fit)
     pi = _in_sample(dataset, fit, "pi")
-    theta_n = float(_mean(dataset.exposure_float * tau))
     theta = theta_n + float(_mean(dataset.outcome_original() * pi - tau * pi))
     diagnostics = {"theta_naive": theta_n, "warnings": list(fit.warnings)}
     return _finalize_efficient(dataset, "dr", fit, theta, pi, tau, diagnostics)
@@ -280,8 +273,8 @@ def _offset_logistic_mle(h: np.ndarray, y: np.ndarray, base: np.ndarray) -> floa
     return 0.5 * (a + b)
 
 
-def fluctuate_pi(state: TmleState, dataset: Dataset) -> tuple[TmleState, float]:
-    """Propensity update along the least-favorable logistic path.
+def fluctuate_pi(state: TmleState, dataset: Dataset) -> float:
+    """Propensity update along the least-favorable logistic path; returns eps1.
 
     The path covariate is H1 = -2 pi (Q1 - Q0) - Q0 and eps1 maximizes the
     Bernoulli log-likelihood of the exposure.  When the score at eps = 0
@@ -290,49 +283,43 @@ def fluctuate_pi(state: TmleState, dataset: Dataset) -> tuple[TmleState, float]:
     h1 = -2.0 * state.pi_values * (state.q1_values - state.q0_values) - state.q0_values
     e = dataset.exposure_float
     if np.abs(h1).max() == 0.0:
-        state.eps1 = 0.0
-        return state, 0.0
+        return 0.0
     score0 = float(_mean(h1 * (e - state.pi_values)))
     if abs(score0) < NEWTON_TOL:
-        state.eps1 = 0.0
-        return state, 0.0
+        return 0.0
     base = logit(_clip_prob(state.pi_values))
     eps1 = _offset_logistic_mle(h1, e, base)
     state.pi_values = _clip_prob(expit(base + eps1 * h1))
-    state.eps1 = eps1
-    return state, eps1
+    return eps1
 
 
-def fluctuate_q(state: TmleState, dataset: Dataset, outcome_kind: str = "continuous") -> tuple[TmleState, float]:
-    """Exposure-response update along its least-favorable path.
+def fluctuate_q(state: TmleState, dataset: Dataset) -> float:
+    """Exposure-response update along its least-favorable path; returns eps2.
 
     Continuous outcome: linear path Q + eps * H2 with H2 = -pi (updated this
     iteration); eps2 has the closed-form least-squares solution.  Bounded
-    outcome: logistic path on logit(Q) with the Bernoulli loss.
+    outcome (``dataset.outcome_kind``): logistic path on logit(Q) with the
+    Bernoulli loss.
     """
     h2 = -state.pi_values
     q_obs = np.where(dataset.arm_masks[1], state.q1_values, state.q0_values)
     o = dataset.outcome
-    if outcome_kind == "bounded":
+    if dataset.outcome_kind == "bounded":
         resid_score = float(_mean(h2 * (o - q_obs)))
         if abs(resid_score) < NEWTON_TOL:
-            state.eps2 = 0.0
-            return state, 0.0
+            return 0.0
         eps2 = _offset_logistic_mle(h2, o, logit(_clip_prob(q_obs)))
         for attr in ("q0_values", "q1_values"):
             q = _clip_prob(getattr(state, attr))
             setattr(state, attr, _clip_prob(expit(logit(q) + eps2 * h2)))
-        state.eps2 = eps2
-        return state, eps2
+        return eps2
     denom = float(np.add.reduce(h2 * h2))
     if denom < 1e-14:
-        state.eps2 = 0.0
-        return state, 0.0
+        return 0.0
     eps2 = float(np.add.reduce(h2 * (o - q_obs)) / denom)
     state.q0_values = state.q0_values + eps2 * h2
     state.q1_values = state.q1_values + eps2 * h2
-    state.eps2 = eps2
-    return state, eps2
+    return eps2
 
 
 def tmle_theta(
@@ -349,17 +336,16 @@ def tmle_theta(
     distribution; at convergence the empirical mean of the efficient
     influence curve vanishes.
     """
-    _both_arms(dataset)
     state = TmleState(
         pi_values=_in_sample(dataset, fit, "pi"),
         q0_values=_in_sample(dataset, fit, "q0"),
         q1_values=_in_sample(dataset, fit, "q1"),
     )
     converged = False
-    for k in range(max_iter):
-        state.iteration = k
-        _, eps1 = fluctuate_pi(state, dataset)
-        _, eps2 = fluctuate_q(state, dataset, dataset.outcome_kind)
+    eps1 = eps2 = 0.0
+    for _ in range(max_iter):
+        eps1 = fluctuate_pi(state, dataset)
+        eps2 = fluctuate_q(state, dataset)
         state.trace.append((eps1, eps2))
         if max(abs(eps1), abs(eps2)) < tol:
             converged = True
@@ -373,9 +359,9 @@ def tmle_theta(
     # reported in the diagnostics.
     theta = float(_mean(state.pi_values * tau))
     diagnostics = {
-        "iterations": state.iteration + 1,
-        "final_eps1": abs(state.eps1),
-        "final_eps2": abs(state.eps2),
+        "iterations": len(state.trace),
+        "final_eps1": abs(eps1),
+        "final_eps2": abs(eps2),
         "trace": list(state.trace),
         "theta_observed_arm": float(_mean(dataset.exposure_float * tau)),
         "warnings": list(fit.warnings),
@@ -383,7 +369,7 @@ def tmle_theta(
     if not converged:
         diagnostics["warnings"].append(
             f"tmle did not converge in {max_iter} iterations "
-            f"(|eps1|={abs(state.eps1):.3e}, |eps2|={abs(state.eps2):.3e})"
+            f"(|eps1|={abs(eps1):.3e}, |eps2|={abs(eps2):.3e})"
         )
     return _finalize_efficient(dataset, "tmle", fit, theta, state.pi_values, tau, diagnostics)
 
@@ -445,15 +431,9 @@ def score_all(
     dataset: Dataset,
     estimator_kind: str = "tmle",
     basis: BasisConfig | None = None,
-    threads: int | None = None,
     saturated: bool = False,
 ) -> list[ScoreEstimate]:
-    """Score every covariate; results are returned in column order.
-
-    ``threads`` is accepted and ignored: targets are scored one after another
-    on the calling thread, because a thread pool over these small fits
-    measured slower than one thread for every estimator.
-    """
+    """Score every covariate; results are returned in column order."""
     basis = basis or BasisConfig()
     return [score_covariate(dataset, j, estimator_kind, basis, saturated) for j in range(dataset.p)]
 
@@ -463,12 +443,8 @@ def score_groups(
     group_indices: list[tuple[str, tuple[int, ...]]],
     estimator_kind: str = "tmle",
     basis: BasisConfig | None = None,
-    threads: int | None = None,
 ) -> list[ScoreEstimate]:
-    """Score covariate groups with additive group bases; output order follows the input groups.
-
-    ``threads`` is accepted and ignored, as in ``score_all``.
-    """
+    """Score covariate groups with additive group bases; output order follows the input groups."""
     basis = basis or BasisConfig()
     estimates = []
     for name, cols in group_indices:

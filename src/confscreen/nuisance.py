@@ -22,12 +22,8 @@ __all__ = [
     "BasisConfig",
     "NuisanceFit",
     "SaturatedFit",
-    "fit_tau",
-    "fit_pi",
-    "fit_q",
     "fit_nuisances",
     "fit_saturated",
-    "compose_tau",
 ]
 
 PROB_CLIP = 1e-6
@@ -249,21 +245,6 @@ def _prepare(dataset: Dataset, columns, basis: BasisConfig) -> NuisanceFit:
     )
 
 
-def fit_tau(dataset: Dataset, columns, basis: BasisConfig) -> NuisanceFit:
-    """Least-squares fit of the outcome on the polynomial basis."""
-    return fit_nuisances(dataset, columns, basis, parts=("tau",))
-
-
-def fit_pi(dataset: Dataset, columns, basis: BasisConfig) -> NuisanceFit:
-    """Logistic maximum-likelihood fit of the exposure via IRLS."""
-    return fit_nuisances(dataset, columns, basis, parts=("pi",))
-
-
-def fit_q(dataset: Dataset, columns, basis: BasisConfig) -> NuisanceFit:
-    """Per-arm outcome regressions on the shared polynomial basis."""
-    return fit_nuisances(dataset, columns, basis, parts=("q",))
-
-
 def fit_nuisances(dataset: Dataset, columns, basis: BasisConfig, parts=("tau", "pi", "q")) -> NuisanceFit:
     """Fit the requested parts ("tau", "pi", "q") and their in-sample values from one design matrix.
 
@@ -302,11 +283,6 @@ def fit_nuisances(dataset: Dataset, columns, basis: BasisConfig, parts=("tau", "
     return fit
 
 
-def compose_tau(fit, c):
-    """tau(c) = pi(c) Q(1, c) + (1 - pi(c)) Q(0, c)."""
-    return fit.compose_tau_at(np.atleast_1d(np.asarray(c, dtype=float)))
-
-
 @dataclass
 class SaturatedFit:
     """Per-level empirical conditional means for a discrete covariate.
@@ -323,7 +299,6 @@ class SaturatedFit:
     pi_levels: np.ndarray
     q0_levels: np.ndarray
     q1_levels: np.ndarray
-    outcome_kind: str = "continuous"
     warnings: list[str] = field(default_factory=list)
 
     def _level_index(self, c: np.ndarray) -> np.ndarray:
@@ -377,5 +352,4 @@ def fit_saturated(dataset: Dataset, j: int) -> SaturatedFit:
         pi_levels=pi,
         q0_levels=q0,
         q1_levels=q1,
-        outcome_kind=dataset.outcome_kind,
     )

@@ -164,10 +164,9 @@ def rank_groups(
     score_kind: str,
     rule: tuple | None = None,
     alpha: float = 0.10,
-    threads: int | None = None,
 ) -> RankingReport:
     """Full group pipeline: fit group nuisances, score, rank, optionally select."""
     groups.validate(dataset)
     members = groups.member_indices(dataset)
-    estimates = score_groups(dataset, members, estimator_kind, basis, threads=threads)
+    estimates = score_groups(dataset, members, estimator_kind, basis)
     return screen(estimates, score_kind, rule, alpha, names=[name for name, _ in members])[0]

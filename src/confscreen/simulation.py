@@ -2,10 +2,9 @@
 
 Reproducibility: all draws come from the Philox-4x64-10 counter-based
 generator.  Replicate ``r`` of seed ``s`` uses the substream with key ``s``
-and counter offset ``r * 2**128``, so replicates are order-independent and
-identical across thread counts.  Gaussian variates are produced by applying
-the rational-approximation normal quantile to Philox uniforms, which keeps
-streams platform-stable.
+and counter offset ``r * 2**128``, so replicates are order-independent.
+Gaussian variates are produced by applying the rational-approximation
+normal quantile to Philox uniforms, which keeps streams platform-stable.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ __all__ = [
     "gen_low_dim",
     "gen_misspecified",
     "gen_uniform",
+    "uniform_closed_form_phi",
     "oracle_phi",
     "evaluate_selection",
     "roc_curve",
@@ -477,7 +477,6 @@ def run_replicates(
     score_kind: str = "difference",
     rule: tuple = ("alpha_test", 0.10),
     alpha: float = 0.10,
-    threads: int | None = None,
     oracle_values=None,
 ) -> SimResult:
     """Run the scenario's replicates and collect selection metrics.
@@ -499,7 +498,7 @@ def run_replicates(
     for r in range(reps):
         sim = generate(scenario, r)
         labels = sim.labels
-        estimates = score_all(sim.dataset, estimator_kind, basis, threads=threads)
+        estimates = score_all(sim.dataset, estimator_kind, basis)
         report, inferences = screen(estimates, score_kind, rule, alpha, names=list(sim.dataset.column_names))
         selected = [row.id for row in report.rows if row.selected]
         s, sp = evaluate_selection(selected, labels)

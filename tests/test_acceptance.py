@@ -87,7 +87,7 @@ def low_dim_bank():
     for r in range(200):
         sim = cs.generate(scenario, r)
         labels = sim.labels
-        ests = cs.score_all(sim.dataset, "tmle", cs.BasisConfig(degree=3), threads=8)
+        ests = cs.score_all(sim.dataset, "tmle", cs.BasisConfig(degree=3))
         phis[r] = [est.phi_hat for est in ests]
     return scenario, phis, labels
 
@@ -129,7 +129,7 @@ def test_criterion_01_closed_form_oracle(capsys):
     truth = [cs.uniform_closed_form_phi(scenario, j) for j in range(3)]
     worst = 0.0
     for kind in ALL_KINDS:
-        ests = cs.score_all(sim.dataset, kind, cs.BasisConfig(degree=3), threads=8)
+        ests = cs.score_all(sim.dataset, kind, cs.BasisConfig(degree=3))
         worst = max(worst, max(abs(e.phi_hat - t) for e, t in zip(ests, truth)))
     elapsed = time.monotonic() - start
     ok = worst <= 0.02 and elapsed < 30.0
@@ -400,7 +400,7 @@ def test_criterion_10_misspecification_robustness(capsys):
         vals = []
         for r in range(200):
             sim = cs.generate(scenario, r)
-            ests = cs.score_all(sim.dataset, "tmle", cs.BasisConfig(degree=degree), threads=8)
+            ests = cs.score_all(sim.dataset, "tmle", cs.BasisConfig(degree=degree))
             selected = [
                 j for j, est in enumerate(ests)
                 if cs.infer_scores(est, 0.10).p_phi < 0.10

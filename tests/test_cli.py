@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, schemas, exit codes, determinism."""
 
+import argparse
 import csv
 import json
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from confscreen import SimScenario, generate, write_csv
-from confscreen.cli import CSV_COLUMNS, main
+from confscreen.cli import CSV_COLUMNS, build_parser, main
 
 SIX_ROWS = "O,E,C\n1,1,1\n0,1,1\n1,0,1\n0,0,0\n1,1,0\n0,0,1\n"
 
@@ -259,3 +260,124 @@ def test_rank_ratio_alpha_test_with_negative_theta(tmp_path):
         rows = {row["name"]: row for row in csv.DictReader(fh)}
     assert float(rows["c10"]["theta"]) < 0.0
     assert rows["c10"]["p_value"] != ""
+
+
+def _write_discrete_csv(path, seed):
+    # Few-level covariates, so that --saturated applies; "alt" is a second binary column.
+    rng = np.random.default_rng(seed)
+    n = 150
+    c = rng.integers(0, 5, size=(n, 3)).astype(float)
+    treat = (rng.random(n) < 1.0 / (1.0 + np.exp(2.0 - c[:, 0]))).astype(int)
+    alt = (rng.random(n) < 0.5).astype(int)
+    y = c[:, 0] + 0.5 * c[:, 1] + treat + rng.normal(size=n)
+    lines = ["y,treat,alt,x0,x1,x2"]
+    for i in range(n):
+        lines.append(f"{float(y[i])!r},{treat[i]},{alt[i]}," + ",".join(repr(float(v)) for v in c[i]))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+# Options that change no result by design: where and how results are written,
+# and --threads, which is recorded in the manifest only.
+EXEMPT_OPTIONS = {"--out", "--format", "--threads"}
+
+
+def _option_cases(tmp_path):
+    """Per subcommand: the base options and, for every other option, a value that changes the results."""
+    data = _write_discrete_csv(tmp_path / "d.csv", 60)
+    groups = tmp_path / "groups.json"
+    groups.write_text(json.dumps({"g": ["x0", "x1"], "h": ["x2"]}))
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"kind": "low_dim", "n": 120, "p": 15, "seed": 4}))
+    other_scenario = tmp_path / "s2.json"
+    other_scenario.write_text(json.dumps({"kind": "low_dim", "n": 160, "p": 15, "seed": 4}))
+    data_cases = {
+        "--data": _write_discrete_csv(tmp_path / "d2.csv", 61),
+        "--outcome": "x0",
+        "--exposure": "alt",
+        "--outcome-kind": "bounded",
+        "--groups": str(groups),
+        "--saturated": True,
+        "--estimator": "dr",
+        "--degree": "2",
+        "--alpha": "0.5",
+    }
+    data_base = {"--data": data, "--outcome": "y", "--exposure": "treat"}
+    return {
+        "score": (data_base, data_cases),
+        "rank": (data_base, {**data_cases, "--score": "ratio", "--top-k": "1"}),
+        "simulate": (
+            {"--scenario": str(scenario)},
+            {
+                "--scenario": str(other_scenario),
+                "--seed": "5",
+                "--estimator": "dr",
+                "--score": "ratio",
+                "--degree": "2",
+                "--alpha": "0.5",
+                "--top-k": "3",
+            },
+        ),
+    }
+
+
+def _results_without_config(command, options, out):
+    argv = [command]
+    for flag, value in options.items():
+        argv += [flag] if value is True else [flag, value]
+    assert main([*argv, "--out", str(out)]) == 0, argv
+    doc = json.loads(out.read_text())
+    del doc["config"]
+    return doc
+
+
+@pytest.mark.parametrize("command", ["score", "rank", "simulate"])
+def test_every_option_acts(command, tmp_path):
+    base_options, cases = _option_cases(tmp_path)[command]
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [
+        max(action.option_strings, key=len)
+        for action in subparsers.choices[command]._actions
+        if not isinstance(action, argparse._HelpAction)
+    ]
+    untested = [flag for flag in flags if flag not in EXEMPT_OPTIONS and flag not in cases]
+    assert not untested, f"{command}: options without a case: {untested}"
+    base = _results_without_config(command, base_options, tmp_path / "base.json")
+    for flag, value in cases.items():
+        assert flag in flags, f"{command} has no option {flag}"
+        varied = _results_without_config(command, {**base_options, flag: value}, tmp_path / "varied.json")
+        assert varied != base, f"{command} {flag} changes no result"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["score", "--top-k", "1"],
+        ["score", "--score", "ratio"],
+        ["simulate", "--outcome-kind", "bounded"],
+    ],
+)
+def test_option_without_effect_exit_2(argv, wide_csv, tmp_path):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"kind": "low_dim", "n": 100, "p": 15}))
+    if argv[0] == "score":
+        inputs = ["--data", wide_csv, "--outcome", "y", "--exposure", "treat"]
+    else:
+        inputs = ["--scenario", str(scenario)]
+    out = tmp_path / "x.json"
+    assert main([argv[0], *inputs, *argv[1:], "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", "200"), ("n", 200.5), ("replicates", 2.0), ("seed", "x"), ("p", True), ("rho", "0.5")],
+)
+def test_simulate_ill_typed_scenario_field_exit_2(field, value, tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"kind": "low_dim", "n": 100, "p": 15, field: value}))
+    code = main(["simulate", "--scenario", str(scenario), "--top-k", "1",
+                 "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(field) in err

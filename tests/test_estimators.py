@@ -21,7 +21,7 @@ from confscreen import (
     theta_naive,
     tmle_theta,
 )
-from confscreen._stats import expit
+from confscreen._stats import expit, logit
 
 
 def _dataset(y, e, c, **kw):
@@ -103,7 +103,7 @@ def test_fluctuate_pi_zero_score_leaves_state():
     c = SIX.covariates[:, (0,)]
     state = TmleState(pi_values=fit.pi_at(c), q0_values=fit.q_at(0, c), q1_values=fit.q_at(1, c))
     before = state.pi_values.copy()
-    _, eps1 = fluctuate_pi(state, SIX)
+    eps1 = fluctuate_pi(state, SIX)
     assert eps1 == 0.0
     np.testing.assert_array_equal(state.pi_values, before)
 
@@ -117,10 +117,27 @@ def test_fluctuate_q_closed_form_example():
         q0_values=np.zeros(n),
         q1_values=np.zeros(n),
     )
-    _, eps2 = fluctuate_q(state, ds, "continuous")
+    eps2 = fluctuate_q(state, ds)
     assert eps2 == pytest.approx(-2.0, abs=1e-12)
     np.testing.assert_allclose(state.q0_values, 1.0, atol=1e-12)
     np.testing.assert_allclose(state.q1_values, 1.0, atol=1e-12)
+
+
+def test_fluctuate_q_bounded_dataset_takes_logistic_path():
+    # As in tmle_theta, the outcome kind comes from the dataset: Q moves along
+    # logit(Q) + eps * H2, not along the linear path Q + eps * H2.
+    rng = np.random.default_rng(23)
+    n = 200
+    x = rng.normal(size=n)
+    e = (rng.random(n) < expit(x)).astype(int)
+    ds = _dataset(rng.random(n) ** 2, e, x, outcome_kind="bounded")
+    pi = expit(0.8 * x)
+    q0, q1 = expit(0.5 - x), expit(1.0 + x)
+    state = TmleState(pi_values=pi, q0_values=q0, q1_values=q1)
+    eps2 = fluctuate_q(state, ds)
+    assert abs(eps2) > 1e-3
+    np.testing.assert_allclose(state.q0_values, expit(logit(q0) - eps2 * pi), rtol=1e-12)
+    np.testing.assert_allclose(state.q1_values, expit(logit(q1) - eps2 * pi), rtol=1e-12)
 
 
 def test_tmle_eic_mean_zero_continuous():
@@ -203,6 +220,21 @@ def test_bounded_outcome_back_transform():
     assert abs(est.phi_hat) <= (raw.max() - raw.min()) + 1e-9
 
 
+def test_theta_naive_bounded_outcome_on_original_scale():
+    # One naive plug-in for all three readers, mapped back like every reported quantity.
+    rng = np.random.default_rng(24)
+    n = 300
+    x = rng.normal(size=n)
+    e = (rng.random(n) < expit(x)).astype(int)
+    y = np.clip(expit(x) + 0.1 * rng.normal(size=n), 0.0, 1.0)
+    ds = _dataset(y, e, x, outcome_kind="bounded", outcome_scale=10.0, outcome_offset=2.0)
+    fit = fit_nuisances(ds, 0, BasisConfig(degree=2), parts=("tau", "pi"))
+    naive = theta_naive(ds, fit)
+    assert naive == float(np.mean(e * (10.0 * fit.tau_fitted + 2.0)))
+    assert naive == theta_dr(ds, fit).diagnostics["theta_naive"]
+    assert naive == plugin_scores_om(ds, fit).theta_hat
+
+
 def test_bounded_phi_within_unit_interval_on_unit_outcome():
     rng = np.random.default_rng(18)
     n = 400
@@ -214,17 +246,17 @@ def test_bounded_phi_within_unit_interval_on_unit_outcome():
     assert -1.0 - 1e-12 <= est.phi_hat <= 1.0 + 1e-12
 
 
-def test_score_all_column_order_and_thread_invariance():
+def test_score_all_column_order_and_determinism():
     rng = np.random.default_rng(19)
     n = 200
     c = rng.normal(size=(n, 4))
     e = (rng.random(n) < expit(c[:, 0])).astype(int)
     y = c[:, 0] + rng.normal(size=n)
     ds = Dataset(outcome=y, exposure=e, covariates=c, column_names=("a", "b", "x", "z"))
-    one = score_all(ds, "tmle", BasisConfig(degree=2), threads=1)
-    four = score_all(ds, "tmle", BasisConfig(degree=2), threads=4)
+    one = score_all(ds, "tmle", BasisConfig(degree=2))
+    two = score_all(ds, "tmle", BasisConfig(degree=2))
     assert [est.covariate_id for est in one] == [0, 1, 2, 3]
-    for u, v in zip(one, four):
+    for u, v in zip(one, two):
         assert u.phi_hat == v.phi_hat and u.theta_hat == v.theta_hat
 
 

@@ -7,12 +7,8 @@ from confscreen import (
     BasisConfig,
     Dataset,
     ValidationError,
-    compose_tau,
     fit_nuisances,
-    fit_pi,
-    fit_q,
     fit_saturated,
-    fit_tau,
 )
 from confscreen._stats import expit, logit
 from confscreen.nuisance import _design_matrix, _solve_lstsq
@@ -65,7 +61,7 @@ def test_lstsq_exact_polynomial_recovery():
     x = rng.normal(size=200)
     y = 2.0 - x + 0.5 * x**3
     ds = _dataset(y, np.tile([0, 1], 100), x)
-    fit = fit_tau(ds, 0, BasisConfig(degree=3))
+    fit = fit_nuisances(ds, 0, BasisConfig(degree=3), parts=("tau",))
     np.testing.assert_allclose(fit.tau_at(x[:, None]), y, atol=1e-8)
 
 
@@ -74,7 +70,7 @@ def test_lstsq_residual_orthogonality():
     x = rng.normal(size=500)
     y = np.sin(x) + rng.normal(size=500)
     ds = _dataset(y, np.tile([0, 1], 250), x)
-    fit = fit_tau(ds, 0, BasisConfig(degree=3))
+    fit = fit_nuisances(ds, 0, BasisConfig(degree=3), parts=("tau",))
     X = fit.design(x[:, None])
     resid = y - fit.tau_at(x[:, None])
     assert np.max(np.abs(X.T @ resid)) < 1e-8 * len(y)
@@ -93,7 +89,7 @@ def test_logistic_null_model_limit():
     x = rng.normal(size=n)
     e = (rng.random(n) < 0.3).astype(int)
     ds = _dataset(rng.normal(size=n), e, x)
-    fit = fit_pi(ds, 0, BasisConfig(degree=1))
+    fit = fit_nuisances(ds, 0, BasisConfig(degree=1), parts=("pi",))
     assert abs(fit.pi_coeffs[1]) < 0.05
     assert fit.pi_coeffs[0] == pytest.approx(logit(np.array([e.mean()]))[0], abs=0.05)
 
@@ -104,7 +100,7 @@ def test_logistic_slope_recovery():
     x = rng.normal(size=n)
     e = (rng.random(n) < expit(x)).astype(int)
     ds = _dataset(rng.normal(size=n), e, x)
-    fit = fit_pi(ds, 0, BasisConfig(degree=1))
+    fit = fit_nuisances(ds, 0, BasisConfig(degree=1), parts=("pi",))
     # Coefficient is on the standardized scale; map back through the sd.
     slope = fit.pi_coeffs[1] / x.std(ddof=1)
     assert slope == pytest.approx(1.0, abs=0.1)
@@ -116,7 +112,7 @@ def test_logistic_score_equation():
     x = rng.normal(size=n)
     e = (rng.random(n) < expit(0.5 * x)).astype(int)
     ds = _dataset(rng.normal(size=n), e, x)
-    fit = fit_pi(ds, 0, BasisConfig(degree=3))
+    fit = fit_nuisances(ds, 0, BasisConfig(degree=3), parts=("pi",))
     X = fit.design(x[:, None])
     score = X.T @ (e - fit.pi_at(x[:, None]))
     assert np.max(np.abs(score)) < 1e-6 * n
@@ -126,7 +122,7 @@ def test_logistic_separation_ridge_fallback():
     x = np.concatenate([np.full(20, -1.0), np.full(20, 1.0)])
     e = (x > 0).astype(int)
     ds = _dataset(np.zeros(40), e, x)
-    fit = fit_pi(ds, 0, BasisConfig(degree=1))
+    fit = fit_nuisances(ds, 0, BasisConfig(degree=1), parts=("pi",))
     assert any("ridge" in w for w in fit.warnings)
     assert np.all(np.isfinite(fit.pi_coeffs))
 
@@ -135,7 +131,7 @@ def test_pi_values_clipped_open_interval():
     x = np.concatenate([np.full(20, -1.0), np.full(20, 1.0)])
     e = (x > 0).astype(int)
     ds = _dataset(np.zeros(40), e, x)
-    fit = fit_pi(ds, 0, BasisConfig(degree=1))
+    fit = fit_nuisances(ds, 0, BasisConfig(degree=1), parts=("pi",))
     vals = fit.pi_at(np.array([[-50.0], [50.0]]))
     assert np.all(vals > 0.0) and np.all(vals < 1.0)
 
@@ -148,14 +144,14 @@ def test_q_exact_linear_truth():
     theta = 2.0
     y = theta * e + 1.5 * x
     ds = _dataset(y, e, x)
-    fit = fit_q(ds, 0, BasisConfig(degree=1))
+    fit = fit_nuisances(ds, 0, BasisConfig(degree=1), parts=("q",))
     grid = np.linspace(-3, 3, 50)[:, None]
     np.testing.assert_allclose(fit.q_at(1, grid) - fit.q_at(0, grid), theta, atol=1e-10)
 
 
 def test_q_bounded_constant():
     ds = _dataset([0.5] * 10, np.tile([0, 1], 5), np.arange(10.0), outcome_kind="bounded")
-    fit = fit_q(ds, 0, BasisConfig(degree=1))
+    fit = fit_nuisances(ds, 0, BasisConfig(degree=1), parts=("q",))
     grid = np.arange(10.0)[:, None]
     np.testing.assert_allclose(fit.q_at(0, grid), 0.5, atol=1e-6)
     np.testing.assert_allclose(fit.q_at(1, grid), 0.5, atol=1e-6)
@@ -186,30 +182,7 @@ def test_fit_nuisances_constant_column_passthrough():
 def test_q_small_arm_error_names_arm_and_count():
     ds = _dataset([0.0, 1.0, 2.0, 3.0], [1, 0, 0, 0], np.arange(4.0))
     with pytest.raises(ValidationError, match="arm 0 has 3"):
-        fit_q(ds, 0, BasisConfig(degree=3))
-
-
-def test_compose_tau_identities():
-    fit = fit_nuisances(SIX, 0, BasisConfig(degree=1))
-
-    class Fixed:
-        def __init__(self, pi, q1, q0):
-            self._pi, self._q1, self._q0 = pi, q1, q0
-
-        def pi_at(self, c):
-            return np.full(len(c), self._pi)
-
-        def q_at(self, e, c):
-            return np.full(len(c), self._q1 if e == 1 else self._q0)
-
-        def compose_tau_at(self, c):
-            pi = self.pi_at(c)
-            return pi * self.q_at(1, c) + (1 - pi) * self.q_at(0, c)
-
-    assert compose_tau(Fixed(0.0, 1.0, 7.0), [0.0])[0] == 7.0
-    assert compose_tau(Fixed(1.0, 1.0, 7.0), [0.0])[0] == 1.0
-    assert compose_tau(Fixed(0.5, 1.0, 0.0), [0.0])[0] == 0.5
-    assert fit is not None
+        fit_nuisances(ds, 0, BasisConfig(degree=3), parts=("q",))
 
 
 def test_saturated_six_rows():
@@ -275,5 +248,5 @@ def test_group_basis_additive():
     c = rng.normal(size=(n, 2))
     y = c[:, 0] + 2.0 * c[:, 1] ** 2
     ds = _dataset(y, np.tile([0, 1], n // 2), c)
-    fit = fit_tau(ds, (0, 1), BasisConfig(degree=2))
+    fit = fit_nuisances(ds, (0, 1), BasisConfig(degree=2), parts=("tau",))
     np.testing.assert_allclose(fit.tau_at(c), y, atol=1e-8)

@@ -202,7 +202,7 @@ def test_run_replicates_smoke():
 def test_run_replicates_deterministic():
     sc = SimScenario(kind="low_dim", n=150, p=15, seed=9, replicates=2)
     a = run_replicates(sc, "dr", rule=("top_k", 3))
-    b = run_replicates(sc, "dr", rule=("top_k", 3), threads=3)
+    b = run_replicates(sc, "dr", rule=("top_k", 3))
     np.testing.assert_array_equal(a.phi_hats, b.phi_hats)
     np.testing.assert_array_equal(a.sensitivity, b.sensitivity)
 
