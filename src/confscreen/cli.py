@@ -29,6 +29,7 @@ from .simulation import SimScenario, run_replicates, uniform_closed_form_phi
 __all__ = ["main", "build_parser"]
 
 SCHEMA_VERSION = 1
+DEFAULT_ALPHA = 0.10
 CSV_COLUMNS = (
     "id",
     "name",
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--alpha",
             type=float,
-            default=0.10,
+            default=DEFAULT_ALPHA,
             help="test level; confidence intervals are at 1 - alpha (default 90%%)",
         )
         p.add_argument("--threads", type=int, default=None, help="recorded in the manifest; scoring uses one thread")
@@ -86,6 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_rank, p_sim):
         p.add_argument("--score", choices=("difference", "ratio"), default="difference")
         p.add_argument("--top-k", type=int, default=None, help="select the top K ranks instead of testing")
+    # simulate writes no confidence intervals, so --alpha acts only without
+    # --top-k; None marks it as not passed (cmd_simulate applies the default).
+    p_sim.set_defaults(alpha=None)
     return parser
 
 
@@ -249,6 +253,10 @@ def _load_scenario(path: str, seed_override) -> SimScenario:
 
 
 def cmd_simulate(args) -> int:
+    if args.alpha is None:
+        args.alpha = DEFAULT_ALPHA
+    elif args.top_k is not None:
+        raise DataError("--alpha has no effect with --top-k: simulate writes no confidence intervals")
     config = _resolved_config(args)
     start = time.monotonic()
     scenario = _load_scenario(args.scenario, args.seed)

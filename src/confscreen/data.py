@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,9 +169,12 @@ class GroupSpec:
 def load_csv(path, outcome_col: str, exposure_col: str, outcome_kind: str = "continuous") -> Dataset:
     """Load a comma-separated file with a header row into a Dataset.
 
-    All columns other than the named outcome and exposure become covariates
-    in file order.  A bounded outcome whose raw range exceeds [0, 1] is
-    affinely rescaled into [0, 1] and the affine map recorded on the Dataset.
+    The dialect: a header row, comma separators, optional double quotes, no
+    blank lines and no comment lines, and every data cell a number as
+    ``float()`` reads it.  All columns other than the named outcome and
+    exposure become covariates in file order.  A bounded outcome whose raw
+    range exceeds [0, 1] is affinely rescaled into [0, 1] and the affine map
+    recorded on the Dataset.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -178,24 +182,23 @@ def load_csv(path, outcome_col: str, exposure_col: str, outcome_kind: str = "con
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
-        rows = list(reader)
+        # Where the one-call parse gives up, the rows are reread from the
+        # start, which a pipe cannot do: a pipe goes to the per-cell parse.
+        seekable = fh.seekable()
+        values = _parse_rows_fast(fh, len(header)) if seekable else None
+        if values is None:
+            if seekable:
+                fh.seek(0)
+                next(reader)
+            rows = list(reader)
     for col in (outcome_col, exposure_col):
         if col not in header:
             raise MissingColumnError(f"{path}: no column named {col!r}")
+    if values is None:
+        values = _parse_cells(path, header, rows)
     o_idx = header.index(outcome_col)
     e_idx = header.index(exposure_col)
     cov_idx = [i for i in range(len(header)) if i not in (o_idx, e_idx)]
-    values = np.empty((len(rows), len(header)), dtype=float)
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ParseError(f"{path}: row {r + 2} has {len(row)} fields, expected {len(header)}")
-        for c, cell in enumerate(row):
-            try:
-                values[r, c] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: non-numeric value {cell!r} at row {r + 2}, column {header[c]!r}"
-                ) from None
 
     outcome = values[:, o_idx]
     exposure_raw = values[:, e_idx]
@@ -219,16 +222,68 @@ def load_csv(path, outcome_col: str, exposure_col: str, outcome_kind: str = "con
     )
 
 
-def write_csv(dataset: Dataset, path, outcome_col: str = "outcome", exposure_col: str = "exposure") -> None:
-    """Write a Dataset back to comma-separated text with full float precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([outcome_col, exposure_col, *dataset.column_names])
-        for i in range(dataset.n):
-            writer.writerow(
-                [repr(float(dataset.outcome[i])), int(dataset.exposure[i])]
-                + [repr(float(v)) for v in dataset.covariates[i]]
+def _data_lines(fh):
+    """The remaining lines of ``fh``; ValueError on a line that np.loadtxt reads otherwise than float().
+
+    np.loadtxt skips a blank line, which the per-cell parse reports as a row of
+    0 fields, and strips the separators \\x1c-\\x1f from a cell, which float()
+    rejects.
+    """
+    for line in fh:
+        if line.isspace() or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("line outside the np.loadtxt dialect")
+        yield line
+
+
+def _parse_rows_fast(fh, width: int):
+    """Every data row of ``fh`` in one np.loadtxt call, or None where it cannot match _parse_cells.
+
+    Any parse error, any warning (a file without data rows warns), or a width
+    other than the header's leaves the file to the per-cell parse, which
+    reports the error.  np.loadtxt converts each cell with the routine that
+    float() uses, so the values it returns are bitwise those of _parse_cells.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.loadtxt(
+                _data_lines(fh), delimiter=",", quotechar='"', comments=None, ndmin=2, dtype=float
             )
+        except (ValueError, Warning):
+            return None
+    return values if values.shape[1] == width else None
+
+
+def _parse_cells(path, header: list[str], rows: list[list[str]]) -> np.ndarray:
+    """The (rows, columns) float matrix of ``rows``, one float() per cell; names the first bad cell."""
+    values = np.empty((len(rows), len(header)), dtype=float)
+    for r, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ParseError(f"{path}: row {r + 2} has {len(row)} fields, expected {len(header)}")
+        for c, cell in enumerate(row):
+            try:
+                values[r, c] = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: non-numeric value {cell!r} at row {r + 2}, column {header[c]!r}"
+                ) from None
+    return values
+
+
+def write_csv(dataset: Dataset, path, outcome_col: str = "outcome", exposure_col: str = "exposure") -> None:
+    """Write a Dataset back to comma-separated text with full float precision.
+
+    The header goes through csv.writer, which quotes names that need it; the
+    data rows are written as csv.writer would write them (repr'd floats and
+    the integer exposure never need quoting) without its per-cell calls.
+    """
+    fmt = float.__repr__
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow([outcome_col, exposure_col, *dataset.column_names])
+        for y, e, row in zip(
+            dataset.outcome.tolist(), dataset.exposure.tolist(), dataset.covariates.tolist()
+        ):
+            fh.write(f"{fmt(y)},{e},{','.join(map(fmt, row))}\r\n")
 
 
 def load_groups(path, dataset: Dataset) -> GroupSpec:

@@ -174,6 +174,7 @@ def test_simulate_json_and_determinism(tmp_path):
     assert len(doc["per_replicate"]) == 2
     assert len(doc["roc"]) == 16
     assert "mean_sensitivity" in doc["aggregates"]
+    assert doc["config"]["alpha"] == 0.10  # the default is echoed when --alpha is not passed
 
 
 def test_simulate_uniform_summary_has_oracle(tmp_path):
@@ -355,6 +356,8 @@ def test_every_option_acts(command, tmp_path):
         ["score", "--top-k", "1"],
         ["score", "--score", "ratio"],
         ["simulate", "--outcome-kind", "bounded"],
+        ["simulate", "--top-k", "3", "--alpha", "0.5"],
+        ["simulate", "--top-k", "3", "--alpha", "0.1"],
     ],
 )
 def test_option_without_effect_exit_2(argv, wide_csv, tmp_path):

@@ -1,8 +1,16 @@
 """Dataset loading, validation, and groups."""
 
+import csv
+import io
+import os
+import re
+import struct
+import warnings
+
 import numpy as np
 import pytest
 
+from confscreen import data
 from confscreen import (
     Dataset,
     GroupSpec,
@@ -36,18 +44,94 @@ def test_missing_column(six_csv):
         load_csv(six_csv, "nope", "E")
 
 
+def _assert_parse_error(path, text, message, outcome="O"):
+    path.write_bytes(text.encode())
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+        load_csv(path, outcome, "E")
+
+
 def test_non_numeric_cell_names_location(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("O,E,C\n1,1,x\n0,0,2\n")
-    with pytest.raises(ParseError, match="row 2.*'C'"):
-        load_csv(path, "O", "E")
+    _assert_parse_error(path, "O,E,C\n1,1,x\n0,0,2\n", "non-numeric value 'x' at row 2, column 'C'")
+    # Not a comment line: '#' is an ordinary character.
+    _assert_parse_error(
+        path, "y,E,C\n#x,1,1\n0,0,2\n", "non-numeric value '#x' at row 2, column 'y'", outcome="y"
+    )
+    # float() strips no information separator (np.loadtxt would).
+    _assert_parse_error(
+        path, "O,E,C\n1,1,1\n0,0,2\x1c\n", "non-numeric value '2\\x1c' at row 3, column 'C'"
+    )
 
 
 def test_ragged_row(tmp_path):
     path = tmp_path / "ragged.csv"
-    path.write_text("O,E,C\n1,1,1\n0,0\n")
-    with pytest.raises(ParseError, match="row 3"):
-        load_csv(path, "O", "E")
+    _assert_parse_error(path, "O,E,C\n1,1,1\n0,0\n", "row 3 has 2 fields, expected 3")
+    _assert_parse_error(path, "O,E,C\n1,1,1,\n0,0,2\n", "row 2 has 4 fields, expected 3")
+    _assert_parse_error(path, "O,E,C\n1,1\n0,0\n", "row 2 has 2 fields, expected 3")
+    # A blank line is a row of no fields, wherever it stands, at either line ending.
+    for eol in ("\n", "\r\n"):
+        rows = ["O,E,C", "1,1,1", "0,0,2"]
+        for r in (1, 2, 3):
+            text = eol.join(rows[:r] + [""] + rows[r:]) + eol
+            _assert_parse_error(path, text, f"row {r + 1} has 0 fields, expected 3")
+
+
+@pytest.mark.parametrize(
+    "text, covariates, names",
+    [
+        ("O,E,C\n1,1,1_000\n0,0,\u0661\n", [1000.0, 1.0], ("C",)),
+        ('O,E,C\n1,1,"2.5"\n0,0,3\n', [2.5, 3.0], ("C",)),
+        ('O,E,"a,b"\n1,1,2\n0,0,3\n', [2.0, 3.0], ("a,b",)),
+        ("O,E,C\n1,1,2\n0,0,3", [2.0, 3.0], ("C",)),
+    ],
+    ids=["float-spellings", "quoted-cell", "quoted-header-comma", "no-final-newline"],
+)
+def test_accepted_dialect(tmp_path, text, covariates, names):
+    path = tmp_path / "ok.csv"
+    path.write_bytes(text.encode())
+    ds = load_csv(path, "O", "E")
+    assert ds.column_names == names
+    assert ds.covariates[:, 0].tolist() == covariates
+    assert ds.outcome.tolist() == [1.0, 0.0] and ds.exposure.tolist() == [1, 0]
+
+
+def test_well_formed_file_skips_per_cell_parse(six_csv, monkeypatch):
+    def per_cell(*args):
+        raise AssertionError("well-formed rows went through the per-cell parse")
+
+    monkeypatch.setattr(data, "_parse_cells", per_cell)
+    ds = load_csv(six_csv, "O", "E")
+    assert ds.covariates[:, 0].tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize(
+    "text, error",
+    [("O,E,C\n1,1,1\n0,0,2\n", None), ("O,E,C\n1,1,1\n\n0,0,2\n", "row 3 has 0 fields")],
+)
+def test_load_from_pipe(text, error):
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, text.encode())
+        os.close(write_end)
+        path = f"/dev/fd/{read_end}"
+        if error is None:
+            assert load_csv(path, "O", "E").covariates[:, 0].tolist() == [1.0, 2.0]
+        else:
+            with pytest.raises(ParseError, match=error):
+                load_csv(path, "O", "E")
+    finally:
+        os.close(read_end)
+
+
+def test_header_only_file(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("O,E,C\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValidationError, match="need at least 2 observations"):
+            load_csv(path, "O", "E")
+    assert not caught
 
 
 def test_empty_file(tmp_path):
@@ -118,6 +202,73 @@ def test_write_read_roundtrip(tmp_path, six_csv):
     np.testing.assert_array_equal(ds.outcome, ds2.outcome)
     np.testing.assert_array_equal(ds.exposure, ds2.exposure)
     np.testing.assert_array_equal(ds.covariates, ds2.covariates)
+
+
+# Spellings at the edges of float parsing: 17 significant digits, the smallest
+# subnormal, signed zero, the largest decades, and values that round to them.
+BANK = [
+    "0.1", "0.30000000000000004", "1.0000000000000002", "2.2250738585072014e-308",
+    "4.9e-324", "5e-324", "2.4703282292062328e-324", "-0.0", "0", "-0",
+    "1e308", "1.7976931348623157e+308", "-1.7976931348623157e308", "123456789012345678",
+    "3.141592653589793238462643383279", "1E-5", ".5", "5.", "+7.25", "9007199254740993",
+    "-2.718281828459045", "6.02214076e23", "1e-320", "0.0000000000000000001",
+]
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def test_load_csv_bitwise_equals_float(tmp_path):
+    rng = np.random.default_rng(5)
+    random_cells = [f"{v:.16e}" for v in rng.normal(scale=1e3, size=60)]
+    cells = BANK + random_cells
+    width = 4
+    cells += ["1"] * (-len(cells) % width)
+    grid = [cells[i : i + width] for i in range(0, len(cells), width)]
+    lines = ["O,E," + ",".join(f"c{j}" for j in range(width))]
+    lines += [f"{r % 3},{r % 2}," + ",".join(row) for r, row in enumerate(grid)]
+    path = tmp_path / "bank.csv"
+    path.write_text("\n".join(lines) + "\n")
+    ds = load_csv(path, "O", "E")
+    assert _bits(ds.covariates.ravel().tolist()) == _bits(float(c) for c in cells)
+    assert _bits(ds.outcome.tolist()) == _bits(float(r % 3) for r in range(len(grid)))
+
+
+def _reference_csv_bytes(dataset, outcome_col, exposure_col):
+    """The write_csv format as csv.writer rows of repr'd floats."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow([outcome_col, exposure_col, *dataset.column_names])
+    for i in range(dataset.n):
+        writer.writerow(
+            [repr(float(dataset.outcome[i])), int(dataset.exposure[i])]
+            + [repr(float(v)) for v in dataset.covariates[i]]
+        )
+    return buf.getvalue().encode()
+
+
+def test_write_csv_bytes_and_bitwise_roundtrip(tmp_path):
+    rng = np.random.default_rng(9)
+    n = 40
+    bank = np.array([float(c) for c in BANK])
+    covariates = np.column_stack(
+        [rng.normal(size=n), np.resize(bank, n), rng.uniform(-1e-300, 1e-300, size=n)]
+    )
+    ds = Dataset(
+        outcome=rng.normal(size=n),
+        exposure=np.tile([0, 1], n // 2),
+        covariates=covariates,
+        column_names=("plain", 'needs "quoting", twice', "z"),
+    )
+    path = tmp_path / "w.csv"
+    write_csv(ds, path, outcome_col="out,come", exposure_col="E")
+    assert path.read_bytes() == _reference_csv_bytes(ds, "out,come", "E")
+    back = load_csv(path, "out,come", "E")
+    assert back.column_names == ds.column_names
+    assert _bits(back.outcome.tolist()) == _bits(ds.outcome.tolist())
+    assert _bits(back.covariates.ravel().tolist()) == _bits(ds.covariates.ravel().tolist())
+    assert np.array_equal(back.exposure, ds.exposure)
 
 
 def test_dataset_arrays_read_only(six_csv):

@@ -128,3 +128,58 @@ def test_results_permute_with_columns(screen, perm):
         for pos, est in enumerate(score_all(permuted, kind, basis)):
             est.covariate_id = perm[pos]
             _same(est, base[perm[pos]])
+
+
+# Relabelling E -> 1 - E maps (theta, mu_O, mu_E) to (mu_O - theta, mu_O, 1 - mu_E),
+# hence phi to -phi and psi to 1/psi.  Tolerances on theta, relative to
+# max(1, |mu_O|, |theta|):
+FLIP_TOL = {
+    # Both labellings fit the same least-squares tau; only rounding differs.
+    "plugin_om": 1e-12,
+    # IRLS stops once a step gains less than 1e-10 in log-likelihood, a gain
+    # quadratic in the coefficient error, so each labelling's propensity fit
+    # may sit about sqrt(1e-10) = 1e-5 from the exact MLE (measured: 2.3e-7
+    # over 200 draws).
+    "plugin_ps": 1e-5,
+    # The same propensity fits, but dr's theta is first-order insensitive to
+    # the propensity (measured: 5.2e-12 over 200 draws).
+    "dr": 1e-8,
+    # The plug-in propensity and least-squares tolerances above, and a
+    # fluctuation loop that stops below |eps| = 1e-8.
+    "tmle": 1e-5,
+}
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "plugin_om",
+        "plugin_ps",
+        "dr",
+        pytest.param(
+            "tmle",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="tmle is not equivariant under exposure relabelling: on these draws "
+                "phi' misses -phi by up to 0.038 (960 times the tolerance) and psi' psi "
+                "misses 1 by up to 0.13",
+            ),
+        ),
+    ],
+)
+@PROPERTY_SETTINGS
+@given(screens())
+def test_exposure_relabelling_flips_scores(kind, screen):
+    args, basis = screen
+    base = score_all(Dataset(**args), kind, basis)
+    flipped = score_all(Dataset(**{**args, "exposure": 1 - args["exposure"]}), kind, basis)
+    for b, f in zip(base, flipped):
+        tol = FLIP_TOL[kind] * max(1.0, abs(b.mu_o_hat), abs(b.theta_hat))
+        assert f.mu_e_hat == pytest.approx(1.0 - b.mu_e_hat, abs=1e-15)
+        # d phi / d theta = 1/mu_E + 1/(1 - mu_E).
+        dphi = 1.0 / b.mu_e_hat + 1.0 / (1.0 - b.mu_e_hat)
+        assert f.phi_hat == pytest.approx(-b.phi_hat, abs=tol * dphi)
+        if b.psi_defined and f.psi_defined:
+            # d log psi / d theta = 1/theta + 1/(mu_O - theta).
+            dlog = 1.0 / abs(b.theta_hat) + 1.0 / abs(b.mu_o_hat - b.theta_hat)
+            assert f.psi_hat * b.psi_hat == pytest.approx(1.0, abs=tol * dlog)
