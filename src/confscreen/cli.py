@@ -28,7 +28,7 @@ from .simulation import SimScenario, run_replicates, uniform_closed_form_phi
 
 __all__ = ["main", "build_parser"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_ALPHA = 0.10
 CSV_COLUMNS = (
     "id",
@@ -135,16 +135,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _rows_to_csv(rows: list[dict]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
+def _rows_to_csv(rows: list[dict], se_key: str) -> str:
+    columns = [se_key if col == "se_phi" else col for col in CSV_COLUMNS]
+    lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in CSV_COLUMNS))
+        lines.append(",".join(_fmt(row.get(col)) for col in columns))
     return "\n".join(lines) + "\n"
 
 
-def _emit_results(args, config: dict, rows: list[dict], extra: dict | None = None) -> None:
+def _emit_results(
+    args, config: dict, rows: list[dict], extra: dict | None = None, se_key: str = "se_phi"
+) -> None:
     if args.format == "csv":
-        _atomic_write(args.out, _rows_to_csv(rows))
+        _atomic_write(args.out, _rows_to_csv(rows, se_key))
     else:
         doc = {"schema_version": SCHEMA_VERSION, "config": config, "results": rows}
         if extra:
@@ -152,18 +155,22 @@ def _emit_results(args, config: dict, rows: list[dict], extra: dict | None = Non
         _atomic_write(args.out, json.dumps(doc, indent=2) + "\n")
 
 
-def _row(est, inf, name, **fields) -> dict:
-    """One output row of an estimate and its inference; ``fields`` override or extend it."""
+def _row(est, name, se_key: str, se, ci, p_value, **fields) -> dict:
+    """One output row of an estimate and the inference of the score it reports.
+
+    ``se_key`` names the SE of that score ("se_phi" or "se_psi"); ``ci`` and
+    ``p_value`` describe the same score.  ``fields`` override or extend the row.
+    """
     row = {
         "id": est.covariate_id if not isinstance(est.covariate_id, tuple) else list(est.covariate_id),
         "name": name,
         "theta": est.theta_hat,
         "phi": est.phi_hat,
         "psi": est.psi_hat,
-        "se_phi": inf.se_phi if inf else None,
-        "ci_lo": inf.ci_phi[0] if inf else None,
-        "ci_hi": inf.ci_phi[1] if inf else None,
-        "p_value": inf.p_phi if inf else None,
+        se_key: se,
+        "ci_lo": ci[0] if ci else None,
+        "ci_hi": ci[1] if ci else None,
+        "p_value": p_value,
         "rank": None,
         "selected": None,
     }
@@ -199,7 +206,10 @@ def cmd_score(args) -> int:
     start = time.monotonic()
     estimates, inferences, names, _ = _screen_inputs(args, "difference", None)
     rows = [
-        _row(est, inf, name, warnings=list(est.diagnostics.get("warnings", [])))
+        _row(
+            est, name, "se_phi", inf.se_phi if inf else None, inf.ci_phi if inf else None,
+            inf.p_phi if inf else None, warnings=list(est.diagnostics.get("warnings", [])),
+        )
         for est, inf, name in zip(estimates, inferences, names)
     ]
     _emit_results(args, config, rows)
@@ -210,14 +220,17 @@ def cmd_score(args) -> int:
 def cmd_rank(args) -> int:
     config = _resolved_config(args)
     start = time.monotonic()
-    estimates, inferences, names, report = _screen_inputs(args, args.score, _selection_rule(args))
-    by_name = {name: (est, inf) for name, est, inf in zip(names, estimates, inferences)}
+    estimates, _, names, report = _screen_inputs(args, args.score, _selection_rule(args))
+    by_name = dict(zip(names, estimates))
+    # SE, CI and p-value are those of the ranked score, as RankRow holds them.
+    se_key = "se_psi" if args.score == "ratio" else "se_phi"
     rows = [
-        _row(*by_name[row.name], row.name, p_value=row.p_value, rank=row.rank,
+        _row(by_name[row.name], row.name, se_key, row.se, row.ci, row.p_value, rank=row.rank,
              selected=bool(row.selected), flags=list(row.flags))
         for row in report.rows
     ]
-    _emit_results(args, config, rows, extra={"selection_rule": list(report.selection_rule)})
+    extra = {"selection_rule": list(report.selection_rule)}
+    _emit_results(args, config, rows, extra=extra, se_key=se_key)
     _write_manifest(args.out, config, time.monotonic() - start, args.threads)
     return 0
 

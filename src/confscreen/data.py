@@ -174,23 +174,26 @@ def load_csv(path, outcome_col: str, exposure_col: str, outcome_kind: str = "con
     ``float()`` reads it.  All columns other than the named outcome and
     exposure become covariates in file order.  A bounded outcome whose raw
     range exceeds [0, 1] is affinely rescaled into [0, 1] and the affine map
-    recorded on the Dataset.
+    recorded on the Dataset.  A file that is not UTF-8 text is a ParseError.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        # Where the one-call parse gives up, the rows are reread from the
-        # start, which a pipe cannot do: a pipe goes to the per-cell parse.
-        seekable = fh.seekable()
-        values = _parse_rows_fast(fh, len(header)) if seekable else None
-        if values is None:
-            if seekable:
-                fh.seek(0)
-                next(reader)
-            rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: empty file") from None
+            # Where the one-call parse gives up, the rows are reread from the
+            # start, which a pipe cannot do: a pipe goes to the per-cell parse.
+            seekable = fh.seekable()
+            values = _parse_rows_fast(fh, len(header)) if seekable else None
+            if values is None:
+                if seekable:
+                    fh.seek(0)
+                    next(reader)
+                rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     for col in (outcome_col, exposure_col):
         if col not in header:
             raise MissingColumnError(f"{path}: no column named {col!r}")
@@ -240,8 +243,10 @@ def _parse_rows_fast(fh, width: int):
 
     Any parse error, any warning (a file without data rows warns), or a width
     other than the header's leaves the file to the per-cell parse, which
-    reports the error.  np.loadtxt converts each cell with the routine that
-    float() uses, so the values it returns are bitwise those of _parse_cells.
+    reports the error.  Bytes that are not UTF-8 raise UnicodeDecodeError,
+    which no reparse can mend.  np.loadtxt converts each cell with the routine
+    that float() uses, so the values it returns are bitwise those of
+    _parse_cells.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -249,6 +254,8 @@ def _parse_rows_fast(fh, width: int):
             values = np.loadtxt(
                 _data_lines(fh), delimiter=",", quotechar='"', comments=None, ndmin=2, dtype=float
             )
+        except UnicodeDecodeError:
+            raise
         except (ValueError, Warning):
             return None
     return values if values.shape[1] == width else None

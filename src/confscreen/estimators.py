@@ -25,6 +25,7 @@ from .nuisance import (
     BasisConfig,
     _clip_prob,
     _constant_columns,
+    _target_columns,
     fit_nuisances,
     fit_saturated,
 )
@@ -399,24 +400,21 @@ def score_covariate(
     columns,
     estimator_kind: str,
     basis: BasisConfig,
-    saturated: bool = False,
+    fit=None,
 ) -> ScoreEstimate:
-    """Estimate the confounding scores of one covariate or covariate group."""
+    """Estimate the confounding scores of one covariate or covariate group.
+
+    ``fit`` holds the target's nuisance models (a NuisanceFit, a SaturatedFit
+    or another learner with the same interface); without one, the target's
+    polynomial parts are fitted here as a stack of one.
+    """
     if estimator_kind not in ESTIMATOR_KINDS:
         raise ValidationError(f"unknown estimator kind {estimator_kind!r}")
-    if isinstance(columns, (int, np.integer)):
-        cols = (int(columns),)
-    else:
-        cols = tuple(int(j) for j in columns)
+    cols = _target_columns(columns)
     if _constant_columns(dataset.covariates[:, cols]).all():
         return _constant_estimate(dataset, _target_id(cols), estimator_kind)
-
-    if saturated:
-        if len(cols) != 1:
-            raise ValidationError("saturated fits support single covariates only")
-        fit = fit_saturated(dataset, cols[0])
-    else:
-        fit = fit_nuisances(dataset, cols, basis, parts=ESTIMATOR_PARTS[estimator_kind])
+    if fit is None:
+        fit = fit_nuisances(dataset, [cols], basis, parts=ESTIMATOR_PARTS[estimator_kind])[0]
 
     if estimator_kind == "plugin_om":
         return plugin_scores_om(dataset, fit)
@@ -427,15 +425,63 @@ def score_covariate(
     return tmle_theta(dataset, fit)
 
 
+# Largest design stack fitted at once, in doubles (targets x n x basis width).
+STACK_DOUBLES = 2**16
+
+
+def _score_targets(
+    dataset: Dataset, targets: list[tuple[int, ...]], estimator_kind: str, basis: BasisConfig
+) -> list[ScoreEstimate]:
+    """Score ``targets`` in order, fitting each run of consecutive same-width targets in stacks.
+
+    A stack holds at most STACK_DOUBLES doubles of design and at least one
+    target; its fits are dropped once its targets are scored.  Constant
+    targets are scored without a fit.
+    """
+    if estimator_kind not in ESTIMATOR_KINDS:
+        raise ValidationError(f"unknown estimator kind {estimator_kind!r}")
+    constant = _constant_columns(dataset.covariates)
+    estimates = []
+    stack: list[tuple[int, ...]] = []
+
+    def flush():
+        if stack:
+            fits = fit_nuisances(dataset, stack, basis, parts=ESTIMATOR_PARTS[estimator_kind])
+            for cols, fit in zip(stack, fits):
+                estimates.append(score_covariate(dataset, cols, estimator_kind, basis, fit))
+            stack.clear()
+
+    for cols in targets:
+        if constant[list(cols)].all():
+            flush()
+            estimates.append(score_covariate(dataset, cols, estimator_kind, basis))
+            continue
+        if stack and len(cols) != len(stack[0]):
+            flush()
+        stack.append(cols)
+        if len(stack) >= max(1, STACK_DOUBLES // (dataset.n * basis.width(len(cols)))):
+            flush()
+    flush()
+    return estimates
+
+
 def score_all(
     dataset: Dataset,
     estimator_kind: str = "tmle",
     basis: BasisConfig | None = None,
     saturated: bool = False,
 ) -> list[ScoreEstimate]:
-    """Score every covariate; results are returned in column order."""
+    """Score every covariate; results are returned in column order.
+
+    ``saturated`` replaces the polynomial fits with exact per-level fits.
+    """
     basis = basis or BasisConfig()
-    return [score_covariate(dataset, j, estimator_kind, basis, saturated) for j in range(dataset.p)]
+    if saturated:
+        return [
+            score_covariate(dataset, j, estimator_kind, basis, fit_saturated(dataset, j))
+            for j in range(dataset.p)
+        ]
+    return _score_targets(dataset, [(j,) for j in range(dataset.p)], estimator_kind, basis)
 
 
 def score_groups(
@@ -446,9 +492,8 @@ def score_groups(
 ) -> list[ScoreEstimate]:
     """Score covariate groups with additive group bases; output order follows the input groups."""
     basis = basis or BasisConfig()
-    estimates = []
-    for name, cols in group_indices:
-        est = score_covariate(dataset, cols, estimator_kind, basis)
+    targets = [_target_columns(cols) for _, cols in group_indices]
+    estimates = _score_targets(dataset, targets, estimator_kind, basis)
+    for (name, _), est in zip(group_indices, estimates):
         est.covariate_id = name
-        estimates.append(est)
     return estimates

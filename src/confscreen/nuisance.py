@@ -1,11 +1,15 @@
-"""Per-covariate (or per-group) nuisance models.
+"""Per-covariate (or per-group) nuisance models, fitted for many targets at once.
 
 Three functions are fitted on a shared polynomial basis of the standardized
 covariate(s): the outcome regression tau(c) = E(O | C=c), the propensity
 pi(c) = Pr(E=1 | C=c), and the per-arm adjusted exposure-response model
-Q(e, c) = E(O | E=e, C=c).  Estimator code depends only on the evaluable
-interface (`tau_at`, `pi_at`, `q_at`, `compose_tau_at`), so other learners
-can replace the polynomial fits without touching downstream code.
+Q(e, c) = E(O | E=e, C=c).  Targets of the same width are fitted as one
+stack of design matrices of shape (targets, n, basis width): least squares
+by a Householder QR of each augmented design, logistic models by IRLS with a
+per-target stopping rule.  A target's fit does not depend on which stack it
+is fitted in.  Estimator code depends only on the evaluable interface
+(`tau_at`, `pi_at`, `q_at`, `compose_tau_at`), so other learners can replace
+the polynomial fits without touching downstream code.
 """
 
 from __future__ import annotations
@@ -13,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from ._stats import expit, logit
+from ._stats import expit
 from .data import Dataset, ValidationError
 
 __all__ = [
@@ -28,64 +31,117 @@ __all__ = [
 
 PROB_CLIP = 1e-6
 MAX_SATURATED_LEVELS = 64
+# Rows of one Householder QR: a taller design is first reduced block by block,
+# which keeps each LAPACK call's work copy of the matrix small.
+QR_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
 class BasisConfig:
-    """Raw-power polynomial basis of the standardized covariate(s).
+    """Raw-power polynomial basis of the standardized covariate(s), with an intercept.
 
     Groups use the union of per-member power bases (additive); setting
     ``interactions`` adds pairwise products of the standardized members.
     """
 
     degree: int = 3
-    include_intercept: bool = True
     interactions: bool = False
 
     def __post_init__(self):
         if not (1 <= self.degree <= 12):
             raise ValidationError("basis degree must lie in 1..12")
 
+    def width(self, members: int) -> int:
+        """Number of basis columns for a target of ``members`` covariates."""
+        pairs = members * (members - 1) // 2 if self.interactions else 0
+        return 1 + members * self.degree + pairs
+
 
 def _design_matrix(z: np.ndarray, basis: BasisConfig) -> np.ndarray:
-    """Basis expansion of standardized columns ``z`` with shape (n, m)."""
-    n, m = z.shape
-    cols = []
-    if basis.include_intercept:
-        cols.append(np.ones(n))
+    """Basis expansion of standardized columns ``z`` of shape (..., n, m) into (..., n, width)."""
+    m = z.shape[-1]
+    X = np.empty((*z.shape[:-1], basis.width(m)))
+    X[..., 0] = 1.0
+    col = 1
     for j in range(m):
-        zj = z[:, j]
-        power = zj.copy()
-        for _ in range(basis.degree):
-            cols.append(power)
+        zj = z[..., j]
+        power = zj
+        X[..., col] = power
+        for k in range(1, basis.degree):
             power = power * zj
+            X[..., col + k] = power
+        col += basis.degree
     if basis.interactions:
         for a in range(m):
             for b in range(a + 1, m):
-                cols.append(z[:, a] * z[:, b])
-    return np.column_stack(cols)
+                X[..., col] = z[..., a] * z[..., b]
+                col += 1
+    return X
 
 
-def _solve_lstsq(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Least squares via column-pivoted QR with a ridge fallback.
+def _standardize(c: np.ndarray, centers: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """(c - centers) / scales; members with scale 0 (constant) keep their raw values."""
+    constant = scales == 0.0
+    return np.where(constant, c, (c - centers) / np.where(constant, 1.0, scales))
 
-    Returns (coefficients, used_ridge).  On rank deficiency the system is
-    re-solved with penalty 1e-8 * trace(X'X) / n_basis.
+
+def _predict(X: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """X @ coeffs for designs (..., n, d) and coefficients (..., d).
+
+    A stack and a single design go through the same matmul call, so stored
+    fitted values equal values evaluated later, bit for bit.
     """
-    n, p = X.shape
-    q, r, perm = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = max(n, p) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
-    if rank == p:
-        beta_perm = scipy.linalg.solve_triangular(r, q.T @ y)
-        beta = np.empty(p)
-        beta[perm] = beta_perm
-        return beta, False
-    xtx = X.T @ X
-    lam = 1e-8 * np.trace(xtx) / p
-    beta = np.linalg.solve(xtx + lam * np.eye(p), X.T @ y)
-    return beta, True
+    return np.matmul(X, coeffs[..., None])[..., 0]
+
+
+def _solve_lstsq(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares of every design of the stack ``X`` (b, n, d) on ``y`` (n,) or (b, n).
+
+    The coefficients come from the triangle of a Householder QR of the
+    augmented [X | y] (by row blocks for a tall design, see _r_factor).  A design is rank-deficient when some
+    |diag R| <= max(n, d) * eps * max|diag R|; those rows are re-solved from
+    the normal equations with penalty 1e-8 * trace(X'X) / d.  Returns
+    (coefficients (b, d), used_ridge (b,)).  The stack is made C-contiguous
+    first: BLAS takes another path for another memory layout, and a row's
+    result must not depend on the stack it is in.
+    """
+    X = np.ascontiguousarray(X)
+    b, n, d = X.shape
+    y = np.broadcast_to(y, (b, n))
+    r = _r_factor(np.concatenate([X, y[..., None]], axis=-1))
+    ridged = np.ones(b, dtype=bool)
+    if r.shape[-2] >= d:
+        diag = np.abs(np.diagonal(r[:, :d, :d], axis1=-2, axis2=-1))
+        tol = max(n, d) * np.finfo(float).eps * diag.max(axis=-1, keepdims=True)
+        ridged = ~(diag > tol).all(axis=-1)
+    beta = np.empty((b, d))
+    full = ~ridged
+    if full.any():
+        beta[full] = np.linalg.solve(r[full, :d, :d], r[full, :d, d:])[..., 0]
+    if ridged.any():
+        Xr = X[ridged]
+        Xt = np.swapaxes(Xr, -1, -2)
+        xtx = Xt @ Xr
+        lam = 1e-8 * np.trace(xtx, axis1=-2, axis2=-1) / d
+        rhs = _predict(Xt, y[ridged])
+        beta[ridged] = np.linalg.solve(xtx + lam[:, None, None] * np.eye(d), rhs[..., None])[..., 0]
+    return beta, ridged
+
+
+def _r_factor(A: np.ndarray) -> np.ndarray:
+    """R factor of the QR of each matrix of the stack ``A`` (b, n, k), up to the signs of its rows.
+
+    Above 2 * QR_BLOCK_ROWS rows, the R factors of whole row blocks replace
+    those rows: stacked, they have the same R factor as the rows they
+    replace.  The blocks depend on n alone, so a row's result does not depend
+    on its stack.
+    """
+    b, n, k = A.shape
+    if n > 2 * QR_BLOCK_ROWS:
+        full = n - n % QR_BLOCK_ROWS
+        blocks = np.linalg.qr(A[:, :full].reshape(-1, QR_BLOCK_ROWS, k), mode="r")
+        A = np.concatenate([blocks.reshape(b, -1, k), A[:, full:]], axis=1)
+    return np.linalg.qr(A, mode="r")
 
 
 def _fit_logistic(
@@ -93,67 +149,113 @@ def _fit_logistic(
     y: np.ndarray,
     max_iter: int = 50,
     tol: float = 1e-10,
-) -> tuple[np.ndarray, bool]:
-    """Binomial (or quasi-binomial for fractional y) IRLS fit.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Binomial (or quasi-binomial for fractional y) IRLS fit of each design of the stack ``X`` (b, n, d).
 
-    Convergence: log-likelihood improvement below ``tol``.  Diverging
-    coefficients (perfect or quasi-separation) trigger a ridge-penalized
-    refit; returns (coefficients, used_ridge).
+    Convergence: log-likelihood improvement below ``tol``.  Rows whose
+    coefficients diverge (perfect or quasi-separation) or whose Hessian is
+    singular are refitted with a ridge penalty; returns
+    (coefficients (b, d), used_ridge (b,)).
     """
-    p_dim = X.shape[1]
+    X = np.ascontiguousarray(X)
+    y = np.broadcast_to(y, X.shape[:-1])
+    beta, ok = _irls(X, y, 0.0, max_iter, tol)
+    ridged = ~ok
+    if ridged.any():
+        beta[ridged] = _irls(X[ridged], y[ridged], 1e-6 * X.shape[-2], max_iter, tol)[0]
+    return beta, ridged
 
-    def run(ridge: float) -> tuple[np.ndarray, float, bool]:
-        ridge_eye = ridge * np.eye(p_dim)
-        beta = np.zeros(p_dim)
-        eta = X @ beta
-        mu = expit(eta)
-        ll = _bernoulli_loglik(y, mu) - 0.5 * ridge * beta @ beta
-        ok = True
-        for _ in range(max_iter):
-            w = np.maximum(mu * (1.0 - mu), 1e-10)
-            grad = X.T @ (y - mu) - ridge * beta
-            hess = (X.T * w) @ X + ridge_eye
-            try:
-                step = np.linalg.solve(hess, grad)
-            except np.linalg.LinAlgError:
-                ok = False
+
+def _irls(X, y, ridge: float, max_iter: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Penalized IRLS on every row of the stack, each row under its own stopping rules.
+
+    Returns (coefficients (b, d), ok (b,)); a row is not ok when its Hessian
+    is singular or its coefficients leave the finite range or pass 15.  Row
+    subsets are indexed only once some rows have stopped.
+    """
+    b, n, d = X.shape
+    beta = np.zeros((b, d))
+    ok = np.ones(b, dtype=bool)
+    rows = np.arange(b)  # stack rows still iterating
+    Xr, yr, beta_r = X, y, beta.copy()
+    mu = expit(_predict(Xr, beta_r))
+    ll = _penalized_loglik(yr, mu, beta_r, ridge)
+    ridge_eye = ridge * np.eye(d)
+    for _ in range(max_iter):
+        w = np.maximum(mu * (1.0 - mu), 1e-10)
+        grad = _predict(np.swapaxes(Xr, -1, -2), yr - mu) - ridge * beta_r
+        hess = np.swapaxes(Xr * w[..., None], -1, -2) @ Xr + ridge_eye
+        step, solved = _solve_rows(hess, grad)
+        ok[rows[~solved]] = False
+        # Step-halving keeps each row's likelihood monotone; the 30th
+        # candidate is taken whatever its likelihood.
+        scale = np.ones(rows.size)
+        cand = beta_r + step
+        mu_c = expit(_predict(Xr, cand))
+        ll_c = _penalized_loglik(yr, mu_c, cand, ridge)
+        for _ in range(29):
+            halve = solved & ~(ll_c >= ll - 1e-14)
+            if not halve.any():
                 break
-            # Step-halving keeps the likelihood monotone.
-            scale = 1.0
-            for _ in range(30):
-                cand = beta + scale * step
-                mu_c = expit(X @ cand)
-                ll_c = _bernoulli_loglik(y, mu_c) - 0.5 * ridge * cand @ cand
-                if ll_c >= ll - 1e-14:
-                    break
-                scale *= 0.5
-            beta, mu = cand, mu_c
-            # On the standardized basis, coefficients past ~15 mean the fit is
-            # climbing a separation ray rather than approaching an interior MLE.
-            if not np.isfinite(beta).all() or np.abs(beta).max() > 15.0:
-                ok = False
+            h = slice(None) if halve.all() else np.flatnonzero(halve)
+            scale[h] *= 0.5
+            cand[h] = beta_r[h] + scale[h, None] * step[h]
+            mu_c[h] = expit(_predict(Xr[h], cand[h]))
+            ll_c[h] = _penalized_loglik(yr[h], mu_c[h], cand[h], ridge)
+        # A row whose Hessian was singular keeps its coefficients.
+        cand[~solved] = beta_r[~solved]
+        # On the standardized basis, coefficients past ~15 mean the fit is
+        # climbing a separation ray rather than approaching an interior MLE.
+        diverged = solved & (~np.isfinite(cand).all(axis=-1) | (np.abs(cand).max(axis=-1) > 15.0))
+        ok[rows[diverged]] = False
+        going = solved & ~diverged
+        converged = np.zeros(rows.size, dtype=bool)
+        converged[going] = ll_c[going] - ll[going] < tol
+        stop = ~solved | diverged | converged
+        beta_r, mu, ll = cand, mu_c, ll_c
+        if stop.any():
+            beta[rows[stop]] = beta_r[stop]
+            keep = ~stop
+            rows, Xr, yr, beta_r, mu, ll = rows[keep], Xr[keep], yr[keep], beta_r[keep], mu[keep], ll[keep]
+            if rows.size == 0:
                 break
-            if ll_c - ll < tol:
-                ll = ll_c
-                break
-            ll = ll_c
-        return beta, ll, ok and np.isfinite(beta).all()
-
-    beta, _, ok = run(0.0)
-    if ok:
-        return beta, False
-    beta, _, _ = run(1e-6 * X.shape[0])
-    return beta, True
+    beta[rows] = beta_r
+    return beta, ok & np.isfinite(beta).all(axis=-1)
 
 
-def _bernoulli_loglik(y: np.ndarray, mu: np.ndarray) -> float:
+def _solve_rows(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each system of the stack; returns (solutions, solved), a singular row giving zeros."""
+    try:
+        return np.linalg.solve(a, rhs[..., None])[..., 0], np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.zeros_like(rhs)
+    solved = np.ones(len(a), dtype=bool)
+    for i in range(len(a)):
+        try:
+            out[i] = np.linalg.solve(a[i : i + 1], rhs[i : i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            solved[i] = False
+    return out, solved
+
+
+def _penalized_loglik(y: np.ndarray, mu: np.ndarray, beta: np.ndarray, ridge: float) -> np.ndarray:
+    """Per-row Bernoulli log-likelihood of ``mu`` against ``y`` minus the ridge penalty of ``beta``."""
     mu = np.minimum(np.maximum(mu, 1e-12), 1.0 - 1e-12)
-    return float(np.add.reduce(y * np.log(mu) + (1.0 - y) * np.log1p(-mu)))
+    loglik = np.add.reduce(y * np.log(mu) + (1.0 - y) * np.log1p(-mu), axis=-1)
+    return loglik - np.add.reduce(0.5 * ridge * beta * beta, axis=-1)
 
 
 def _clip_prob(p: np.ndarray) -> np.ndarray:
     """Clip probabilities to [PROB_CLIP, 1 - PROB_CLIP] (``np.clip`` without its wrapper)."""
     return np.minimum(np.maximum(p, PROB_CLIP), 1.0 - PROB_CLIP)
+
+
+def _q_values(linear: np.ndarray, outcome_kind: str) -> np.ndarray:
+    """Exposure-response values from the linear predictor: logistic for a bounded outcome."""
+    if outcome_kind == "bounded":
+        return _clip_prob(expit(linear))
+    return linear
 
 
 @dataclass
@@ -179,40 +281,27 @@ class NuisanceFit:
     training_data: Dataset | None = field(default=None, repr=False, compare=False)
     warnings: list[str] = field(default_factory=list)
 
-    def _standardized(self, c: np.ndarray) -> np.ndarray:
+    def design(self, c: np.ndarray) -> np.ndarray:
         c = np.asarray(c, dtype=float)
         if c.ndim == 1:
             c = c[:, None]
-        safe = np.where(self.scales == 0.0, 1.0, self.scales)
-        z = (c - self.centers) / safe
-        # Constant members stay unstandardized by convention (sd recorded 0).
-        if np.any(self.scales == 0.0):
-            z[:, self.scales == 0.0] = c[:, self.scales == 0.0]
-        return z
-
-    def design(self, c: np.ndarray) -> np.ndarray:
-        return _design_matrix(self._standardized(c), self.basis)
+        return _design_matrix(_standardize(c, self.centers, self.scales), self.basis)
 
     def tau_at(self, c: np.ndarray) -> np.ndarray:
         if self.tau_coeffs is None:
             return self.compose_tau_at(c)
-        return self.design(c) @ self.tau_coeffs
+        return _predict(self.design(c), self.tau_coeffs)
 
     def pi_at(self, c: np.ndarray) -> np.ndarray:
         if self.pi_coeffs is None:
             raise ValidationError("fit has no propensity part")
-        return _clip_prob(expit(self.design(c) @ self.pi_coeffs))
+        return _clip_prob(expit(_predict(self.design(c), self.pi_coeffs)))
 
     def q_at(self, e: int, c: np.ndarray) -> np.ndarray:
         coeffs = self.q1_coeffs if e == 1 else self.q0_coeffs
         if coeffs is None:
             raise ValidationError("fit has no exposure-response part")
-        return self._q_values(self.design(c) @ coeffs)
-
-    def _q_values(self, linear: np.ndarray) -> np.ndarray:
-        if self.outcome_kind == "bounded":
-            return _clip_prob(expit(linear))
-        return linear
+        return _q_values(_predict(self.design(c), coeffs), self.outcome_kind)
 
     def compose_tau_at(self, c: np.ndarray) -> np.ndarray:
         pi = self.pi_at(c)
@@ -220,7 +309,7 @@ class NuisanceFit:
 
 
 def _constant_columns(c: np.ndarray) -> np.ndarray:
-    """Which columns of ``c`` hold one value in every row.
+    """Which columns of ``c`` (rows on axis 0) hold one value in every row.
 
     Decided by exact equality: the sample sd of a constant column can be a
     rounding-level nonzero (a column of 1.1 at n=500 gives 2.2e-16).
@@ -228,42 +317,61 @@ def _constant_columns(c: np.ndarray) -> np.ndarray:
     return (c == c[0]).all(axis=0)
 
 
-def _prepare(dataset: Dataset, columns, basis: BasisConfig) -> NuisanceFit:
-    if isinstance(columns, (int, np.integer)):
-        columns = (int(columns),)
-    columns = tuple(int(j) for j in columns)
-    c = dataset.covariates[:, columns]
-    centers = c.mean(axis=0)
-    scales = np.where(_constant_columns(c), 0.0, c.std(axis=0, ddof=1))
-    return NuisanceFit(
-        columns=columns,
-        basis=basis,
-        centers=centers,
-        scales=scales,
-        outcome_kind=dataset.outcome_kind,
-        training_data=dataset,
-    )
+def _target_columns(target) -> tuple[int, ...]:
+    """The column tuple of a target given as a column index or a sequence of them."""
+    if isinstance(target, (int, np.integer)):
+        return (int(target),)
+    return tuple(int(j) for j in target)
 
 
-def fit_nuisances(dataset: Dataset, columns, basis: BasisConfig, parts=("tau", "pi", "q")) -> NuisanceFit:
-    """Fit the requested parts ("tau", "pi", "q") and their in-sample values from one design matrix.
+def _store(fits: list[NuisanceFit], part: str, coeffs, fitted, ridged, warning: str) -> None:
+    """Give each fit its row of ``coeffs`` and ``fitted`` for ``part``, and ``warning`` where ridged."""
+    for fit, beta, values, flag in zip(fits, coeffs, fitted, ridged):
+        setattr(fit, f"{part}_coeffs", beta)
+        setattr(fit, f"{part}_fitted", values)
+        if flag:
+            fit.warnings.append(warning)
 
+
+def fit_nuisances(
+    dataset: Dataset, targets, basis: BasisConfig, parts=("tau", "pi", "q")
+) -> list[NuisanceFit]:
+    """Fit the requested parts ("tau", "pi", "q") of every target from one stack of design matrices.
+
+    ``targets`` lists column indices or column tuples, all with the same
+    number of columns.  Returns one NuisanceFit per target, in order, with its
+    coefficients and in-sample fitted values (rows of the stack's arrays).
     q holds the per-arm outcome regressions (logistic for a bounded outcome).
     """
-    fit = _prepare(dataset, columns, basis)
-    X = fit.design(dataset.covariates[:, fit.columns])
+    columns = [_target_columns(t) for t in targets]
+    if len({len(cols) for cols in columns}) != 1:
+        raise ValidationError("the targets of one stack must have the same number of columns")
+    c = dataset.covariates.T[np.array(columns)]  # (targets, members, n)
+    centers = c.mean(axis=-1)
+    scales = np.where(_constant_columns(np.moveaxis(c, -1, 0)), 0.0, c.std(axis=-1, ddof=1))
+    z = _standardize(c, centers[..., None], scales[..., None])
+    X = _design_matrix(np.swapaxes(z, -1, -2), basis)
+    fits = [
+        NuisanceFit(
+            columns=cols,
+            basis=basis,
+            centers=centers[i],
+            scales=scales[i],
+            outcome_kind=dataset.outcome_kind,
+            training_data=dataset,
+        )
+        for i, cols in enumerate(columns)
+    ]
     if "tau" in parts:
-        fit.tau_coeffs, ridged = _solve_lstsq(X, dataset.outcome)
-        fit.tau_fitted = X @ fit.tau_coeffs
-        if ridged:
-            fit.warnings.append("tau: rank-deficient design, ridge fallback used")
+        coeffs, ridged = _solve_lstsq(X, dataset.outcome)
+        fitted = _predict(X, coeffs)
+        _store(fits, "tau", coeffs, fitted, ridged, "tau: rank-deficient design, ridge fallback used")
     if "pi" in parts:
-        fit.pi_coeffs, ridged = _fit_logistic(X, dataset.exposure_float)
-        fit.pi_fitted = _clip_prob(expit(X @ fit.pi_coeffs))
-        if ridged:
-            fit.warnings.append("pi: separation detected, ridge fallback used")
+        coeffs, ridged = _fit_logistic(X, dataset.exposure_float)
+        fitted = _clip_prob(expit(_predict(X, coeffs)))
+        _store(fits, "pi", coeffs, fitted, ridged, "pi: separation detected, ridge fallback used")
     if "q" in parts:
-        n_basis = X.shape[1]
+        n_basis = X.shape[-1]
         solver = _fit_logistic if dataset.outcome_kind == "bounded" else _solve_lstsq
         for arm, mask in enumerate(dataset.arm_masks):
             count = int(mask.sum())
@@ -272,15 +380,10 @@ def fit_nuisances(dataset: Dataset, columns, basis: BasisConfig, parts=("tau", "
                     f"exposure arm {arm} has {count} observations; "
                     f"need at least {n_basis + 1} for the requested basis"
                 )
-            coeffs, ridged = solver(X[mask], dataset.outcome[mask])
-            fitted = fit._q_values(X @ coeffs)
-            if arm == 0:
-                fit.q0_coeffs, fit.q0_fitted = coeffs, fitted
-            else:
-                fit.q1_coeffs, fit.q1_fitted = coeffs, fitted
-            if ridged:
-                fit.warnings.append(f"q{arm}: degenerate fit, ridge fallback used")
-    return fit
+            coeffs, ridged = solver(X[:, mask], dataset.outcome[mask])
+            fitted = _q_values(_predict(X, coeffs), dataset.outcome_kind)
+            _store(fits, f"q{arm}", coeffs, fitted, ridged, f"q{arm}: degenerate fit, ridge fallback used")
+    return fits
 
 
 @dataclass

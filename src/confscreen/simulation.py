@@ -16,7 +16,7 @@ import numpy as np
 from ._stats import expit, norm_ppf
 from .data import Dataset, ValidationError
 from .estimators import score_all
-from .nuisance import BasisConfig
+from .nuisance import BasisConfig, _target_columns
 from .ranking import screen
 
 __all__ = [
@@ -395,10 +395,7 @@ def oracle_phi(scenario: SimScenario, target, mc_size: int = 10_000_000, oracle_
     quadrature where a Gaussian residual predictor appears), and the arm
     means are taken over a fresh Monte-Carlo sample of ``mc_size`` draws.
     """
-    if isinstance(target, (int, np.integer)):
-        cols = (int(target),)
-    else:
-        cols = tuple(int(j) for j in target)
+    cols = _target_columns(target)
     if any(not 0 <= j < scenario.p for j in cols):
         raise ValidationError("oracle target out of range")
     if scenario.kind in ("low_dim", "high_dim"):

@@ -68,7 +68,7 @@ def discrete_bank():
     datasets = [_random_discrete_dataset(rng) for _ in range(50)]
     estimates = {
         kind: [
-            cs.score_covariate(ds, 0, kind, cs.BasisConfig(degree=1), saturated=True)
+            cs.score_covariate(ds, 0, kind, cs.BasisConfig(degree=1), fit=cs.fit_saturated(ds, 0))
             for ds in datasets
         ]
         for kind in ALL_KINDS
@@ -150,7 +150,7 @@ def test_criterion_02_saturated_equivalence(capsys, discrete_bank):
         worst = max(worst, max(abs(t - oracle) for t in thetas))
         worst = max(worst, max(thetas) - min(thetas))
     six_ok = all(
-        cs.score_covariate(SIX, 0, kind, cs.BasisConfig(degree=1), saturated=True).theta_hat
+        cs.score_covariate(SIX, 0, kind, cs.BasisConfig(degree=1), fit=cs.fit_saturated(SIX, 0)).theta_hat
         == 0.25
         for kind in ALL_KINDS
     )
@@ -219,7 +219,7 @@ def test_criterion_04_double_robustness(capsys):
                 m1, m0 = float(o[e == 1].mean()), float(o[e == 0].mean())
                 if config == "a":
                     # Intercept-only outcome side, correct-family propensity.
-                    good = fit_nuisances(ds, (0,), basis, parts=("pi",))
+                    good = fit_nuisances(ds, [0], basis, parts=("pi",))[0]
                     fit = _StubFit(
                         (0,),
                         lambda c, m=mu_o: np.full(len(c), m),
@@ -230,7 +230,7 @@ def test_criterion_04_double_robustness(capsys):
                     # Correct-family outcome regression, intercept-only propensity;
                     # both exposure arms share the fitted tau so the composed
                     # outcome regression stays consistent whatever pi does.
-                    good = fit_nuisances(ds, (0,), basis, parts=("tau",))
+                    good = fit_nuisances(ds, [0], basis, parts=("tau",))[0]
                     fit = _StubFit(
                         (0,),
                         good.tau_at,

@@ -62,7 +62,7 @@ def test_score_writes_manifest(six_csv, tmp_path):
     assert main(["score", "--data", six_csv, "--outcome", "O", "--exposure", "E",
                  "--saturated", "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "out.json.manifest.json").read_text())
-    assert manifest["schema_version"] == 1
+    assert manifest["schema_version"] == 2
     assert "wall_time_seconds" in manifest
     assert manifest["config"]["estimator"] == "tmle"
     assert "confscreen" in manifest["versions"]
@@ -73,7 +73,7 @@ def test_score_json_schema(six_csv, tmp_path):
     assert main(["score", "--data", six_csv, "--outcome", "O", "--exposure", "E",
                  "--saturated", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert isinstance(doc["config"], dict)
     assert doc["results"][0]["theta"] == 0.25
 
@@ -90,6 +90,17 @@ def test_missing_file_exit_2(tmp_path):
     code = main(["score", "--data", str(tmp_path / "absent.csv"), "--outcome", "O",
                  "--exposure", "E", "--out", str(tmp_path / "x.json")])
     assert code == 2
+
+
+def test_not_utf8_csv_exit_2(tmp_path, capsys):
+    data = tmp_path / "latin1.csv"
+    data.write_bytes(b"O,E,C\n1,1,1\n0,0,\xff2")
+    code = main(["score", "--data", str(data), "--outcome", "O", "--exposure", "E",
+                 "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}: not UTF-8 text") and err.count("\n") == 1
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_no_partial_output_on_failure(six_csv, tmp_path):
@@ -247,6 +258,35 @@ def test_seed_only_for_simulate_exit_2(wide_csv, tmp_path):
                      "--seed", "3", "--out", str(tmp_path / "x.json")])
         assert code == 2
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("score, null, se_key", [("difference", 0.0, "se_phi"), ("ratio", 1.0, "se_psi")])
+def test_rank_row_interval_and_p_value_describe_the_ranked_score(tmp_path, score, null, se_key):
+    # On this design a ratio ranking used to write phi's SE and CI next to psi's
+    # p-value: row c5 had a phi CI of [0.050, 0.330] and p_value 0.735.
+    data = tmp_path / "low.csv"
+    write_csv(generate(SimScenario(kind="low_dim", n=300, p=15, seed=3), 0).dataset, data)
+    alpha = 0.10
+    out = tmp_path / "rank.json"
+    assert main(["rank", "--data", str(data), "--outcome", "outcome", "--exposure", "exposure",
+                 "--estimator", "dr", "--degree", "2", "--score", score, "--alpha", str(alpha),
+                 "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["results"]
+    assert len(rows) == 15
+    for row in rows:
+        assert se_key in row and ({"se_phi", "se_psi"} - {se_key}).isdisjoint(row)
+        if row["p_value"] is None:
+            assert row["ci_lo"] is None and row[se_key] is None
+            continue
+        excludes_null = not (row["ci_lo"] <= null <= row["ci_hi"])
+        assert (row["p_value"] < alpha) == excludes_null, row["name"]
+    csv_out = tmp_path / "rank.csv"
+    assert main(["rank", "--data", str(data), "--outcome", "outcome", "--exposure", "exposure",
+                 "--estimator", "dr", "--degree", "2", "--score", score, "--out", str(csv_out),
+                 "--format", "csv"]) == 0
+    with open(csv_out) as fh:
+        header = next(csv.reader(fh))
+    assert header == [se_key if col == "se_phi" else col for col in CSV_COLUMNS]
 
 
 def test_rank_ratio_alpha_test_with_negative_theta(tmp_path):

@@ -124,6 +124,43 @@ def test_load_from_pipe(text, error):
         os.close(read_end)
 
 
+@pytest.mark.parametrize(
+    "first_row, path_taken",
+    [
+        # The bad byte is in the first block read, so the header read meets it.
+        (None, []),
+        # Past the first block: the one-call parse meets it.
+        (b"1,1,1\n", ["raised UnicodeDecodeError"]),
+        # A ragged row first: the one-call parse gives up and the per-cell
+        # parse rereads the file up to the bad byte.
+        (b"1,1\n", ["returned None"]),
+    ],
+    ids=["header-read", "one-call-parse", "per-cell-parse"],
+)
+def test_not_utf8_is_parse_error(tmp_path, monkeypatch, first_row, path_taken):
+    path = tmp_path / "latin1.csv"
+    if first_row is None:
+        path.write_bytes(b"O,E,C\n1,1,1\n0,0,\xff2")
+    else:
+        path.write_bytes(b"O,E,C\n" + first_row + b"1,1,1\n" * 3000 + b"0,0,\xff2")
+    fast = data._parse_rows_fast
+    seen = []
+
+    def spy(*args):
+        try:
+            values = fast(*args)
+        except UnicodeDecodeError:
+            seen.append("raised UnicodeDecodeError")
+            raise
+        seen.append("returned None" if values is None else "returned values")
+        return values
+
+    monkeypatch.setattr(data, "_parse_rows_fast", spy)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+        load_csv(path, "O", "E")
+    assert seen == path_taken
+
+
 def test_header_only_file(tmp_path):
     path = tmp_path / "header.csv"
     path.write_text("O,E,C\n")

@@ -16,12 +16,15 @@ from confscreen import (
     plugin_scores_ps,
     score_all,
     score_covariate,
+    score_groups,
     scores_from_theta,
     theta_dr,
     theta_naive,
     tmle_theta,
 )
+from confscreen import estimators
 from confscreen._stats import expit, logit
+from confscreen.estimators import STACK_DOUBLES
 
 
 def _dataset(y, e, c, **kw):
@@ -78,7 +81,7 @@ def test_theta_naive_six_rows():
 
 def test_all_estimators_on_worked_example():
     for kind in ("plugin_om", "plugin_ps", "dr", "tmle"):
-        est = score_covariate(SIX, 0, kind, BasisConfig(degree=1), saturated=True)
+        est = score_covariate(SIX, 0, kind, BasisConfig(degree=1), fit=fit_saturated(SIX, 0))
         assert est.theta_hat == pytest.approx(0.25, abs=1e-12)
         assert est.phi_hat == pytest.approx(0.0, abs=1e-12)
         assert est.psi_hat == pytest.approx(1.0, abs=1e-12)
@@ -142,14 +145,14 @@ def test_fluctuate_q_bounded_dataset_takes_logistic_path():
 
 def test_tmle_eic_mean_zero_continuous():
     ds = _random_continuous(11)
-    fit = fit_nuisances(ds, (0,), BasisConfig(degree=3), parts=("pi", "q"))
+    fit = fit_nuisances(ds, [0], BasisConfig(degree=3), parts=("pi", "q"))[0]
     est = tmle_theta(ds, fit)
     assert abs(est.influence_values["d_theta"].mean()) < 1e-8
 
 
 def test_tmle_trace_and_convergence_diagnostics():
     ds = _random_continuous(12)
-    fit = fit_nuisances(ds, (0,), BasisConfig(degree=2), parts=("pi", "q"))
+    fit = fit_nuisances(ds, [0], BasisConfig(degree=2), parts=("pi", "q"))[0]
     est = tmle_theta(ds, fit)
     d = est.diagnostics
     assert d["iterations"] == len(d["trace"])
@@ -171,7 +174,7 @@ def test_plugin_om_phi_is_within_arm_tau_difference():
 
 def test_plugin_ps_uses_observed_outcome_mean():
     ds = _random_continuous(14)
-    fit = fit_nuisances(ds, (0,), BasisConfig(degree=2), parts=("pi",))
+    fit = fit_nuisances(ds, [0], BasisConfig(degree=2), parts=("pi",))[0]
     est = plugin_scores_ps(ds, fit)
     assert est.mu_o_hat == pytest.approx(float(ds.outcome.mean()), abs=1e-14)
 
@@ -228,7 +231,7 @@ def test_theta_naive_bounded_outcome_on_original_scale():
     e = (rng.random(n) < expit(x)).astype(int)
     y = np.clip(expit(x) + 0.1 * rng.normal(size=n), 0.0, 1.0)
     ds = _dataset(y, e, x, outcome_kind="bounded", outcome_scale=10.0, outcome_offset=2.0)
-    fit = fit_nuisances(ds, 0, BasisConfig(degree=2), parts=("tau", "pi"))
+    fit = fit_nuisances(ds, [0], BasisConfig(degree=2), parts=("tau", "pi"))[0]
     naive = theta_naive(ds, fit)
     assert naive == float(np.mean(e * (10.0 * fit.tau_fitted + 2.0)))
     assert naive == theta_dr(ds, fit).diagnostics["theta_naive"]
@@ -282,3 +285,76 @@ def test_group_scoring_matches_singleton():
     single = score_covariate(ds, 0, "tmle", BasisConfig(degree=2))
     group = score_covariate(ds, (0,), "tmle", BasisConfig(degree=2))
     assert group.theta_hat == pytest.approx(single.theta_hat, abs=1e-12)
+
+
+KINDS = ("plugin_om", "plugin_ps", "dr", "tmle")
+
+
+def _assert_same_estimate(a, b):
+    """Bitwise equality of two estimates."""
+    for name in ("covariate_id", "estimator_kind", "theta_hat", "mu_o_hat", "mu_e_hat", "phi_hat", "psi_hat"):
+        assert getattr(a, name) == getattr(b, name), name
+    assert a.diagnostics.get("warnings") == b.diagnostics.get("warnings")
+    assert a.influence_values.keys() == b.influence_values.keys()
+    for key, value in a.influence_values.items():
+        assert np.array_equal(value, b.influence_values[key]), key
+
+
+def _layout_dataset(layout, n, seed=26):
+    """Columns "x" (normal), "b" (binary) and "c" (constant) in the given order."""
+    rng = np.random.default_rng(seed)
+    makers = {
+        "x": lambda: rng.normal(size=n),
+        "b": lambda: (rng.random(n) < 0.5).astype(float),
+        "c": lambda: np.full(n, 2.5),
+    }
+    c = np.column_stack([makers[kind]() for kind in layout])
+    e = (rng.random(n) < expit(0.5 * c.sum(axis=1) / len(layout))).astype(int)
+    y = c.sum(axis=1) / len(layout) + 0.5 * e + rng.normal(size=n)
+    return _dataset(y, e, c)
+
+
+def test_score_all_equals_score_covariate_across_stack_edges(monkeypatch):
+    basis = BasisConfig(degree=3)
+    n = 4000
+    per_stack = STACK_DOUBLES // (n * basis.width(1))
+    assert per_stack >= 2
+    layouts = {
+        "one column": (["x"], [1]),
+        "one past a stack": (["x"] * per_stack + ["b"], [per_stack, 1]),
+        "constants on stack edges": (
+            ["c"] + ["x"] * per_stack + ["c"] + ["b"] + ["x"] * per_stack + ["c"],
+            [per_stack, per_stack, 1],
+        ),
+    }
+    fit_stack = estimators.fit_nuisances
+    sizes = []
+
+    def recorded(dataset, targets, *args, **kwargs):
+        sizes.append(len(targets))
+        return fit_stack(dataset, targets, *args, **kwargs)
+
+    for layout, stack_sizes in layouts.values():
+        ds = _layout_dataset(layout, n)
+        for kind in KINDS:
+            sizes.clear()
+            monkeypatch.setattr(estimators, "fit_nuisances", recorded)
+            screen = score_all(ds, kind, basis)
+            monkeypatch.setattr(estimators, "fit_nuisances", fit_stack)
+            assert sizes == stack_sizes
+            assert [est.covariate_id for est in screen] == list(range(ds.p))
+            for j, est in enumerate(screen):
+                _assert_same_estimate(est, score_covariate(ds, j, kind, basis))
+
+
+def test_score_groups_of_mixed_widths_keep_input_order():
+    ds = _layout_dataset(["x", "x", "b", "x", "c", "x", "x", "x"], 300)
+    groups = [("a", (0,)), ("bc", (1, 2)), ("d", (3,)), ("e", (4,)), ("fg", (5, 6)), ("h", (7,))]
+    basis = BasisConfig(degree=2)
+    for kind in KINDS:
+        estimates = score_groups(ds, groups, kind, basis)
+        assert [est.covariate_id for est in estimates] == [name for name, _ in groups]
+        for est, (name, cols) in zip(estimates, groups):
+            alone = score_covariate(ds, cols, kind, basis)
+            alone.covariate_id = name
+            _assert_same_estimate(est, alone)

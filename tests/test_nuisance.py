@@ -11,7 +11,7 @@ from confscreen import (
     fit_saturated,
 )
 from confscreen._stats import expit, logit
-from confscreen.nuisance import _design_matrix, _solve_lstsq
+from confscreen.nuisance import QR_BLOCK_ROWS, _design_matrix, _fit_logistic, _solve_lstsq
 
 
 def _dataset(y, e, c, **kw):
@@ -61,7 +61,7 @@ def test_lstsq_exact_polynomial_recovery():
     x = rng.normal(size=200)
     y = 2.0 - x + 0.5 * x**3
     ds = _dataset(y, np.tile([0, 1], 100), x)
-    fit = fit_nuisances(ds, 0, BasisConfig(degree=3), parts=("tau",))
+    fit = fit_nuisances(ds, [0], BasisConfig(degree=3), parts=("tau",))[0]
     np.testing.assert_allclose(fit.tau_at(x[:, None]), y, atol=1e-8)
 
 
@@ -70,7 +70,7 @@ def test_lstsq_residual_orthogonality():
     x = rng.normal(size=500)
     y = np.sin(x) + rng.normal(size=500)
     ds = _dataset(y, np.tile([0, 1], 250), x)
-    fit = fit_nuisances(ds, 0, BasisConfig(degree=3), parts=("tau",))
+    fit = fit_nuisances(ds, [0], BasisConfig(degree=3), parts=("tau",))[0]
     X = fit.design(x[:, None])
     resid = y - fit.tau_at(x[:, None])
     assert np.max(np.abs(X.T @ resid)) < 1e-8 * len(y)
@@ -78,7 +78,7 @@ def test_lstsq_residual_orthogonality():
 
 def test_lstsq_rank_deficient_ridge_fallback():
     X = np.column_stack([np.ones(10), np.arange(10.0), 2.0 * np.arange(10.0)])
-    beta, ridged = _solve_lstsq(X, np.arange(10.0))
+    (beta,), (ridged,) = _solve_lstsq(X[None], np.arange(10.0))
     assert ridged
     np.testing.assert_allclose(X @ beta, np.arange(10.0), atol=1e-4)
 
@@ -89,7 +89,7 @@ def test_logistic_null_model_limit():
     x = rng.normal(size=n)
     e = (rng.random(n) < 0.3).astype(int)
     ds = _dataset(rng.normal(size=n), e, x)
-    fit = fit_nuisances(ds, 0, BasisConfig(degree=1), parts=("pi",))
+    fit = fit_nuisances(ds, [0], BasisConfig(degree=1), parts=("pi",))[0]
     assert abs(fit.pi_coeffs[1]) < 0.05
     assert fit.pi_coeffs[0] == pytest.approx(logit(np.array([e.mean()]))[0], abs=0.05)
 
@@ -100,7 +100,7 @@ def test_logistic_slope_recovery():
     x = rng.normal(size=n)
     e = (rng.random(n) < expit(x)).astype(int)
     ds = _dataset(rng.normal(size=n), e, x)
-    fit = fit_nuisances(ds, 0, BasisConfig(degree=1), parts=("pi",))
+    fit = fit_nuisances(ds, [0], BasisConfig(degree=1), parts=("pi",))[0]
     # Coefficient is on the standardized scale; map back through the sd.
     slope = fit.pi_coeffs[1] / x.std(ddof=1)
     assert slope == pytest.approx(1.0, abs=0.1)
@@ -112,7 +112,7 @@ def test_logistic_score_equation():
     x = rng.normal(size=n)
     e = (rng.random(n) < expit(0.5 * x)).astype(int)
     ds = _dataset(rng.normal(size=n), e, x)
-    fit = fit_nuisances(ds, 0, BasisConfig(degree=3), parts=("pi",))
+    fit = fit_nuisances(ds, [0], BasisConfig(degree=3), parts=("pi",))[0]
     X = fit.design(x[:, None])
     score = X.T @ (e - fit.pi_at(x[:, None]))
     assert np.max(np.abs(score)) < 1e-6 * n
@@ -122,7 +122,7 @@ def test_logistic_separation_ridge_fallback():
     x = np.concatenate([np.full(20, -1.0), np.full(20, 1.0)])
     e = (x > 0).astype(int)
     ds = _dataset(np.zeros(40), e, x)
-    fit = fit_nuisances(ds, 0, BasisConfig(degree=1), parts=("pi",))
+    fit = fit_nuisances(ds, [0], BasisConfig(degree=1), parts=("pi",))[0]
     assert any("ridge" in w for w in fit.warnings)
     assert np.all(np.isfinite(fit.pi_coeffs))
 
@@ -131,7 +131,7 @@ def test_pi_values_clipped_open_interval():
     x = np.concatenate([np.full(20, -1.0), np.full(20, 1.0)])
     e = (x > 0).astype(int)
     ds = _dataset(np.zeros(40), e, x)
-    fit = fit_nuisances(ds, 0, BasisConfig(degree=1), parts=("pi",))
+    fit = fit_nuisances(ds, [0], BasisConfig(degree=1), parts=("pi",))[0]
     vals = fit.pi_at(np.array([[-50.0], [50.0]]))
     assert np.all(vals > 0.0) and np.all(vals < 1.0)
 
@@ -144,14 +144,14 @@ def test_q_exact_linear_truth():
     theta = 2.0
     y = theta * e + 1.5 * x
     ds = _dataset(y, e, x)
-    fit = fit_nuisances(ds, 0, BasisConfig(degree=1), parts=("q",))
+    fit = fit_nuisances(ds, [0], BasisConfig(degree=1), parts=("q",))[0]
     grid = np.linspace(-3, 3, 50)[:, None]
     np.testing.assert_allclose(fit.q_at(1, grid) - fit.q_at(0, grid), theta, atol=1e-10)
 
 
 def test_q_bounded_constant():
     ds = _dataset([0.5] * 10, np.tile([0, 1], 5), np.arange(10.0), outcome_kind="bounded")
-    fit = fit_nuisances(ds, 0, BasisConfig(degree=1), parts=("q",))
+    fit = fit_nuisances(ds, [0], BasisConfig(degree=1), parts=("q",))[0]
     grid = np.arange(10.0)[:, None]
     np.testing.assert_allclose(fit.q_at(0, grid), 0.5, atol=1e-6)
     np.testing.assert_allclose(fit.q_at(1, grid), 0.5, atol=1e-6)
@@ -160,7 +160,7 @@ def test_q_bounded_constant():
 def test_fit_nuisances_standardization_moments():
     x = np.array([1.0, 2.0, 3.0, 4.0, 10.0])
     ds = _dataset([0.0, 1.0, 0.5, 2.0, 1.0], [1, 0, 1, 0, 1], x)
-    fit = fit_nuisances(ds, 0, BasisConfig(degree=1), parts=("tau",))
+    fit = fit_nuisances(ds, [0], BasisConfig(degree=1), parts=("tau",))[0]
     assert fit.centers[0] == pytest.approx(4.0) and fit.scales[0] == pytest.approx(x.std(ddof=1))
     z = fit.design(x)[:, 1]
     assert z.mean() == pytest.approx(0.0, abs=1e-12)
@@ -174,7 +174,7 @@ def test_fit_nuisances_constant_column_passthrough():
     for n, value in ((5, 7.0), (500, 1.1)):
         c = np.column_stack([rng.normal(size=n), np.full(n, value)])
         ds = _dataset(rng.normal(size=n), np.tile([0, 1], n)[:n], c)
-        fit = fit_nuisances(ds, (0, 1), BasisConfig(degree=1), parts=("tau",))
+        fit = fit_nuisances(ds, [(0, 1)], BasisConfig(degree=1), parts=("tau",))[0]
         assert fit.scales[1] == 0.0 and fit.centers[1] == pytest.approx(value)
         np.testing.assert_array_equal(fit.design(c)[:, 2], np.full(n, value))
 
@@ -182,7 +182,7 @@ def test_fit_nuisances_constant_column_passthrough():
 def test_q_small_arm_error_names_arm_and_count():
     ds = _dataset([0.0, 1.0, 2.0, 3.0], [1, 0, 0, 0], np.arange(4.0))
     with pytest.raises(ValidationError, match="arm 0 has 3"):
-        fit_nuisances(ds, 0, BasisConfig(degree=3), parts=("q",))
+        fit_nuisances(ds, [0], BasisConfig(degree=3), parts=("q",))
 
 
 def test_saturated_six_rows():
@@ -235,8 +235,8 @@ def test_refit_order_invariance():
     ds = _dataset(y, e, x)
     perm = rng.permutation(n)
     ds_perm = _dataset(y[perm], e[perm], x[perm])
-    f1 = fit_nuisances(ds, 0, BasisConfig(degree=3))
-    f2 = fit_nuisances(ds_perm, 0, BasisConfig(degree=3))
+    f1 = fit_nuisances(ds, [0], BasisConfig(degree=3))[0]
+    f2 = fit_nuisances(ds_perm, [0], BasisConfig(degree=3))[0]
     np.testing.assert_allclose(f1.tau_coeffs, f2.tau_coeffs, atol=1e-10)
     np.testing.assert_allclose(f1.pi_coeffs, f2.pi_coeffs, atol=1e-10)
     np.testing.assert_allclose(f1.q0_coeffs, f2.q0_coeffs, atol=1e-10)
@@ -248,5 +248,77 @@ def test_group_basis_additive():
     c = rng.normal(size=(n, 2))
     y = c[:, 0] + 2.0 * c[:, 1] ** 2
     ds = _dataset(y, np.tile([0, 1], n // 2), c)
-    fit = fit_nuisances(ds, (0, 1), BasisConfig(degree=2), parts=("tau",))
+    fit = fit_nuisances(ds, [(0, 1)], BasisConfig(degree=2), parts=("tau",))[0]
     np.testing.assert_allclose(fit.tau_at(c), y, atol=1e-8)
+
+
+def _mixed_dataset(outcome_kind="continuous"):
+    """An ordinary, a binary and a separating covariate (which predicts the exposure exactly)."""
+    rng = np.random.default_rng(10)
+    n = 120
+    x = rng.normal(size=n)
+    e = (rng.random(n) < expit(x)).astype(int)
+    binary = (rng.random(n) < 0.4).astype(float)
+    separating = np.where(e == 1, 1.0, -1.0) + 0.1 * rng.normal(size=n)
+    y = x + 0.5 * e + rng.normal(size=n)
+    if outcome_kind == "bounded":
+        y = expit(y)
+    return _dataset(y, e, np.column_stack([x, binary, separating]), outcome_kind=outcome_kind)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_solvers_give_each_row_its_stack_of_one_result(degree):
+    ds = _mixed_dataset()
+    order = [0, 1, 2, 0, 2, 1]
+    designs = [fit_nuisances(ds, [j], BasisConfig(degree=degree), parts=())[0].design(ds.covariates[:, j])
+               for j in order]
+    # A zero column makes the design rank-deficient and its Hessian exactly singular.
+    zero = designs[0].copy()
+    zero[:, -1] = 0.0
+    X = np.stack([*designs, zero])
+    for solver, y in ((_solve_lstsq, ds.outcome), (_fit_logistic, ds.exposure_float)):
+        coeffs, ridged = solver(X, y)
+        for i in range(len(X)):
+            one, one_ridged = solver(X[i : i + 1], y)
+            assert np.array_equal(coeffs[i], one[0]) and ridged[i] == one_ridged[0]
+        assert np.all(np.isfinite(coeffs))
+        if solver is _solve_lstsq:
+            # The binary column's powers repeat from degree 2 on.
+            expected = [degree >= 2 and j == 1 for j in order]
+        else:
+            # The separating column's fit diverges.
+            expected = [j == 2 for j in order]
+        assert ridged.tolist() == [*expected, True]
+
+
+@pytest.mark.parametrize("outcome_kind", ["continuous", "bounded"])
+def test_stacked_fits_equal_fits_of_one(outcome_kind):
+    ds = _mixed_dataset(outcome_kind)
+    basis = BasisConfig(degree=2)
+    stacked = fit_nuisances(ds, [2, 0, 1, 0], basis)
+    for fit in stacked:
+        one = fit_nuisances(ds, [fit.columns], basis)[0]
+        for part in ("tau", "pi", "q0", "q1"):
+            assert np.array_equal(getattr(fit, f"{part}_coeffs"), getattr(one, f"{part}_coeffs"))
+            assert np.array_equal(getattr(fit, f"{part}_fitted"), getattr(one, f"{part}_fitted"))
+        assert fit.warnings == one.warnings
+    assert stacked[1].warnings == []
+
+
+def test_stack_targets_must_share_a_width():
+    with pytest.raises(ValidationError, match="same number of columns"):
+        fit_nuisances(_mixed_dataset(), [0, (1, 2)], BasisConfig(degree=1))
+
+
+def test_tall_least_squares_by_row_blocks_match_one_qr():
+    rng = np.random.default_rng(11)
+    n = 2 * QR_BLOCK_ROWS + 123
+    X = np.stack([np.column_stack([np.ones(n), rng.normal(size=(n, 3))]) for _ in range(2)])
+    y = X[0] @ np.array([1.0, -2.0, 0.5, 3.0]) + rng.normal(size=n)
+    coeffs, ridged = _solve_lstsq(X, y)
+    assert not ridged.any()
+    for i in range(2):
+        one, _ = _solve_lstsq(X[i : i + 1], y)
+        assert np.array_equal(coeffs[i], one[0])
+        r = np.linalg.qr(np.column_stack([X[i], y]), mode="r")
+        np.testing.assert_allclose(coeffs[i], np.linalg.solve(r[:4, :4], r[:4, 4]), rtol=1e-12)
