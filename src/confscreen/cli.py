@@ -236,11 +236,13 @@ def cmd_rank(args) -> int:
 
 
 def _load_scenario(path: str, seed_override) -> SimScenario:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid scenario file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid scenario file: {exc}") from None
     if not isinstance(raw, dict) or "kind" not in raw:
         raise DataError(f"{path}: scenario file must be a JSON object with a 'kind' field")
     allowed = {"kind", "n", "p", "rho", "theta", "seed", "replicates", "alphas", "betas", "beta0"}

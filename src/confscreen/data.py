@@ -295,11 +295,13 @@ def write_csv(dataset: Dataset, path, outcome_col: str = "outcome", exposure_col
 
 def load_groups(path, dataset: Dataset) -> GroupSpec:
     """Load a JSON object mapping group names to column-name lists."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid group file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid group file: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: group file must be an object of name -> column list")
     groups = []

@@ -75,12 +75,26 @@ class ScoreEstimate:
 
 @dataclass
 class TmleState:
-    """Mutable iteration state of the TMLE fluctuation loop."""
+    """Iteration state of the TMLE fluctuation loop for a stack of targets.
+
+    Row i of the (b, n) fitted values belongs to ``fits[i]``; ``trace[i]``
+    lists that row's (eps1, eps2) per iteration and ``converged[i]`` says
+    whether its loop stopped under the tolerance.
+    """
 
     pi_values: np.ndarray
     q0_values: np.ndarray
     q1_values: np.ndarray
+    fits: list = field(default_factory=list)
     trace: list = field(default_factory=list)
+    converged: np.ndarray | None = None
+
+    def row(self, i: int) -> TmleState:
+        """Target i's state as a stack of one, on views of this stack's rows."""
+        r = slice(i, i + 1)
+        return TmleState(
+            self.pi_values[r], self.q0_values[r], self.q1_values[r], self.fits[r], self.trace[r], self.converged[r]
+        )
 
 
 def scores_from_theta(theta: float, mu_o: float, mu_e: float) -> tuple[float, float | None]:
@@ -96,8 +110,11 @@ def scores_from_theta(theta: float, mu_o: float, mu_e: float) -> tuple[float, fl
 
 
 def _mean(x: np.ndarray):
-    """``np.mean`` of a 1-D array without its wrapper: the same sum, the same result."""
-    return np.add.reduce(x) / x.shape[0]
+    """``np.mean`` over the last axis without its wrapper: the same sums, the same result.
+
+    A row of a (b, n) stack gets the same mean, bit for bit, as that row alone.
+    """
+    return np.add.reduce(x, axis=-1) / x.shape[-1]
 
 
 def _in_sample(dataset: Dataset, fit, part: str) -> np.ndarray:
@@ -217,43 +234,64 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_STEPS = 50
 
 
-def _offset_logistic_mle(h: np.ndarray, y: np.ndarray, base: np.ndarray) -> float:
-    """One-dimensional MLE of eps for expit(base + eps * h) against y.
+def _score_and_mu(h: np.ndarray, y: np.ndarray, base: np.ndarray, eps: np.ndarray):
+    """Mean score of each row at its eps, and mu = expit(base + eps * h)."""
+    mu = expit(base + eps[:, None] * h)
+    return _mean(h * (y - mu)), mu
 
-    Newton with step-halving on the mean score; bisection fallback when a
-    sign change brackets the root.  ``y`` may be fractional in [0, 1].
+
+def _offset_logistic_mle(h: np.ndarray, y: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """One-dimensional MLE of eps for expit(base + eps * h) against y, for each row of a stack.
+
+    ``h`` and ``base`` are (b, n), ``y`` is (n,) and may be fractional in
+    [0, 1]; returns eps (b,).  Each row runs Newton with step-halving on its
+    mean score and stops once |score| < NEWTON_TOL; a row whose information
+    vanishes or that runs out of NEWTON_MAX_STEPS falls back to bisection.
+    Rows that stopped leave the stack, so a row's eps does not depend on it.
     """
+    eps_out = np.zeros(len(h))
+    s0, mu = _score_and_mu(h, y, base, eps_out)
+    rows, hr, br, eps, s = np.arange(len(h)), h, base, eps_out.copy(), s0  # rows still in Newton
+    done = np.abs(s0) < NEWTON_TOL
+    fallback = []
+    for _ in range(NEWTON_MAX_STEPS):
+        # ``mu`` is expit(base + eps * h) at each row's current eps.
+        info = _mean(hr * hr * mu * (1.0 - mu))
+        stuck = ~done & (info <= 0.0)
+        fallback += rows[stuck].tolist()
+        keep = ~(done | stuck)
+        if not keep.all():
+            rows, hr, br, eps, s, mu, info = (a[keep] for a in (rows, hr, br, eps, s, mu, info))
+        if rows.size == 0:
+            break
+        # Step-halving: the 30th candidate is taken whatever its score.
+        step = s / info
+        scale = np.ones(rows.size)
+        cand = eps + scale * step
+        s_cand, mu_cand = _score_and_mu(hr, y, br, cand)
+        for _ in range(29):
+            halve = np.flatnonzero(~(np.abs(s_cand) <= np.abs(s)))
+            if halve.size == 0:
+                break
+            scale[halve] *= 0.5
+            cand[halve] = eps[halve] + scale[halve] * step[halve]
+            s_cand[halve], mu_cand[halve] = _score_and_mu(hr[halve], y, br[halve], cand[halve])
+        eps, s, mu = cand, s_cand, mu_cand
+        eps_out[rows] = eps
+        done = np.abs(s) < NEWTON_TOL
+    else:
+        fallback += rows[~done].tolist()
+    for i in fallback:
+        eps_out[i] = _bisect_eps(h[i], y, base[i], float(s0[i]))
+    return eps_out
 
-    def score_and_mu(eps: float) -> tuple[float, np.ndarray]:
-        mu = expit(base + eps * h)
-        return float(_mean(h * (y - mu))), mu
+
+def _bisect_eps(h: np.ndarray, y: np.ndarray, base: np.ndarray, s0: float) -> float:
+    """Bisection for one row's eps: expand a bracket around 0 on the sign change of the score from ``s0``."""
 
     def mean_score(eps: float) -> float:
-        return score_and_mu(eps)[0]
+        return float(_mean(h * (y - expit(base + eps * h))))
 
-    s0, mu = score_and_mu(0.0)
-    if abs(s0) < NEWTON_TOL:
-        return 0.0
-    eps = 0.0
-    s = s0
-    hh = h * h
-    for _ in range(NEWTON_MAX_STEPS):
-        # ``mu`` is expit(base + eps * h) at the current eps.
-        info = float(_mean(hh * mu * (1.0 - mu)))
-        if info <= 0.0:
-            break
-        step = s / info
-        scale = 1.0
-        for _ in range(30):
-            cand = eps + scale * step
-            s_cand, mu_cand = score_and_mu(cand)
-            if abs(s_cand) <= abs(s):
-                break
-            scale *= 0.5
-        eps, s, mu = cand, s_cand, mu_cand
-        if abs(s) < NEWTON_TOL:
-            return eps
-    # Bisection fallback: expand a bracket around 0 on the score sign change.
     lo, hi = -1.0, 1.0
     for _ in range(60):
         if mean_score(lo) * s0 <= 0.0 or mean_score(hi) * s0 <= 0.0:
@@ -274,105 +312,136 @@ def _offset_logistic_mle(h: np.ndarray, y: np.ndarray, base: np.ndarray) -> floa
     return 0.5 * (a + b)
 
 
-def fluctuate_pi(state: TmleState, dataset: Dataset) -> float:
-    """Propensity update along the least-favorable logistic path; returns eps1.
+def fluctuate_pi(state: TmleState, dataset: Dataset) -> np.ndarray:
+    """Propensity update of every row along its least-favorable logistic path; returns eps1 (b,).
 
     The path covariate is H1 = -2 pi (Q1 - Q0) - Q0 and eps1 maximizes the
-    Bernoulli log-likelihood of the exposure.  When the score at eps = 0
-    already vanishes (e.g. saturated fits) the state is left untouched.
+    Bernoulli log-likelihood of the exposure.  A row whose score at eps = 0
+    already vanishes (e.g. saturated fits, or H1 = 0) is left untouched.
     """
-    h1 = -2.0 * state.pi_values * (state.q1_values - state.q0_values) - state.q0_values
+    pi = state.pi_values
+    h1 = -2.0 * pi * (state.q1_values - state.q0_values) - state.q0_values
     e = dataset.exposure_float
-    if np.abs(h1).max() == 0.0:
-        return 0.0
-    score0 = float(_mean(h1 * (e - state.pi_values)))
-    if abs(score0) < NEWTON_TOL:
-        return 0.0
-    base = logit(_clip_prob(state.pi_values))
-    eps1 = _offset_logistic_mle(h1, e, base)
-    state.pi_values = _clip_prob(expit(base + eps1 * h1))
+    eps1 = np.zeros(len(pi))
+    move = ~(np.abs(_mean(h1 * (e - pi))) < NEWTON_TOL)
+    if move.any():
+        h1 = h1[move]
+        base = logit(_clip_prob(pi[move]))
+        eps1[move] = _offset_logistic_mle(h1, e, base)
+        state.pi_values = pi.copy()
+        state.pi_values[move] = _clip_prob(expit(base + eps1[move, None] * h1))
     return eps1
 
 
-def fluctuate_q(state: TmleState, dataset: Dataset) -> float:
-    """Exposure-response update along its least-favorable path; returns eps2.
+def fluctuate_q(state: TmleState, dataset: Dataset) -> np.ndarray:
+    """Exposure-response update of every row along its least-favorable path; returns eps2 (b,).
 
     Continuous outcome: linear path Q + eps * H2 with H2 = -pi (updated this
-    iteration); eps2 has the closed-form least-squares solution.  Bounded
-    outcome (``dataset.outcome_kind``): logistic path on logit(Q) with the
-    Bernoulli loss.
+    iteration); eps2 has the closed-form least-squares solution, and a row
+    with sum(H2^2) < 1e-14 is left untouched.  Bounded outcome
+    (``dataset.outcome_kind``): logistic path on logit(Q) with the Bernoulli
+    loss, leaving untouched a row whose score at eps = 0 already vanishes.
     """
     h2 = -state.pi_values
     q_obs = np.where(dataset.arm_masks[1], state.q1_values, state.q0_values)
     o = dataset.outcome
-    if dataset.outcome_kind == "bounded":
-        resid_score = float(_mean(h2 * (o - q_obs)))
-        if abs(resid_score) < NEWTON_TOL:
-            return 0.0
-        eps2 = _offset_logistic_mle(h2, o, logit(_clip_prob(q_obs)))
+    eps2 = np.zeros(len(h2))
+    bounded = dataset.outcome_kind == "bounded"
+    if bounded:
+        move = ~(np.abs(_mean(h2 * (o - q_obs))) < NEWTON_TOL)
+        if move.any():
+            eps2[move] = _offset_logistic_mle(h2[move], o, logit(_clip_prob(q_obs[move])))
+    else:
+        denom = np.add.reduce(h2 * h2, axis=-1)
+        move = ~(denom < 1e-14)
+        eps2[move] = np.add.reduce(h2[move] * (o - q_obs[move]), axis=-1) / denom[move]
+    if move.any():
+        shift = eps2[move, None] * h2[move]
         for attr in ("q0_values", "q1_values"):
-            q = _clip_prob(getattr(state, attr))
-            setattr(state, attr, _clip_prob(expit(logit(q) + eps2 * h2)))
-        return eps2
-    denom = float(np.add.reduce(h2 * h2))
-    if denom < 1e-14:
-        return 0.0
-    eps2 = float(np.add.reduce(h2 * (o - q_obs)) / denom)
-    state.q0_values = state.q0_values + eps2 * h2
-    state.q1_values = state.q1_values + eps2 * h2
+            q = getattr(state, attr).copy()
+            q[move] = _clip_prob(expit(logit(_clip_prob(q[move])) + shift)) if bounded else q[move] + shift
+            setattr(state, attr, q)
     return eps2
+
+
+TMLE_TOL = 1e-8
+TMLE_MAX_ITER = 100
+_STATE_VALUES = ("pi_values", "q0_values", "q1_values")
+
+
+def _target(dataset: Dataset, fits: list, tol: float = TMLE_TOL, max_iter: int = TMLE_MAX_ITER) -> TmleState:
+    """Run the TMLE fluctuation loop on the stack of ``fits``' in-sample values.
+
+    Every row alternates the propensity and exposure-response fluctuations
+    until max(|eps1|, |eps2|) < ``tol`` or ``max_iter`` iterations; a row
+    that stopped leaves the stack, so its targeted values, trace and
+    convergence do not depend on the other rows.
+    """
+    state = TmleState(
+        *(np.stack([_in_sample(dataset, fit, part) for fit in fits]) for part in ("pi", "q0", "q1")),
+        fits=list(fits),
+        trace=[[] for _ in fits],
+        converged=np.zeros(len(fits), dtype=bool),
+    )
+    live = TmleState(state.pi_values, state.q0_values, state.q1_values)
+    rows = np.arange(len(fits))  # stack rows still iterating
+    for _ in range(max_iter):
+        eps1 = fluctuate_pi(live, dataset)
+        eps2 = fluctuate_q(live, dataset)
+        for r, pair in zip(rows.tolist(), zip(eps1.tolist(), eps2.tolist())):
+            state.trace[r].append(pair)
+        for attr in _STATE_VALUES:
+            getattr(state, attr)[rows] = getattr(live, attr)
+        # max(|eps1|, |eps2|) as Python's max takes it: |eps1| unless |eps2| > |eps1|.
+        a1, a2 = np.abs(eps1), np.abs(eps2)
+        stop = np.where(a2 > a1, a2, a1) < tol
+        state.converged[rows[stop]] = True
+        if stop.all():
+            break
+        if stop.any():
+            rows = rows[~stop]
+            live = TmleState(*(getattr(live, attr)[~stop] for attr in _STATE_VALUES))
+    return state
 
 
 def tmle_theta(
     dataset: Dataset,
     fit,
-    tol: float = 1e-8,
-    max_iter: int = 100,
+    tol: float = TMLE_TOL,
+    max_iter: int = TMLE_MAX_ITER,
 ) -> ScoreEstimate:
     """Targeted maximum likelihood estimate of theta and the derived scores.
 
-    Alternates the propensity and exposure-response fluctuations until both
-    coefficients fall below ``tol``, then evaluates the substitution
-    estimator theta = mean(pi_hat * tau_hat) over the empirical covariate
-    distribution; at convergence the empirical mean of the efficient
-    influence curve vanishes.
+    ``fit`` is the target's nuisance fit, targeted here as a stack of one
+    under ``tol`` and ``max_iter``, or its already targeted TmleState (a
+    ``TmleState.row`` of a targeted stack).  Targeting alternates the
+    propensity and exposure-response fluctuations until both coefficients
+    fall below ``tol``; theta is then the substitution estimator
+    mean(pi_hat * tau_hat) over the empirical covariate distribution, at
+    which the empirical mean of the efficient influence curve vanishes.
     """
-    state = TmleState(
-        pi_values=_in_sample(dataset, fit, "pi"),
-        q0_values=_in_sample(dataset, fit, "q0"),
-        q1_values=_in_sample(dataset, fit, "q1"),
-    )
-    converged = False
-    eps1 = eps2 = 0.0
-    for _ in range(max_iter):
-        eps1 = fluctuate_pi(state, dataset)
-        eps2 = fluctuate_q(state, dataset)
-        state.trace.append((eps1, eps2))
-        if max(abs(eps1), abs(eps2)) < tol:
-            converged = True
-            break
-    tau = state.pi_values * state.q1_values + (1.0 - state.pi_values) * state.q0_values
-    tau = dataset.to_original_scale(tau)
+    state = fit if isinstance(fit, TmleState) else _target(dataset, [fit], tol, max_iter)
+    pi, q0, q1 = state.pi_values[0], state.q0_values[0], state.q1_values[0]
+    trace = state.trace[0]
+    eps1, eps2 = trace[-1] if trace else (0.0, 0.0)
+    tau = dataset.to_original_scale(pi * q1 + (1.0 - pi) * q0)
     # Substitution estimator over the empirical covariate distribution: the
     # fitted exposure law is pi_hat, so E_fit{I(E=1) tau(C)} = mean(pi * tau).
-    # This is the form that zeroes the empirical influence-curve equation;
-    # the observed-arm average mean(E * tau) differs by O_p(n^{-1/2}) and is
-    # reported in the diagnostics.
-    theta = float(_mean(state.pi_values * tau))
+    # This is the form that zeroes the empirical influence-curve equation.
+    theta = float(_mean(pi * tau))
     diagnostics = {
-        "iterations": len(state.trace),
+        "iterations": len(trace),
         "final_eps1": abs(eps1),
         "final_eps2": abs(eps2),
-        "trace": list(state.trace),
-        "theta_observed_arm": float(_mean(dataset.exposure_float * tau)),
-        "warnings": list(fit.warnings),
+        "trace": list(trace),
+        "warnings": list(state.fits[0].warnings),
     }
-    if not converged:
+    if not state.converged[0]:
         diagnostics["warnings"].append(
-            f"tmle did not converge in {max_iter} iterations "
+            f"tmle did not converge in {len(trace)} iterations "
             f"(|eps1|={abs(eps1):.3e}, |eps2|={abs(eps2):.3e})"
         )
-    return _finalize_efficient(dataset, "tmle", fit, theta, state.pi_values, tau, diagnostics)
+    return _finalize_efficient(dataset, "tmle", state.fits[0], theta, pi, tau, diagnostics)
 
 
 def _constant_estimate(dataset: Dataset, cov_id, kind: str) -> ScoreEstimate:
@@ -405,8 +474,9 @@ def score_covariate(
     """Estimate the confounding scores of one covariate or covariate group.
 
     ``fit`` holds the target's nuisance models (a NuisanceFit, a SaturatedFit
-    or another learner with the same interface); without one, the target's
-    polynomial parts are fitted here as a stack of one.
+    or another learner with the same interface) or, for tmle, its targeted
+    TmleState; without one, the target's polynomial parts are fitted here as
+    a stack of one.
     """
     if estimator_kind not in ESTIMATOR_KINDS:
         raise ValidationError(f"unknown estimator kind {estimator_kind!r}")
@@ -435,8 +505,9 @@ def _score_targets(
     """Score ``targets`` in order, fitting each run of consecutive same-width targets in stacks.
 
     A stack holds at most STACK_DOUBLES doubles of design and at least one
-    target; its fits are dropped once its targets are scored.  Constant
-    targets are scored without a fit.
+    target; for tmle its fits are then targeted as one stack.  The stack is
+    dropped once its targets are scored.  Constant targets are scored
+    without a fit.
     """
     if estimator_kind not in ESTIMATOR_KINDS:
         raise ValidationError(f"unknown estimator kind {estimator_kind!r}")
@@ -447,6 +518,9 @@ def _score_targets(
     def flush():
         if stack:
             fits = fit_nuisances(dataset, stack, basis, parts=ESTIMATOR_PARTS[estimator_kind])
+            if estimator_kind == "tmle":
+                targeted = _target(dataset, fits)
+                fits = [targeted.row(i) for i in range(len(fits))]
             for cols, fit in zip(stack, fits):
                 estimates.append(score_covariate(dataset, cols, estimator_kind, basis, fit))
             stack.clear()

@@ -24,6 +24,7 @@ __all__ = [
     "ic_phi",
     "ic_psi",
     "wald_inference",
+    "infer_block",
     "infer_scores",
 ]
 
@@ -103,61 +104,76 @@ def wald_inference(
     null_value: float,
     alpha: float,
 ) -> tuple[float, tuple[float, float], float]:
-    """Standard error, (1 - alpha) confidence interval, and two-sided p-value.
+    """Standard error, (1 - alpha) confidence interval, and two-sided p-value of one influence vector.
 
-    se = sd(influence values, divisor n-1) / sqrt(n).  A zero-variance
-    influence vector yields a point interval and a 0/1 p-value by exact
-    comparison with the null.
+    se = sd(influence values, divisor n-1) / sqrt(n), rescaled where their
+    sum of squares would overflow.  A zero-variance influence vector yields
+    a point interval and a 0/1 p-value by exact comparison with the null.
     """
-    values = np.asarray(influence_values, dtype=float)
-    n = values.shape[0]
+    values = np.asarray(influence_values, dtype=float)[None]
+    se, lo, hi, p = (x.item() for x in _wald_rows(values, np.array([estimate], dtype=float), null_value, alpha))
+    return se, (lo, hi), p
+
+
+def _wald_rows(values: np.ndarray, estimates: np.ndarray, null_value: float, alpha: float):
+    """Wald inference of each row of the influence values ``values`` (b, n) for ``estimates`` (b,).
+
+    Returns (se, ci_lo, ci_hi, p), each (b,).  se = sd(row, divisor n-1) /
+    sqrt(n); a row of finite values whose sum of squares overflows is
+    recomputed from the row scaled by its largest |value|.  A zero-variance
+    row yields a point interval and a 0/1 p-value by exact comparison with
+    the null.  Every row's result equals the result of that row alone.
+    """
+    n = values.shape[1]
     if n < 2:
         raise ValidationError("need at least 2 observations for Wald inference")
     if not (0.0 < alpha < 1.0):
         raise ValidationError("alpha must lie in (0, 1)")
-    # values.std(ddof=1) without its wrapper: the same sums, the same result.
-    centered = values - np.add.reduce(values) / n
-    se = float(np.sqrt(np.add.reduce(centered * centered) / (n - 1)) / np.sqrt(n))
+
+    def sd(v):
+        # v.std(axis=1, ddof=1) without its wrapper: the same sums, the same result.
+        centered = v - (np.add.reduce(v, axis=1) / n)[:, None]
+        return np.sqrt(np.add.reduce(centered * centered, axis=1) / (n - 1))
+
+    # Overflow (and inf - inf after it) is repaired below for finite rows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        se = sd(values) / np.sqrt(n)
+    big = ~np.isfinite(se) & np.isfinite(values).all(axis=1)
+    if big.any():
+        scale = np.abs(values[big]).max(axis=1)
+        se[big] = scale * (sd(values[big] / scale[:, None]) / np.sqrt(n))
     z = _wald_z(alpha)
-    ci = (estimate - z * se, estimate + z * se)
-    if se == 0.0:
-        p = 1.0 if estimate == null_value else 0.0
-    else:
-        p = float(2.0 * norm_cdf(-abs(estimate - null_value) / se))
-    return se, ci, p
+    p = np.where(estimates == null_value, 1.0, 0.0)
+    varies = se != 0.0
+    p[varies] = 2.0 * norm_cdf(-np.abs(estimates[varies] - null_value) / se[varies])
+    return se, estimates - z * se, estimates + z * se, p
 
 
-def infer_scores(estimate, alpha: float, log_scale_psi: bool = False) -> InferenceResult:
-    """Build Wald inference for a dr/tmle ScoreEstimate from its influence values.
+def infer_block(estimates: list, alpha: float) -> list[InferenceResult]:
+    """Wald inference for each dr/tmle ScoreEstimate of a block, from its stacked influence values.
 
-    ``log_scale_psi`` switches the ratio-score interval to the log scale
-    (exponentiated back); the default Wald interval is on the natural scale.
+    The block's d_phi (and d_psi) values are copied into one (block, n)
+    array each, so callers bound the block size.  An estimate's result
+    equals its result alone (``infer_scores``).
     """
-    values = estimate.influence_values
-    if "d_phi" not in values:
-        raise ValidationError(
-            f"estimator kind {estimate.estimator_kind!r} carries no influence values"
-        )
-    se_phi, ci_phi, p_phi = wald_inference(values["d_phi"], estimate.phi_hat, 0.0, alpha)
-    se_psi = ci_psi = p_psi = None
-    if estimate.psi_hat is not None and "d_psi" in values:
-        if log_scale_psi and estimate.psi_hat > 0.0:
-            d_log = values["d_psi"] / estimate.psi_hat
-            se_l, ci_l, p_psi = wald_inference(
-                d_log, float(np.log(estimate.psi_hat)), 0.0, alpha
-            )
-            se_psi = se_l * estimate.psi_hat
-            ci_psi = (float(np.exp(ci_l[0])), float(np.exp(ci_l[1])))
-        else:
-            se_psi, ci_psi, p_psi = wald_inference(
-                values["d_psi"], estimate.psi_hat, 1.0, alpha
-            )
-    return InferenceResult(
-        se_phi=se_phi,
-        ci_phi=ci_phi,
-        p_phi=p_phi,
-        alpha=alpha,
-        se_psi=se_psi,
-        ci_psi=ci_psi,
-        p_psi=p_psi,
-    )
+    for est in estimates:
+        if "d_phi" not in est.influence_values:
+            raise ValidationError(f"estimator kind {est.estimator_kind!r} carries no influence values")
+
+    def rows(ests, key, score, null):
+        values = np.stack([est.influence_values[key] for est in ests])
+        wald = _wald_rows(values, np.array([getattr(est, score) for est in ests]), null, alpha)
+        return [(se, (lo, hi), p) for se, lo, hi, p in zip(*(x.tolist() for x in wald))]
+
+    phi = rows(estimates, "d_phi", "phi_hat", 0.0)
+    with_psi = [i for i, est in enumerate(estimates) if est.psi_hat is not None and "d_psi" in est.influence_values]
+    psi = dict(zip(with_psi, rows([estimates[i] for i in with_psi], "d_psi", "psi_hat", 1.0))) if with_psi else {}
+    return [
+        InferenceResult(*phi[i], alpha, *psi.get(i, (None, None, None)))
+        for i in range(len(estimates))
+    ]
+
+
+def infer_scores(estimate, alpha: float) -> InferenceResult:
+    """Wald inference for one dr/tmle ScoreEstimate from its influence values (a block of one)."""
+    return infer_block([estimate], alpha)[0]

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .data import Dataset, GroupSpec, ValidationError
-from .estimators import INFERENCE_KINDS, ScoreEstimate, score_groups
-from .influence import InferenceResult, infer_scores
+from .estimators import INFERENCE_KINDS, STACK_DOUBLES, ScoreEstimate, score_groups
+from .influence import InferenceResult, infer_block
 from .nuisance import BasisConfig
 
 __all__ = ["RankRow", "RankingReport", "rank", "select_top_k", "select_by_test", "screen", "rank_groups"]
@@ -138,13 +138,17 @@ def screen(
     """Infer, rank and select: the screening path from estimates to a selected ranking.
 
     Estimates of an estimator in ``INFERENCE_KINDS`` get Wald inference at
-    level ``alpha``; the inferences (None for plug-ins) are returned in input
-    order next to the report.  ``rule`` is ``("top_k", k)``,
-    ``("alpha_test", level)`` or None for no selection.
+    level ``alpha``, in blocks of at most STACK_DOUBLES influence values;
+    the inferences (None for plug-ins) are returned in input order next to
+    the report.  ``rule`` is ``("top_k", k)``, ``("alpha_test", level)`` or
+    None for no selection.
     """
     inferences = None
-    if all(est.estimator_kind in INFERENCE_KINDS for est in estimates):
-        inferences = [infer_scores(est, alpha) for est in estimates]
+    if estimates and all(est.estimator_kind in INFERENCE_KINDS for est in estimates):
+        block = max(1, STACK_DOUBLES // (len(estimates[0].influence_values.get("d_phi", ())) or 1))
+        inferences = [
+            inf for i in range(0, len(estimates), block) for inf in infer_block(estimates[i : i + block], alpha)
+        ]
     report = rank(estimates, score_kind, names=names, inferences=inferences)
     if rule is None:
         return report, inferences

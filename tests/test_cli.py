@@ -103,6 +103,38 @@ def test_not_utf8_csv_exit_2(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_score_outcomes_near_overflow_give_finite_se(tmp_path):
+    data = tmp_path / "huge.csv"
+    data.write_text("O,E,C\n1e300,1,1\n-1e300,0,2\n5e299,1,3\n2e300,0,4\n")
+    out = tmp_path / "huge.json"
+    assert main(["score", "--data", str(data), "--outcome", "O", "--exposure", "E",
+                 "--estimator", "dr", "--degree", "1", "--out", str(out)]) == 0
+    (row,) = json.loads(out.read_text())["results"]
+    assert np.isfinite([row["se_phi"], row["ci_lo"], row["ci_hi"]]).all() and row["se_phi"] > 0.0
+
+
+def test_not_utf8_groups_exit_2(wide_csv, tmp_path, capsys):
+    groups = tmp_path / "g.json"
+    groups.write_bytes(b'{"g": ["x0\xff"]}')
+    code = main(["score", "--data", wide_csv, "--outcome", "y", "--exposure", "treat",
+                 "--groups", str(groups), "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {groups}: not UTF-8 text") and err.count("\n") == 1
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_not_utf8_scenario_exit_2(tmp_path, capsys):
+    scen = tmp_path / "scen.json"
+    scen.write_bytes(b'{"kind": "low_dim\xff"}')
+    code = main(["simulate", "--scenario", str(scen), "--top-k", "1", "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {scen}: not UTF-8 text") and err.count("\n") == 1
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_no_partial_output_on_failure(six_csv, tmp_path):
     out = tmp_path / "never.json"
     main(["score", "--data", six_csv, "--outcome", "O", "--exposure", "nope",

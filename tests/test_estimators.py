@@ -104,7 +104,7 @@ def test_tmle_converges_at_zero_on_saturated():
 def test_fluctuate_pi_zero_score_leaves_state():
     fit = fit_saturated(SIX, 0)
     c = SIX.covariates[:, (0,)]
-    state = TmleState(pi_values=fit.pi_at(c), q0_values=fit.q_at(0, c), q1_values=fit.q_at(1, c))
+    state = TmleState(pi_values=fit.pi_at(c)[None], q0_values=fit.q_at(0, c)[None], q1_values=fit.q_at(1, c)[None])
     before = state.pi_values.copy()
     eps1 = fluctuate_pi(state, SIX)
     assert eps1 == 0.0
@@ -116,9 +116,9 @@ def test_fluctuate_q_closed_form_example():
     n = 8
     ds = _dataset(np.ones(n), np.tile([0, 1], n // 2), np.arange(float(n)))
     state = TmleState(
-        pi_values=np.full(n, 0.5),
-        q0_values=np.zeros(n),
-        q1_values=np.zeros(n),
+        pi_values=np.full((1, n), 0.5),
+        q0_values=np.zeros((1, n)),
+        q1_values=np.zeros((1, n)),
     )
     eps2 = fluctuate_q(state, ds)
     assert eps2 == pytest.approx(-2.0, abs=1e-12)
@@ -134,8 +134,8 @@ def test_fluctuate_q_bounded_dataset_takes_logistic_path():
     x = rng.normal(size=n)
     e = (rng.random(n) < expit(x)).astype(int)
     ds = _dataset(rng.random(n) ** 2, e, x, outcome_kind="bounded")
-    pi = expit(0.8 * x)
-    q0, q1 = expit(0.5 - x), expit(1.0 + x)
+    pi = expit(0.8 * x)[None]
+    q0, q1 = expit(0.5 - x)[None], expit(1.0 + x)[None]
     state = TmleState(pi_values=pi, q0_values=q0, q1_values=q1)
     eps2 = fluctuate_q(state, ds)
     assert abs(eps2) > 1e-3
@@ -358,3 +358,105 @@ def test_score_groups_of_mixed_widths_keep_input_order():
             alone = score_covariate(ds, cols, kind, basis)
             alone.covariate_id = name
             _assert_same_estimate(est, alone)
+
+
+def _one_row_newton(h, y, base):
+    """The Newton solve of one row, one scalar step at a time: the reference for the stacked solver."""
+
+    def score_and_mu(eps):
+        mu = expit(base + eps * h)
+        return float(np.add.reduce(h * (y - mu)) / h.shape[0]), mu
+
+    s0, mu = score_and_mu(0.0)
+    if abs(s0) < estimators.NEWTON_TOL:
+        return 0.0, False
+    eps, s, hh = 0.0, s0, h * h
+    for _ in range(estimators.NEWTON_MAX_STEPS):
+        info = float(np.add.reduce(hh * mu * (1.0 - mu)) / h.shape[0])
+        if info <= 0.0:
+            break
+        step, scale = s / info, 1.0
+        for _ in range(30):
+            cand = eps + scale * step
+            s_cand, mu_cand = score_and_mu(cand)
+            if abs(s_cand) <= abs(s):
+                break
+            scale *= 0.5
+        eps, s, mu = cand, s_cand, mu_cand
+        if abs(s) < estimators.NEWTON_TOL:
+            return eps, False
+    return estimators._bisect_eps(h, y, base, s0), True
+
+
+@pytest.mark.parametrize("newton_steps", [estimators.NEWTON_MAX_STEPS, 2])
+def test_offset_logistic_mle_rows_equal_one_row_newton(monkeypatch, newton_steps):
+    monkeypatch.setattr(estimators, "NEWTON_MAX_STEPS", newton_steps)
+    rng = np.random.default_rng(41)
+    n = 300
+    y = np.where(rng.random(n) < 0.5, rng.random(n), (rng.random(n) < 0.4).astype(float))
+    h = rng.normal(size=(6, n)) * np.array([[1.0], [0.1], [6.0], [1.0], [2.0], [0.0]])
+    base = rng.normal(size=(6, n))
+    base[3] = 50.0  # expit(base) rounds to 1: no information at eps = 0, so bisection
+    expected = [_one_row_newton(h[i], y, base[i]) for i in range(len(h))]
+    assert expected[3][1] and expected[5] == (0.0, False)
+    if newton_steps == 2:
+        assert sum(bisected for _, bisected in expected) >= 2
+    eps = estimators._offset_logistic_mle(h, y, base)
+    assert eps.tolist() == [value for value, _ in expected]
+    for i in range(len(h)):
+        assert estimators._offset_logistic_mle(h[i : i + 1], y, base[i : i + 1])[0] == eps[i]
+
+
+def _mixed_dataset(outcome_kind, n=240, seed=43):
+    """Normal columns around a binary one (column 2), which a saturated fit can take."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(n, 5))
+    c[:, 2] = rng.random(n) < 0.5
+    e = (rng.random(n) < expit(0.8 * c[:, 0] - 0.5 * c[:, 2] + 0.3 * c[:, 3] ** 2)).astype(int)
+    y = c[:, 0] + 0.5 * c[:, 2] + np.sin(2.0 * c[:, 1]) + 0.7 * e + rng.normal(size=n)
+    if outcome_kind == "bounded":
+        y = expit(y)
+    return _dataset(y, e, c, outcome_kind=outcome_kind)
+
+
+def _assert_same_targeting(a, b):
+    """Bitwise equality of two tmle estimates, their traces and diagnostics included."""
+    _assert_same_estimate(a, b)
+    assert repr(a.diagnostics) == repr(b.diagnostics)
+
+
+@pytest.mark.parametrize("outcome_kind", ["continuous", "bounded"])
+@pytest.mark.parametrize("max_iter, newton_steps", [(100, estimators.NEWTON_MAX_STEPS), (2, estimators.NEWTON_MAX_STEPS), (100, 1)])
+def test_targeted_stack_rows_equal_targets_alone(monkeypatch, outcome_kind, max_iter, newton_steps):
+    monkeypatch.setattr(estimators, "NEWTON_MAX_STEPS", newton_steps)
+    bisect = estimators._bisect_eps
+    bisected = []
+
+    def recorded(*args):
+        bisected.append(1)
+        return bisect(*args)
+
+    monkeypatch.setattr(estimators, "_bisect_eps", recorded)
+    ds = _mixed_dataset(outcome_kind)
+    fits = fit_nuisances(ds, list(range(ds.p)), BasisConfig(degree=3), parts=("pi", "q"))
+    fits[2] = fit_saturated(ds, 2)
+    state = estimators._target(ds, fits, max_iter=max_iter)
+    iterations = [len(trace) for trace in state.trace]
+    for i, fit in enumerate(fits):
+        _assert_same_targeting(tmle_theta(ds, state.row(i)), tmle_theta(ds, fit, max_iter=max_iter))
+    # The saturated row already solves both score equations.
+    assert iterations[2] == 1 and max(map(abs, state.trace[2][0])) < 1e-12
+    if max_iter == 2:
+        assert not state.converged.all() and state.converged[2]
+    else:
+        assert state.converged.all() and len(set(iterations)) > 1
+    if newton_steps == 1:
+        assert bisected
+
+
+@pytest.mark.parametrize("outcome_kind", ["continuous", "bounded"])
+def test_score_all_tmle_equals_score_covariate_with_trace(outcome_kind):
+    ds = _mixed_dataset(outcome_kind)
+    basis = BasisConfig(degree=3)
+    for j, est in enumerate(score_all(ds, "tmle", basis)):
+        _assert_same_targeting(est, score_covariate(ds, j, "tmle", basis))

@@ -15,6 +15,7 @@ from confscreen import (
     score_covariate,
     wald_inference,
 )
+from confscreen import influence
 from confscreen._stats import norm_ppf
 
 
@@ -126,6 +127,19 @@ def test_wald_zero_variance():
     assert p_null == 1.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_wald_rows_rescale_only_overflowing_rows():
+    rng = np.random.default_rng(104)
+    values = rng.normal(size=(3, 6))
+    values[1] = [1e300, -1e300, 5e299, 2e300, -1.5e300, 3e299]
+    estimates = np.array([0.1, 2e299, -0.3])
+    se, lo, hi, p = influence._wald_rows(values, estimates, 0.0, 0.10)
+    assert np.isfinite(se).all() and np.isfinite(lo).all() and np.isfinite(hi).all()
+    assert se[1] == pytest.approx(1e300 * (values[1] / 1e300).std(ddof=1) / np.sqrt(6), rel=1e-14)
+    for i in (0, 2):
+        assert (se[i], (lo[i], hi[i]), p[i]) == wald_inference(values[i], estimates[i], 0.0, 0.10)
+
+
 def test_wald_validation():
     with pytest.raises(ValidationError):
         wald_inference(np.zeros(1), 0.0, 0.0, 0.1)
@@ -158,14 +172,6 @@ def test_infer_scores_ci_width_scales_with_alpha():
     wide = infer_scores(est, 0.01).ci_phi
     narrow = infer_scores(est, 0.20).ci_phi
     assert (wide[1] - wide[0]) > (narrow[1] - narrow[0])
-
-
-def test_infer_scores_log_scale_psi_positive_interval():
-    est = _tmle_estimate()
-    if est.psi_hat is None or est.psi_hat <= 0 or est.theta_hat <= 0:
-        pytest.skip("ratio score undefined or negative for this draw")
-    inf = infer_scores(est, 0.10, log_scale_psi=True)
-    assert inf.ci_psi[0] > 0.0
 
 
 def test_infer_scores_requires_influence_values():

@@ -1,5 +1,7 @@
 """Ranking, top-K selection, alpha-test selection, and the group pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,14 @@ from confscreen import (
     ValidationError,
     rank,
     rank_groups,
+    infer_scores,
+    score_all,
     score_covariate,
     screen,
     select_by_test,
     select_top_k,
 )
+from confscreen import ranking
 from confscreen._stats import expit
 
 
@@ -186,3 +191,35 @@ def test_rank_groups_unknown_rule():
     spec = GroupSpec(groups=(("g1", ("c0",)),))
     with pytest.raises(ValidationError, match="rule"):
         rank_groups(ds, spec, "tmle", BasisConfig(degree=2), "difference", rule=("zap", 1))
+
+
+@pytest.mark.parametrize("kind", ["dr", "tmle"])
+def test_screen_block_inference_equals_infer_scores(monkeypatch, kind):
+    rng = np.random.default_rng(71)
+    n = 150
+    c = rng.normal(size=(n, 7))
+    c[:, 4] = 1.5  # constant: zero influence values, the null scores and p = 1
+    e = (rng.random(n) < expit(c[:, 0])).astype(int)
+    y = 2.0 + c[:, 0] + 0.5 * c[:, 1] + rng.normal(size=n)
+    ds = Dataset(outcome=y, exposure=e, covariates=c, column_names=tuple(f"c{j}" for j in range(7)))
+    estimates = score_all(ds, kind, BasisConfig(degree=2))
+    first = estimates[0]
+    no_psi = {k: v for k, v in first.influence_values.items() if k != "d_psi"}
+    estimates.append(replace(first, covariate_id=7, psi_hat=None, influence_values=no_psi))
+    zero = dict.fromkeys(first.influence_values, np.zeros(n))
+    estimates.append(replace(first, covariate_id=8, phi_hat=0.3, influence_values=zero))
+    blocks = []
+    block_inference = ranking.infer_block
+
+    def recorded(ests, alpha):
+        blocks.append(len(ests))
+        return block_inference(ests, alpha)
+
+    monkeypatch.setattr(ranking, "infer_block", recorded)
+    monkeypatch.setattr(ranking, "STACK_DOUBLES", 4 * n - 1)
+    _, inferences = screen(estimates, "ratio", ("alpha_test", 0.10), 0.10)
+    assert blocks == [3, 3, 3]
+    assert repr(inferences) == repr([infer_scores(est, 0.10) for est in estimates])
+    assert inferences[4].se_phi == 0.0 and inferences[4].p_phi == 1.0
+    assert inferences[7].se_psi is None and inferences[7].p_phi == inferences[0].p_phi
+    assert inferences[8].se_phi == 0.0 and inferences[8].p_phi == 0.0
