@@ -17,7 +17,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .data import DataError, load_csv, load_groups
@@ -117,7 +116,6 @@ def _write_manifest(out_path: str, config: dict, wall_time: float, threads=None)
             "confscreen": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "seed": config.get("seed"),
         "wall_time_seconds": wall_time,

@@ -117,27 +117,17 @@ def _mean(x: np.ndarray):
     return np.add.reduce(x, axis=-1) / x.shape[-1]
 
 
-def _in_sample(dataset: Dataset, fit, part: str) -> np.ndarray:
-    """Nuisance ``part`` ("tau", "pi", "q0" or "q1") at the dataset's covariates.
-
-    A NuisanceFit trained on ``dataset`` already holds these values; any
-    other fit is evaluated through its ``tau_at``/``pi_at``/``q_at``.
-    """
-    if getattr(fit, "training_data", None) is dataset:
-        stored = getattr(fit, f"{part}_fitted")
-        if stored is not None:
-            return stored
-    c = dataset.covariates[:, fit.columns]
-    if part == "tau":
-        return fit.tau_at(c)
-    if part == "pi":
-        return fit.pi_at(c)
-    return fit.q_at(int(part[1]), c)
+def _values(fit, part: str) -> np.ndarray:
+    """``fit``'s values of nuisance ``part`` ("tau", "pi", "q0" or "q1") at the dataset's rows."""
+    values = getattr(fit, part)
+    if values is None:
+        raise ValidationError(f"fit has no {part} part")
+    return values
 
 
 def _naive(dataset: Dataset, fit) -> tuple[np.ndarray, float]:
     """tau_hat at the dataset's covariates and the naive plug-in theta, both on the original scale."""
-    tau = dataset.to_original_scale(_in_sample(dataset, fit, "tau"))
+    tau = dataset.to_original_scale(_values(fit, "tau"))
     return tau, float(_mean(dataset.exposure_float * tau))
 
 
@@ -179,7 +169,7 @@ def plugin_scores_om(dataset: Dataset, fit) -> ScoreEstimate:
 
 def plugin_scores_ps(dataset: Dataset, fit) -> ScoreEstimate:
     """Plug-in scores from the propensity route: E{O pi_hat(C)} / mean(E) etc."""
-    pi = _in_sample(dataset, fit, "pi")
+    pi = _values(fit, "pi")
     theta = float(_mean(dataset.outcome_original() * pi))
     return _estimate(dataset, "plugin_ps", fit, theta, dataset.outcome_mean, {"warnings": list(fit.warnings)})
 
@@ -224,7 +214,7 @@ def _finalize_efficient(
 def theta_dr(dataset: Dataset, fit) -> ScoreEstimate:
     """One-step doubly robust correction of the naive plug-in."""
     tau, theta_n = _naive(dataset, fit)
-    pi = _in_sample(dataset, fit, "pi")
+    pi = _values(fit, "pi")
     theta = theta_n + float(_mean(dataset.outcome_original() * pi - tau * pi))
     diagnostics = {"theta_naive": theta_n, "warnings": list(fit.warnings)}
     return _finalize_efficient(dataset, "dr", fit, theta, pi, tau, diagnostics)
@@ -378,7 +368,7 @@ def _target(dataset: Dataset, fits: list, tol: float = TMLE_TOL, max_iter: int =
     convergence do not depend on the other rows.
     """
     state = TmleState(
-        *(np.stack([_in_sample(dataset, fit, part) for fit in fits]) for part in ("pi", "q0", "q1")),
+        *(np.stack([_values(fit, part) for fit in fits]) for part in ("pi", "q0", "q1")),
         fits=list(fits),
         trace=[[] for _ in fits],
         converged=np.zeros(len(fits), dtype=bool),
@@ -473,10 +463,10 @@ def score_covariate(
 ) -> ScoreEstimate:
     """Estimate the confounding scores of one covariate or covariate group.
 
-    ``fit`` holds the target's nuisance models (a NuisanceFit, a SaturatedFit
-    or another learner with the same interface) or, for tmle, its targeted
-    TmleState; without one, the target's polynomial parts are fitted here as
-    a stack of one.
+    ``fit`` holds the target's nuisance values at the dataset's rows (a
+    NuisanceFit from fit_nuisances, fit_saturated or any other learner) or,
+    for tmle, its targeted TmleState; without one, the target's polynomial
+    parts are fitted here as a stack of one.
     """
     if estimator_kind not in ESTIMATOR_KINDS:
         raise ValidationError(f"unknown estimator kind {estimator_kind!r}")

@@ -20,7 +20,6 @@ from .data import ValidationError
 __all__ = [
     "InferenceResult",
     "eic_theta",
-    "ic_mu",
     "ic_phi",
     "ic_psi",
     "wald_inference",
@@ -46,11 +45,6 @@ def eic_theta(o, e, pi_val, tau_val, theta):
     """Efficient influence curve of theta: o*pi + tau*(I(e=1) - pi) - theta."""
     e_ind = np.asarray(e, dtype=float)
     return np.asarray(o, dtype=float) * pi_val + tau_val * (e_ind - pi_val) - theta
-
-
-def ic_mu(value, mu):
-    """Influence curve of a plain mean: the centered value."""
-    return np.asarray(value, dtype=float) - mu
 
 
 def _check_mu_e(mu_e: float) -> None:

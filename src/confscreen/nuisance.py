@@ -7,9 +7,12 @@ Q(e, c) = E(O | E=e, C=c).  Targets of the same width are fitted as one
 stack of design matrices of shape (targets, n, basis width): least squares
 by a Householder QR of each augmented design, logistic models by IRLS with a
 per-target stopping rule.  A target's fit does not depend on which stack it
-is fitted in.  Estimator code depends only on the evaluable interface
-(`tau_at`, `pi_at`, `q_at`, `compose_tau_at`), so other learners can replace
-the polynomial fits without touching downstream code.
+is fitted in.
+
+Every estimator reads the nuisance models only at the dataset's own rows, so
+a fit is its values there: a NuisanceFit holds tau, pi, Q(0, c) and Q(1, c)
+at the n observations.  Any learner can supply them, from in-sample or
+cross-fitted predictions, without touching the estimator code.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .data import Dataset, ValidationError
 __all__ = [
     "BasisConfig",
     "NuisanceFit",
-    "SaturatedFit",
     "fit_nuisances",
     "fit_saturated",
 ]
@@ -40,12 +42,10 @@ QR_BLOCK_ROWS = 4096
 class BasisConfig:
     """Raw-power polynomial basis of the standardized covariate(s), with an intercept.
 
-    Groups use the union of per-member power bases (additive); setting
-    ``interactions`` adds pairwise products of the standardized members.
+    Groups use the union of per-member power bases (additive).
     """
 
     degree: int = 3
-    interactions: bool = False
 
     def __post_init__(self):
         if not (1 <= self.degree <= 12):
@@ -53,8 +53,7 @@ class BasisConfig:
 
     def width(self, members: int) -> int:
         """Number of basis columns for a target of ``members`` covariates."""
-        pairs = members * (members - 1) // 2 if self.interactions else 0
-        return 1 + members * self.degree + pairs
+        return 1 + members * self.degree
 
 
 def _design_matrix(z: np.ndarray, basis: BasisConfig) -> np.ndarray:
@@ -71,11 +70,6 @@ def _design_matrix(z: np.ndarray, basis: BasisConfig) -> np.ndarray:
             power = power * zj
             X[..., col + k] = power
         col += basis.degree
-    if basis.interactions:
-        for a in range(m):
-            for b in range(a + 1, m):
-                X[..., col] = z[..., a] * z[..., b]
-                col += 1
     return X
 
 
@@ -86,11 +80,7 @@ def _standardize(c: np.ndarray, centers: np.ndarray, scales: np.ndarray) -> np.n
 
 
 def _predict(X: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """X @ coeffs for designs (..., n, d) and coefficients (..., d).
-
-    A stack and a single design go through the same matmul call, so stored
-    fitted values equal values evaluated later, bit for bit.
-    """
+    """X @ coeffs for designs (..., n, d) and coefficients (..., d)."""
     return np.matmul(X, coeffs[..., None])[..., 0]
 
 
@@ -251,61 +241,21 @@ def _clip_prob(p: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(p, PROB_CLIP), 1.0 - PROB_CLIP)
 
 
-def _q_values(linear: np.ndarray, outcome_kind: str) -> np.ndarray:
-    """Exposure-response values from the linear predictor: logistic for a bounded outcome."""
-    if outcome_kind == "bounded":
-        return _clip_prob(expit(linear))
-    return linear
-
-
 @dataclass
 class NuisanceFit:
-    """Fitted polynomial nuisance models for one covariate or group.
+    """Nuisance values of one covariate or group at the dataset's rows.
 
-    ``*_fitted`` hold each fitted part's values at ``training_data``'s covariates.
+    ``tau``, ``pi``, ``q0`` and ``q1`` are (n,) arrays of the outcome
+    regression, the propensity and the per-arm exposure-response models at
+    each observation, or None for a part not fitted.
     """
 
     columns: tuple[int, ...]
-    basis: BasisConfig
-    centers: np.ndarray
-    scales: np.ndarray
-    outcome_kind: str = "continuous"
-    tau_coeffs: np.ndarray | None = None
-    pi_coeffs: np.ndarray | None = None
-    q0_coeffs: np.ndarray | None = None
-    q1_coeffs: np.ndarray | None = None
-    tau_fitted: np.ndarray | None = None
-    pi_fitted: np.ndarray | None = None
-    q0_fitted: np.ndarray | None = None
-    q1_fitted: np.ndarray | None = None
-    training_data: Dataset | None = field(default=None, repr=False, compare=False)
+    tau: np.ndarray | None = None
+    pi: np.ndarray | None = None
+    q0: np.ndarray | None = None
+    q1: np.ndarray | None = None
     warnings: list[str] = field(default_factory=list)
-
-    def design(self, c: np.ndarray) -> np.ndarray:
-        c = np.asarray(c, dtype=float)
-        if c.ndim == 1:
-            c = c[:, None]
-        return _design_matrix(_standardize(c, self.centers, self.scales), self.basis)
-
-    def tau_at(self, c: np.ndarray) -> np.ndarray:
-        if self.tau_coeffs is None:
-            return self.compose_tau_at(c)
-        return _predict(self.design(c), self.tau_coeffs)
-
-    def pi_at(self, c: np.ndarray) -> np.ndarray:
-        if self.pi_coeffs is None:
-            raise ValidationError("fit has no propensity part")
-        return _clip_prob(expit(_predict(self.design(c), self.pi_coeffs)))
-
-    def q_at(self, e: int, c: np.ndarray) -> np.ndarray:
-        coeffs = self.q1_coeffs if e == 1 else self.q0_coeffs
-        if coeffs is None:
-            raise ValidationError("fit has no exposure-response part")
-        return _q_values(_predict(self.design(c), coeffs), self.outcome_kind)
-
-    def compose_tau_at(self, c: np.ndarray) -> np.ndarray:
-        pi = self.pi_at(c)
-        return pi * self.q_at(1, c) + (1.0 - pi) * self.q_at(0, c)
 
 
 def _constant_columns(c: np.ndarray) -> np.ndarray:
@@ -324,13 +274,21 @@ def _target_columns(target) -> tuple[int, ...]:
     return tuple(int(j) for j in target)
 
 
-def _store(fits: list[NuisanceFit], part: str, coeffs, fitted, ridged, warning: str) -> None:
-    """Give each fit its row of ``coeffs`` and ``fitted`` for ``part``, and ``warning`` where ridged."""
-    for fit, beta, values, flag in zip(fits, coeffs, fitted, ridged):
-        setattr(fit, f"{part}_coeffs", beta)
-        setattr(fit, f"{part}_fitted", values)
+def _store(fits: list[NuisanceFit], part: str, values, ridged, warning: str) -> None:
+    """Give each fit its row of ``values`` for ``part``, and ``warning`` where ridged."""
+    for fit, row, flag in zip(fits, values, ridged):
+        setattr(fit, part, row)
         if flag:
             fit.warnings.append(warning)
+
+
+def _designs(dataset: Dataset, columns: list[tuple[int, ...]], basis: BasisConfig) -> np.ndarray:
+    """Design stack (targets, n, basis width) of the standardized columns of each target."""
+    c = dataset.covariates.T[np.array(columns)]  # (targets, members, n)
+    centers = c.mean(axis=-1)
+    scales = np.where(_constant_columns(np.moveaxis(c, -1, 0)), 0.0, c.std(axis=-1, ddof=1))
+    z = _standardize(c, centers[..., None], scales[..., None])
+    return _design_matrix(np.swapaxes(z, -1, -2), basis)
 
 
 def fit_nuisances(
@@ -340,39 +298,25 @@ def fit_nuisances(
 
     ``targets`` lists column indices or column tuples, all with the same
     number of columns.  Returns one NuisanceFit per target, in order, with its
-    coefficients and in-sample fitted values (rows of the stack's arrays).
-    q holds the per-arm outcome regressions (logistic for a bounded outcome).
+    in-sample fitted values (rows of the stack's arrays).  q holds the per-arm
+    outcome regressions (logistic for a bounded outcome).
     """
     columns = [_target_columns(t) for t in targets]
     if len({len(cols) for cols in columns}) != 1:
         raise ValidationError("the targets of one stack must have the same number of columns")
-    c = dataset.covariates.T[np.array(columns)]  # (targets, members, n)
-    centers = c.mean(axis=-1)
-    scales = np.where(_constant_columns(np.moveaxis(c, -1, 0)), 0.0, c.std(axis=-1, ddof=1))
-    z = _standardize(c, centers[..., None], scales[..., None])
-    X = _design_matrix(np.swapaxes(z, -1, -2), basis)
-    fits = [
-        NuisanceFit(
-            columns=cols,
-            basis=basis,
-            centers=centers[i],
-            scales=scales[i],
-            outcome_kind=dataset.outcome_kind,
-            training_data=dataset,
-        )
-        for i, cols in enumerate(columns)
-    ]
+    X = _designs(dataset, columns, basis)
+    fits = [NuisanceFit(columns=cols) for cols in columns]
     if "tau" in parts:
         coeffs, ridged = _solve_lstsq(X, dataset.outcome)
-        fitted = _predict(X, coeffs)
-        _store(fits, "tau", coeffs, fitted, ridged, "tau: rank-deficient design, ridge fallback used")
+        _store(fits, "tau", _predict(X, coeffs), ridged, "tau: rank-deficient design, ridge fallback used")
     if "pi" in parts:
         coeffs, ridged = _fit_logistic(X, dataset.exposure_float)
         fitted = _clip_prob(expit(_predict(X, coeffs)))
-        _store(fits, "pi", coeffs, fitted, ridged, "pi: separation detected, ridge fallback used")
+        _store(fits, "pi", fitted, ridged, "pi: separation detected, ridge fallback used")
     if "q" in parts:
         n_basis = X.shape[-1]
-        solver = _fit_logistic if dataset.outcome_kind == "bounded" else _solve_lstsq
+        bounded = dataset.outcome_kind == "bounded"
+        solver = _fit_logistic if bounded else _solve_lstsq
         for arm, mask in enumerate(dataset.arm_masks):
             count = int(mask.sum())
             if count < n_basis + 1:
@@ -381,56 +325,22 @@ def fit_nuisances(
                     f"need at least {n_basis + 1} for the requested basis"
                 )
             coeffs, ridged = solver(X[:, mask], dataset.outcome[mask])
-            fitted = _q_values(_predict(X, coeffs), dataset.outcome_kind)
-            _store(fits, f"q{arm}", coeffs, fitted, ridged, f"q{arm}: degenerate fit, ridge fallback used")
+            fitted = _predict(X, coeffs)
+            if bounded:
+                fitted = _clip_prob(expit(fitted))
+            _store(fits, f"q{arm}", fitted, ridged, f"q{arm}: degenerate fit, ridge fallback used")
     return fits
 
 
-@dataclass
-class SaturatedFit:
-    """Per-level empirical conditional means for a discrete covariate.
+def fit_saturated(dataset: Dataset, j: int) -> NuisanceFit:
+    """Exact empirical fit for a covariate with at most 64 distinct values: per-level means.
 
     Serves as an exact nonparametric oracle: tau, pi, and Q are plain
     within-level averages, and the composition identity holds exactly.
     An arm with no observations at some level falls back to that level's
     arm-free mean.
     """
-
-    columns: tuple[int, ...]
-    levels: np.ndarray
-    tau_levels: np.ndarray
-    pi_levels: np.ndarray
-    q0_levels: np.ndarray
-    q1_levels: np.ndarray
-    warnings: list[str] = field(default_factory=list)
-
-    def _level_index(self, c: np.ndarray) -> np.ndarray:
-        c = np.asarray(c, dtype=float).reshape(-1)
-        idx = np.searchsorted(self.levels, c)
-        idx = np.clip(idx, 0, len(self.levels) - 1)
-        if not np.allclose(self.levels[idx], c, rtol=0.0, atol=0.0):
-            raise ValidationError("saturated fit evaluated at an unseen level")
-        return idx
-
-    def tau_at(self, c):
-        return self.tau_levels[self._level_index(c)]
-
-    def pi_at(self, c):
-        return self.pi_levels[self._level_index(c)]
-
-    def q_at(self, e, c):
-        table = self.q1_levels if e == 1 else self.q0_levels
-        return table[self._level_index(c)]
-
-    def compose_tau_at(self, c):
-        pi = self.pi_at(c)
-        return pi * self.q_at(1, c) + (1.0 - pi) * self.q_at(0, c)
-
-
-def fit_saturated(dataset: Dataset, j: int) -> SaturatedFit:
-    """Exact empirical fit for a covariate with at most 64 distinct values."""
-    c = dataset.covariates[:, j]
-    levels = np.unique(c)
+    levels, index = np.unique(dataset.covariates[:, j], return_inverse=True)
     if levels.size > MAX_SATURATED_LEVELS:
         raise ValidationError(
             f"covariate has {levels.size} levels; saturated fit supports at most "
@@ -440,19 +350,12 @@ def fit_saturated(dataset: Dataset, j: int) -> SaturatedFit:
     pi = np.empty(levels.size)
     q0 = np.empty(levels.size)
     q1 = np.empty(levels.size)
-    for k, level in enumerate(levels):
-        mask = c == level
+    for k in range(levels.size):
+        mask = index == k
         o = dataset.outcome[mask]
         e = dataset.exposure[mask]
         tau[k] = o.mean()
         pi[k] = e.mean()
         q0[k] = o[e == 0].mean() if np.any(e == 0) else tau[k]
         q1[k] = o[e == 1].mean() if np.any(e == 1) else tau[k]
-    return SaturatedFit(
-        columns=(int(j),),
-        levels=levels,
-        tau_levels=tau,
-        pi_levels=pi,
-        q0_levels=q0,
-        q1_levels=q1,
-    )
+    return NuisanceFit(columns=(int(j),), tau=tau[index], pi=pi[index], q0=q0[index], q1=q1[index])

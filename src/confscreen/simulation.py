@@ -26,9 +26,6 @@ __all__ = [
     "OracleValue",
     "substream",
     "generate",
-    "gen_low_dim",
-    "gen_misspecified",
-    "gen_uniform",
     "uniform_closed_form_phi",
     "oracle_phi",
     "evaluate_selection",
@@ -151,7 +148,7 @@ def _make_dataset(y, e, c):
     return Dataset(outcome=y, exposure=e.astype(np.int64), covariates=c, column_names=names)
 
 
-def gen_low_dim(scenario: SimScenario, replicate: int = 0) -> SimulatedData:
+def _gen_low_dim(scenario: SimScenario, replicate: int = 0) -> SimulatedData:
     """Correlated-Gaussian design with linear outcome and logistic exposure.
 
     It is also the ``high_dim`` design, whose extra columns are spurious.
@@ -183,7 +180,7 @@ def _mis_g(j: int, c: np.ndarray) -> np.ndarray:
     return np.zeros_like(c)
 
 
-def gen_misspecified(scenario: SimScenario, replicate: int = 0) -> SimulatedData:
+def _gen_misspecified(scenario: SimScenario, replicate: int = 0) -> SimulatedData:
     """Nonlinear design: sinusoidal/cubic terms in both models, C ~ N(0, I)."""
     gen = substream(scenario.seed, replicate)
     n, p = scenario.n, scenario.p
@@ -198,7 +195,7 @@ def gen_misspecified(scenario: SimScenario, replicate: int = 0) -> SimulatedData
     return SimulatedData(dataset=_make_dataset(y, e, c), labels=_labels_gaussian(p))
 
 
-def gen_uniform(scenario: SimScenario, replicate: int = 0) -> SimulatedData:
+def _gen_uniform(scenario: SimScenario, replicate: int = 0) -> SimulatedData:
     """Uniform-covariate design with a linear-probability exposure model."""
     gen = substream(scenario.seed, replicate)
     n, p = scenario.n, scenario.p
@@ -221,10 +218,10 @@ def gen_uniform(scenario: SimScenario, replicate: int = 0) -> SimulatedData:
 
 
 _GENERATORS = {
-    "low_dim": gen_low_dim,
-    "high_dim": gen_low_dim,
-    "misspecified": gen_misspecified,
-    "uniform_closed_form": gen_uniform,
+    "low_dim": _gen_low_dim,
+    "high_dim": _gen_low_dim,
+    "misspecified": _gen_misspecified,
+    "uniform_closed_form": _gen_uniform,
 }
 
 

@@ -16,7 +16,7 @@ import pytest
 import confscreen as cs
 from confscreen.cli import main as cli_main
 from confscreen.estimators import theta_dr, tmle_theta
-from confscreen.nuisance import fit_nuisances
+from confscreen.nuisance import NuisanceFit, fit_nuisances
 
 
 def _report(capsys, num, desc, ok):
@@ -90,24 +90,6 @@ def low_dim_bank():
         ests = cs.score_all(sim.dataset, "tmle", cs.BasisConfig(degree=3))
         phis[r] = [est.phi_hat for est in ests]
     return scenario, phis, labels
-
-
-class _StubFit:
-    """Nuisance stand-in whose parts can be independently (mis)specified."""
-
-    def __init__(self, cols, tau_fn, pi_fn, q_fn):
-        self.columns = cols
-        self.warnings = ()
-        self._tau, self._pi, self._q = tau_fn, pi_fn, q_fn
-
-    def tau_at(self, c):
-        return self._tau(c)
-
-    def pi_at(self, c):
-        return self._pi(c)
-
-    def q_at(self, e, c):
-        return self._q(e, c)
 
 
 # ---------------------------------------------------------------------------
@@ -220,22 +202,24 @@ def test_criterion_04_double_robustness(capsys):
                 if config == "a":
                     # Intercept-only outcome side, correct-family propensity.
                     good = fit_nuisances(ds, [0], basis, parts=("pi",))[0]
-                    fit = _StubFit(
+                    fit = NuisanceFit(
                         (0,),
-                        lambda c, m=mu_o: np.full(len(c), m),
-                        good.pi_at,
-                        lambda e_, c, m1=m1, m0=m0: np.full(len(c), m1 if e_ == 1 else m0),
+                        tau=np.full(ds.n, mu_o),
+                        pi=good.pi,
+                        q0=np.full(ds.n, m0),
+                        q1=np.full(ds.n, m1),
                     )
                 else:
                     # Correct-family outcome regression, intercept-only propensity;
                     # both exposure arms share the fitted tau so the composed
                     # outcome regression stays consistent whatever pi does.
                     good = fit_nuisances(ds, [0], basis, parts=("tau",))[0]
-                    fit = _StubFit(
+                    fit = NuisanceFit(
                         (0,),
-                        good.tau_at,
-                        lambda c, m=mu_e: np.full(len(c), m),
-                        lambda e_, c, g=good: g.tau_at(c),
+                        tau=good.tau,
+                        pi=np.full(ds.n, mu_e),
+                        q0=good.tau,
+                        q1=good.tau,
                     )
                 drs.append(theta_dr(ds, fit).theta_hat)
                 tls.append(tmle_theta(ds, fit).theta_hat)

@@ -3,10 +3,15 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import confscreen
 from confscreen import SimScenario, generate, write_csv
 from confscreen.cli import CSV_COLUMNS, build_parser, main
 
@@ -66,6 +71,17 @@ def test_score_writes_manifest(six_csv, tmp_path):
     assert "wall_time_seconds" in manifest
     assert manifest["config"]["estimator"] == "tmle"
     assert "confscreen" in manifest["versions"]
+
+
+def test_score_runs_without_scipy(wide_csv, tmp_path):
+    # numpy is the only runtime dependency: scoring must not import scipy.
+    out = tmp_path / "out.json"
+    argv = ["score", "--data", wide_csv, "--outcome", "y", "--exposure", "treat", "--out", str(out)]
+    code = f"import sys; sys.modules['scipy'] = None; from confscreen.cli import main; sys.exit(main({argv!r}))"
+    env = {**os.environ, "PYTHONPATH": str(Path(confscreen.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert len(json.loads(out.read_text())["results"]) == 4
 
 
 def test_score_json_schema(six_csv, tmp_path):

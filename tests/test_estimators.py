@@ -6,6 +6,7 @@ import pytest
 from confscreen import (
     BasisConfig,
     Dataset,
+    NuisanceFit,
     TmleState,
     ValidationError,
     fit_nuisances,
@@ -103,8 +104,7 @@ def test_tmle_converges_at_zero_on_saturated():
 
 def test_fluctuate_pi_zero_score_leaves_state():
     fit = fit_saturated(SIX, 0)
-    c = SIX.covariates[:, (0,)]
-    state = TmleState(pi_values=fit.pi_at(c)[None], q0_values=fit.q_at(0, c)[None], q1_values=fit.q_at(1, c)[None])
+    state = TmleState(pi_values=fit.pi[None], q0_values=fit.q0[None], q1_values=fit.q1[None])
     before = state.pi_values.copy()
     eps1 = fluctuate_pi(state, SIX)
     assert eps1 == 0.0
@@ -166,10 +166,26 @@ def test_plugin_om_phi_is_within_arm_tau_difference():
     )
     ds_round = _dataset(ds.outcome, ds.exposure, np.round(ds.covariates[:, 0]))
     est = plugin_scores_om(ds_round, fit)
-    tau = fit.tau_at(ds_round.covariates[:, 0])
+    tau = fit.tau
     e = ds_round.exposure
     direct = tau[e == 1].mean() - tau[e == 0].mean()
     assert est.phi_hat == pytest.approx(direct, abs=1e-12)
+
+
+def test_fit_without_a_needed_part_raises():
+    ds = _random_continuous(27)
+    basis = BasisConfig(degree=2)
+    cases = (
+        (theta_dr, ("pi",)),
+        (plugin_scores_om, ("pi",)),
+        (plugin_scores_ps, ("tau",)),
+        (tmle_theta, ("pi",)),
+        (tmle_theta, ("q",)),
+    )
+    for estimator, parts in cases:
+        fit = fit_nuisances(ds, [0], basis, parts=parts)[0]
+        with pytest.raises(ValidationError, match=r"fit has no [\w-]+ part"):
+            estimator(ds, fit)
 
 
 def test_plugin_ps_uses_observed_outcome_mean():
@@ -233,7 +249,7 @@ def test_theta_naive_bounded_outcome_on_original_scale():
     ds = _dataset(y, e, x, outcome_kind="bounded", outcome_scale=10.0, outcome_offset=2.0)
     fit = fit_nuisances(ds, [0], BasisConfig(degree=2), parts=("tau", "pi"))[0]
     naive = theta_naive(ds, fit)
-    assert naive == float(np.mean(e * (10.0 * fit.tau_fitted + 2.0)))
+    assert naive == float(np.mean(e * (10.0 * fit.tau + 2.0)))
     assert naive == theta_dr(ds, fit).diagnostics["theta_naive"]
     assert naive == plugin_scores_om(ds, fit).theta_hat
 
@@ -460,3 +476,18 @@ def test_score_all_tmle_equals_score_covariate_with_trace(outcome_kind):
     basis = BasisConfig(degree=3)
     for j, est in enumerate(score_all(ds, "tmle", basis)):
         _assert_same_targeting(est, score_covariate(ds, j, "tmle", basis))
+
+
+@pytest.mark.parametrize("outcome_kind", ["continuous", "bounded"])
+def test_fit_built_from_values_scores_like_the_fitted_one(outcome_kind):
+    # Another learner plugs in through its values at the data's rows.
+    ds = _mixed_dataset(outcome_kind)
+    basis = BasisConfig(degree=3)
+    for j in range(ds.p):
+        fit = fit_nuisances(ds, [j], basis)[0]
+        values = {part: getattr(fit, part).copy() for part in ("tau", "pi", "q0", "q1")}
+        plugged = NuisanceFit((j,), **values, warnings=list(fit.warnings))
+        for kind in KINDS:
+            _assert_same_targeting(
+                score_covariate(ds, j, kind, basis, plugged), score_covariate(ds, j, kind, basis, fit)
+            )

@@ -8,7 +8,6 @@ from confscreen import (
     Dataset,
     ValidationError,
     eic_theta,
-    ic_mu,
     ic_phi,
     ic_psi,
     infer_scores,
@@ -42,11 +41,6 @@ def _numeric_gradient(fn, point, h=1e-6):
 def test_eic_theta_worked_point():
     val = eic_theta(np.array([1.0]), np.array([1]), np.array([0.5]), np.array([0.5]), 0.25)
     assert val[0] == pytest.approx(0.5, abs=1e-15)
-
-
-def test_ic_mu_centered():
-    vals = ic_mu(np.array([1.0, 3.0]), 2.0)
-    np.testing.assert_allclose(vals, [-1.0, 1.0])
 
 
 def test_ic_phi_worked_point_zero():

@@ -11,7 +11,7 @@ from confscreen import (
     fit_saturated,
 )
 from confscreen._stats import expit, logit
-from confscreen.nuisance import QR_BLOCK_ROWS, _design_matrix, _fit_logistic, _solve_lstsq
+from confscreen.nuisance import PROB_CLIP, QR_BLOCK_ROWS, _design_matrix, _designs, _fit_logistic, _solve_lstsq
 
 
 def _dataset(y, e, c, **kw):
@@ -50,19 +50,13 @@ def test_design_matrix_shape_and_powers():
     np.testing.assert_allclose(X[0], [1.0, 1.0, 1.0, 2.0, 4.0])
 
 
-def test_design_matrix_interactions():
-    z = np.array([[2.0, 3.0]])
-    X = _design_matrix(z, BasisConfig(degree=1, interactions=True))
-    np.testing.assert_allclose(X[0], [1.0, 2.0, 3.0, 6.0])
-
-
 def test_lstsq_exact_polynomial_recovery():
     rng = np.random.default_rng(1)
     x = rng.normal(size=200)
     y = 2.0 - x + 0.5 * x**3
     ds = _dataset(y, np.tile([0, 1], 100), x)
     fit = fit_nuisances(ds, [0], BasisConfig(degree=3), parts=("tau",))[0]
-    np.testing.assert_allclose(fit.tau_at(x[:, None]), y, atol=1e-8)
+    np.testing.assert_allclose(fit.tau, y, atol=1e-8)
 
 
 def test_lstsq_residual_orthogonality():
@@ -70,9 +64,9 @@ def test_lstsq_residual_orthogonality():
     x = rng.normal(size=500)
     y = np.sin(x) + rng.normal(size=500)
     ds = _dataset(y, np.tile([0, 1], 250), x)
-    fit = fit_nuisances(ds, [0], BasisConfig(degree=3), parts=("tau",))[0]
-    X = fit.design(x[:, None])
-    resid = y - fit.tau_at(x[:, None])
+    (X,) = _designs(ds, [(0,)], BasisConfig(degree=3))
+    (beta,), _ = _solve_lstsq(X[None], y)
+    resid = y - X @ beta
     assert np.max(np.abs(X.T @ resid)) < 1e-8 * len(y)
 
 
@@ -89,9 +83,9 @@ def test_logistic_null_model_limit():
     x = rng.normal(size=n)
     e = (rng.random(n) < 0.3).astype(int)
     ds = _dataset(rng.normal(size=n), e, x)
-    fit = fit_nuisances(ds, [0], BasisConfig(degree=1), parts=("pi",))[0]
-    assert abs(fit.pi_coeffs[1]) < 0.05
-    assert fit.pi_coeffs[0] == pytest.approx(logit(np.array([e.mean()]))[0], abs=0.05)
+    (beta,), _ = _fit_logistic(_designs(ds, [(0,)], BasisConfig(degree=1)), ds.exposure_float)
+    assert abs(beta[1]) < 0.05
+    assert beta[0] == pytest.approx(logit(np.array([e.mean()]))[0], abs=0.05)
 
 
 def test_logistic_slope_recovery():
@@ -100,9 +94,9 @@ def test_logistic_slope_recovery():
     x = rng.normal(size=n)
     e = (rng.random(n) < expit(x)).astype(int)
     ds = _dataset(rng.normal(size=n), e, x)
-    fit = fit_nuisances(ds, [0], BasisConfig(degree=1), parts=("pi",))[0]
+    (beta,), _ = _fit_logistic(_designs(ds, [(0,)], BasisConfig(degree=1)), ds.exposure_float)
     # Coefficient is on the standardized scale; map back through the sd.
-    slope = fit.pi_coeffs[1] / x.std(ddof=1)
+    slope = beta[1] / x.std(ddof=1)
     assert slope == pytest.approx(1.0, abs=0.1)
 
 
@@ -113,8 +107,8 @@ def test_logistic_score_equation():
     e = (rng.random(n) < expit(0.5 * x)).astype(int)
     ds = _dataset(rng.normal(size=n), e, x)
     fit = fit_nuisances(ds, [0], BasisConfig(degree=3), parts=("pi",))[0]
-    X = fit.design(x[:, None])
-    score = X.T @ (e - fit.pi_at(x[:, None]))
+    (X,) = _designs(ds, [(0,)], BasisConfig(degree=3))
+    score = X.T @ (e - fit.pi)
     assert np.max(np.abs(score)) < 1e-6 * n
 
 
@@ -124,7 +118,8 @@ def test_logistic_separation_ridge_fallback():
     ds = _dataset(np.zeros(40), e, x)
     fit = fit_nuisances(ds, [0], BasisConfig(degree=1), parts=("pi",))[0]
     assert any("ridge" in w for w in fit.warnings)
-    assert np.all(np.isfinite(fit.pi_coeffs))
+    (beta,), (ridged,) = _fit_logistic(_designs(ds, [(0,)], BasisConfig(degree=1)), ds.exposure_float)
+    assert ridged and np.all(np.isfinite(beta))
 
 
 def test_pi_values_clipped_open_interval():
@@ -132,8 +127,7 @@ def test_pi_values_clipped_open_interval():
     e = (x > 0).astype(int)
     ds = _dataset(np.zeros(40), e, x)
     fit = fit_nuisances(ds, [0], BasisConfig(degree=1), parts=("pi",))[0]
-    vals = fit.pi_at(np.array([[-50.0], [50.0]]))
-    assert np.all(vals > 0.0) and np.all(vals < 1.0)
+    assert np.all(fit.pi >= PROB_CLIP) and np.all(fit.pi <= 1.0 - PROB_CLIP)
 
 
 def test_q_exact_linear_truth():
@@ -145,24 +139,20 @@ def test_q_exact_linear_truth():
     y = theta * e + 1.5 * x
     ds = _dataset(y, e, x)
     fit = fit_nuisances(ds, [0], BasisConfig(degree=1), parts=("q",))[0]
-    grid = np.linspace(-3, 3, 50)[:, None]
-    np.testing.assert_allclose(fit.q_at(1, grid) - fit.q_at(0, grid), theta, atol=1e-10)
+    np.testing.assert_allclose(fit.q1 - fit.q0, theta, atol=1e-10)
 
 
 def test_q_bounded_constant():
     ds = _dataset([0.5] * 10, np.tile([0, 1], 5), np.arange(10.0), outcome_kind="bounded")
     fit = fit_nuisances(ds, [0], BasisConfig(degree=1), parts=("q",))[0]
-    grid = np.arange(10.0)[:, None]
-    np.testing.assert_allclose(fit.q_at(0, grid), 0.5, atol=1e-6)
-    np.testing.assert_allclose(fit.q_at(1, grid), 0.5, atol=1e-6)
+    np.testing.assert_allclose(fit.q0, 0.5, atol=1e-6)
+    np.testing.assert_allclose(fit.q1, 0.5, atol=1e-6)
 
 
 def test_fit_nuisances_standardization_moments():
     x = np.array([1.0, 2.0, 3.0, 4.0, 10.0])
     ds = _dataset([0.0, 1.0, 0.5, 2.0, 1.0], [1, 0, 1, 0, 1], x)
-    fit = fit_nuisances(ds, [0], BasisConfig(degree=1), parts=("tau",))[0]
-    assert fit.centers[0] == pytest.approx(4.0) and fit.scales[0] == pytest.approx(x.std(ddof=1))
-    z = fit.design(x)[:, 1]
+    z = _designs(ds, [(0,)], BasisConfig(degree=1))[0][:, 1]
     assert z.mean() == pytest.approx(0.0, abs=1e-12)
     assert z.std(ddof=1) == pytest.approx(1.0, abs=1e-12)
 
@@ -174,9 +164,8 @@ def test_fit_nuisances_constant_column_passthrough():
     for n, value in ((5, 7.0), (500, 1.1)):
         c = np.column_stack([rng.normal(size=n), np.full(n, value)])
         ds = _dataset(rng.normal(size=n), np.tile([0, 1], n)[:n], c)
-        fit = fit_nuisances(ds, [(0, 1)], BasisConfig(degree=1), parts=("tau",))[0]
-        assert fit.scales[1] == 0.0 and fit.centers[1] == pytest.approx(value)
-        np.testing.assert_array_equal(fit.design(c)[:, 2], np.full(n, value))
+        X = _designs(ds, [(0, 1)], BasisConfig(degree=1))[0]
+        np.testing.assert_array_equal(X[:, 2], np.full(n, value))
 
 
 def test_q_small_arm_error_names_arm_and_count():
@@ -187,12 +176,9 @@ def test_q_small_arm_error_names_arm_and_count():
 
 def test_saturated_six_rows():
     fit = fit_saturated(SIX, 0)
-    ones = np.array([1.0])
-    zeros = np.array([0.0])
-    assert fit.tau_at(ones)[0] == 0.5
-    assert fit.tau_at(zeros)[0] == 0.5
-    assert fit.pi_at(ones)[0] == 0.5
-    assert fit.pi_at(zeros)[0] == 0.5
+    # Both levels hold tau = pi = 0.5.
+    np.testing.assert_array_equal(fit.tau, np.full(6, 0.5))
+    np.testing.assert_array_equal(fit.pi, np.full(6, 0.5))
 
 
 def test_saturated_composition_identity():
@@ -203,21 +189,14 @@ def test_saturated_composition_identity():
     y = rng.normal(size=100)
     ds = _dataset(y, e, c)
     fit = fit_saturated(ds, 0)
-    levels = np.unique(c)
-    np.testing.assert_allclose(fit.compose_tau_at(levels), fit.tau_at(levels), atol=1e-12)
+    np.testing.assert_allclose(fit.pi * fit.q1 + (1.0 - fit.pi) * fit.q0, fit.tau, atol=1e-12)
 
 
 def test_saturated_single_level():
     ds = _dataset([1.0, 2.0, 3.0, 4.0], [0, 1, 0, 1], np.zeros(4))
     fit = fit_saturated(ds, 0)
-    assert fit.tau_at(np.zeros(1))[0] == 2.5
-    assert fit.pi_at(np.zeros(1))[0] == 0.5
-
-
-def test_saturated_unseen_level_raises():
-    fit = fit_saturated(SIX, 0)
-    with pytest.raises(ValidationError, match="unseen"):
-        fit.tau_at(np.array([2.0]))
+    np.testing.assert_array_equal(fit.tau, np.full(4, 2.5))
+    np.testing.assert_array_equal(fit.pi, np.full(4, 0.5))
 
 
 def test_saturated_too_many_levels():
@@ -237,9 +216,8 @@ def test_refit_order_invariance():
     ds_perm = _dataset(y[perm], e[perm], x[perm])
     f1 = fit_nuisances(ds, [0], BasisConfig(degree=3))[0]
     f2 = fit_nuisances(ds_perm, [0], BasisConfig(degree=3))[0]
-    np.testing.assert_allclose(f1.tau_coeffs, f2.tau_coeffs, atol=1e-10)
-    np.testing.assert_allclose(f1.pi_coeffs, f2.pi_coeffs, atol=1e-10)
-    np.testing.assert_allclose(f1.q0_coeffs, f2.q0_coeffs, atol=1e-10)
+    for part in ("tau", "pi", "q0", "q1"):
+        np.testing.assert_allclose(getattr(f1, part)[perm], getattr(f2, part), atol=1e-10)
 
 
 def test_group_basis_additive():
@@ -249,7 +227,7 @@ def test_group_basis_additive():
     y = c[:, 0] + 2.0 * c[:, 1] ** 2
     ds = _dataset(y, np.tile([0, 1], n // 2), c)
     fit = fit_nuisances(ds, [(0, 1)], BasisConfig(degree=2), parts=("tau",))[0]
-    np.testing.assert_allclose(fit.tau_at(c), y, atol=1e-8)
+    np.testing.assert_allclose(fit.tau, y, atol=1e-8)
 
 
 def _mixed_dataset(outcome_kind="continuous"):
@@ -270,8 +248,7 @@ def _mixed_dataset(outcome_kind="continuous"):
 def test_solvers_give_each_row_its_stack_of_one_result(degree):
     ds = _mixed_dataset()
     order = [0, 1, 2, 0, 2, 1]
-    designs = [fit_nuisances(ds, [j], BasisConfig(degree=degree), parts=())[0].design(ds.covariates[:, j])
-               for j in order]
+    designs = [_designs(ds, [(j,)], BasisConfig(degree=degree))[0] for j in order]
     # A zero column makes the design rank-deficient and its Hessian exactly singular.
     zero = designs[0].copy()
     zero[:, -1] = 0.0
@@ -299,8 +276,7 @@ def test_stacked_fits_equal_fits_of_one(outcome_kind):
     for fit in stacked:
         one = fit_nuisances(ds, [fit.columns], basis)[0]
         for part in ("tau", "pi", "q0", "q1"):
-            assert np.array_equal(getattr(fit, f"{part}_coeffs"), getattr(one, f"{part}_coeffs"))
-            assert np.array_equal(getattr(fit, f"{part}_fitted"), getattr(one, f"{part}_fitted"))
+            assert np.array_equal(getattr(fit, part), getattr(one, part))
         assert fit.warnings == one.warnings
     assert stacked[1].warnings == []
 

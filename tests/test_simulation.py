@@ -10,7 +10,6 @@ from confscreen import (
     SimScenario,
     ValidationError,
     evaluate_selection,
-    gen_misspecified,
     generate,
     infer_scores,
     oracle_phi,
@@ -87,7 +86,7 @@ def test_ar1_correlation():
 
 def test_misspecified_design_moments():
     sc = SimScenario(kind="misspecified", n=20000, p=15, theta=0.0, seed=4)
-    sim = gen_misspecified(sc, 0)
+    sim = generate(sc, 0)
     # Exposure-model intercept -15 is offset by the mean of the cubic terms.
     assert 0.3 < sim.dataset.exposure.mean() < 0.7
 
