@@ -160,6 +160,8 @@ class GroupSpec:
                 seen_cols.add(col)
 
     def member_indices(self, dataset: Dataset) -> list[tuple[str, tuple[int, ...]]]:
+        """(name, column indices) of each group, after ``validate``."""
+        self.validate(dataset)
         return [
             (name, tuple(dataset.column_index(c) for c in members))
             for name, members in self.groups

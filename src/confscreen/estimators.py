@@ -33,7 +33,6 @@ from .nuisance import (
 __all__ = [
     "ScoreEstimate",
     "TmleState",
-    "theta_naive",
     "plugin_scores_om",
     "plugin_scores_ps",
     "theta_dr",
@@ -46,7 +45,6 @@ __all__ = [
     "score_groups",
 ]
 
-PSI_DENOM_TOL = 1e-12
 # Nuisance parts each estimator fits.
 ESTIMATOR_PARTS = {"plugin_om": ("tau",), "plugin_ps": ("pi",), "dr": ("tau", "pi"), "tmle": ("pi", "q")}
 ESTIMATOR_KINDS = tuple(ESTIMATOR_PARTS)
@@ -67,10 +65,6 @@ class ScoreEstimate:
     psi_hat: float | None
     influence_values: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def psi_defined(self) -> bool:
-        return self.psi_hat is not None
 
 
 @dataclass
@@ -104,7 +98,7 @@ def scores_from_theta(theta: float, mu_o: float, mu_e: float) -> tuple[float, fl
     exposed = theta / mu_e
     unexposed = (mu_o - theta) / (1.0 - mu_e)
     phi = exposed - unexposed
-    if abs(mu_o - theta) < PSI_DENOM_TOL:
+    if abs(mu_o - theta) < influence.PSI_DENOM_TOL:
         return phi, None
     return phi, exposed / unexposed
 
@@ -117,23 +111,21 @@ def _mean(x: np.ndarray):
     return np.add.reduce(x, axis=-1) / x.shape[-1]
 
 
-def _values(fit, part: str) -> np.ndarray:
+def _values(dataset: Dataset, fit, part: str) -> np.ndarray:
     """``fit``'s values of nuisance ``part`` ("tau", "pi", "q0" or "q1") at the dataset's rows."""
     values = getattr(fit, part)
     if values is None:
         raise ValidationError(f"fit has no {part} part")
+    shape = np.shape(values)
+    if shape != (dataset.n,):
+        raise ValidationError(f"fit's {part} values have shape {shape}; the dataset has n = {dataset.n} rows")
     return values
 
 
 def _naive(dataset: Dataset, fit) -> tuple[np.ndarray, float]:
     """tau_hat at the dataset's covariates and the naive plug-in theta, both on the original scale."""
-    tau = dataset.to_original_scale(_values(fit, "tau"))
+    tau = dataset.to_original_scale(_values(dataset, fit, "tau"))
     return tau, float(_mean(dataset.exposure_float * tau))
-
-
-def theta_naive(dataset: Dataset, fit) -> float:
-    """Naive plug-in: sample mean of I(E=1) tau_hat(C), on the original outcome scale."""
-    return _naive(dataset, fit)[1]
 
 
 def _target_id(columns: tuple[int, ...]):
@@ -169,7 +161,7 @@ def plugin_scores_om(dataset: Dataset, fit) -> ScoreEstimate:
 
 def plugin_scores_ps(dataset: Dataset, fit) -> ScoreEstimate:
     """Plug-in scores from the propensity route: E{O pi_hat(C)} / mean(E) etc."""
-    pi = _values(fit, "pi")
+    pi = _values(dataset, fit, "pi")
     theta = float(_mean(dataset.outcome_original() * pi))
     return _estimate(dataset, "plugin_ps", fit, theta, dataset.outcome_mean, {"warnings": list(fit.warnings)})
 
@@ -214,7 +206,7 @@ def _finalize_efficient(
 def theta_dr(dataset: Dataset, fit) -> ScoreEstimate:
     """One-step doubly robust correction of the naive plug-in."""
     tau, theta_n = _naive(dataset, fit)
-    pi = _values(fit, "pi")
+    pi = _values(dataset, fit, "pi")
     theta = theta_n + float(_mean(dataset.outcome_original() * pi - tau * pi))
     diagnostics = {"theta_naive": theta_n, "warnings": list(fit.warnings)}
     return _finalize_efficient(dataset, "dr", fit, theta, pi, tau, diagnostics)
@@ -359,23 +351,23 @@ TMLE_MAX_ITER = 100
 _STATE_VALUES = ("pi_values", "q0_values", "q1_values")
 
 
-def _target(dataset: Dataset, fits: list, tol: float = TMLE_TOL, max_iter: int = TMLE_MAX_ITER) -> TmleState:
+def _target(dataset: Dataset, fits: list) -> TmleState:
     """Run the TMLE fluctuation loop on the stack of ``fits``' in-sample values.
 
     Every row alternates the propensity and exposure-response fluctuations
-    until max(|eps1|, |eps2|) < ``tol`` or ``max_iter`` iterations; a row
+    until max(|eps1|, |eps2|) < TMLE_TOL or TMLE_MAX_ITER iterations; a row
     that stopped leaves the stack, so its targeted values, trace and
     convergence do not depend on the other rows.
     """
     state = TmleState(
-        *(np.stack([_values(fit, part) for fit in fits]) for part in ("pi", "q0", "q1")),
+        *(np.stack([_values(dataset, fit, part) for fit in fits]) for part in ("pi", "q0", "q1")),
         fits=list(fits),
         trace=[[] for _ in fits],
         converged=np.zeros(len(fits), dtype=bool),
     )
     live = TmleState(state.pi_values, state.q0_values, state.q1_values)
     rows = np.arange(len(fits))  # stack rows still iterating
-    for _ in range(max_iter):
+    for _ in range(TMLE_MAX_ITER):
         eps1 = fluctuate_pi(live, dataset)
         eps2 = fluctuate_q(live, dataset)
         for r, pair in zip(rows.tolist(), zip(eps1.tolist(), eps2.tolist())):
@@ -384,7 +376,7 @@ def _target(dataset: Dataset, fits: list, tol: float = TMLE_TOL, max_iter: int =
             getattr(state, attr)[rows] = getattr(live, attr)
         # max(|eps1|, |eps2|) as Python's max takes it: |eps1| unless |eps2| > |eps1|.
         a1, a2 = np.abs(eps1), np.abs(eps2)
-        stop = np.where(a2 > a1, a2, a1) < tol
+        stop = np.where(a2 > a1, a2, a1) < TMLE_TOL
         state.converged[rows[stop]] = True
         if stop.all():
             break
@@ -394,23 +386,18 @@ def _target(dataset: Dataset, fits: list, tol: float = TMLE_TOL, max_iter: int =
     return state
 
 
-def tmle_theta(
-    dataset: Dataset,
-    fit,
-    tol: float = TMLE_TOL,
-    max_iter: int = TMLE_MAX_ITER,
-) -> ScoreEstimate:
+def tmle_theta(dataset: Dataset, fit) -> ScoreEstimate:
     """Targeted maximum likelihood estimate of theta and the derived scores.
 
-    ``fit`` is the target's nuisance fit, targeted here as a stack of one
-    under ``tol`` and ``max_iter``, or its already targeted TmleState (a
-    ``TmleState.row`` of a targeted stack).  Targeting alternates the
-    propensity and exposure-response fluctuations until both coefficients
-    fall below ``tol``; theta is then the substitution estimator
-    mean(pi_hat * tau_hat) over the empirical covariate distribution, at
-    which the empirical mean of the efficient influence curve vanishes.
+    ``fit`` is the target's nuisance fit, targeted here as a stack of one,
+    or its already targeted TmleState (a ``TmleState.row`` of a targeted
+    stack).  Targeting alternates the propensity and exposure-response
+    fluctuations until both coefficients fall below TMLE_TOL; theta is then
+    the substitution estimator mean(pi_hat * tau_hat) over the empirical
+    covariate distribution, at which the empirical mean of the efficient
+    influence curve vanishes.
     """
-    state = fit if isinstance(fit, TmleState) else _target(dataset, [fit], tol, max_iter)
+    state = fit if isinstance(fit, TmleState) else _target(dataset, [fit])
     pi, q0, q1 = state.pi_values[0], state.q0_values[0], state.q1_values[0]
     trace = state.trace[0]
     eps1, eps2 = trace[-1] if trace else (0.0, 0.0)

@@ -22,10 +22,12 @@ __all__ = [
     "eic_theta",
     "ic_phi",
     "ic_psi",
-    "wald_inference",
     "infer_block",
     "infer_scores",
 ]
+
+# |mu_O - theta| below this is a vanishing ratio-score denominator: psi and its curve are undefined.
+PSI_DENOM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ def ic_psi(d_theta, d_mu_o, d_mu_e, theta, mu_o, mu_e):
     """
     _check_mu_e(mu_e)
     gap = mu_o - theta
-    if abs(gap) < 1e-12:
+    if abs(gap) < PSI_DENOM_TOL:
         raise ValidationError("ratio-score denominator vanishes")
     psi = (theta / mu_e) / (gap / (1.0 - mu_e))
     return (
@@ -79,34 +81,6 @@ def ic_psi(d_theta, d_mu_o, d_mu_e, theta, mu_o, mu_e):
         - (psi / gap) * np.asarray(d_mu_o, dtype=float)
         - (psi / (mu_e * (1.0 - mu_e))) * np.asarray(d_mu_e, dtype=float)
     )
-
-
-_WALD_Z: dict[float, float] = {}
-
-
-def _wald_z(alpha: float) -> float:
-    """Two-sided Wald quantile norm_ppf(1 - alpha/2), computed once per alpha."""
-    z = _WALD_Z.get(alpha)
-    if z is None:
-        z = _WALD_Z[alpha] = norm_ppf(1.0 - alpha / 2.0)
-    return z
-
-
-def wald_inference(
-    influence_values: np.ndarray,
-    estimate: float,
-    null_value: float,
-    alpha: float,
-) -> tuple[float, tuple[float, float], float]:
-    """Standard error, (1 - alpha) confidence interval, and two-sided p-value of one influence vector.
-
-    se = sd(influence values, divisor n-1) / sqrt(n), rescaled where their
-    sum of squares would overflow.  A zero-variance influence vector yields
-    a point interval and a 0/1 p-value by exact comparison with the null.
-    """
-    values = np.asarray(influence_values, dtype=float)[None]
-    se, lo, hi, p = (x.item() for x in _wald_rows(values, np.array([estimate], dtype=float), null_value, alpha))
-    return se, (lo, hi), p
 
 
 def _wald_rows(values: np.ndarray, estimates: np.ndarray, null_value: float, alpha: float):
@@ -136,7 +110,7 @@ def _wald_rows(values: np.ndarray, estimates: np.ndarray, null_value: float, alp
     if big.any():
         scale = np.abs(values[big]).max(axis=1)
         se[big] = scale * (sd(values[big] / scale[:, None]) / np.sqrt(n))
-    z = _wald_z(alpha)
+    z = norm_ppf(1.0 - alpha / 2.0)
     p = np.where(estimates == null_value, 1.0, 0.0)
     varies = se != 0.0
     p[varies] = 2.0 * norm_cdf(-np.abs(estimates[varies] - null_value) / se[varies])

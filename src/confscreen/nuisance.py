@@ -36,6 +36,9 @@ MAX_SATURATED_LEVELS = 64
 # Rows of one Householder QR: a taller design is first reduced block by block,
 # which keeps each LAPACK call's work copy of the matrix small.
 QR_BLOCK_ROWS = 4096
+# IRLS stops a row once its log-likelihood gains less than IRLS_TOL, or after IRLS_MAX_ITER steps.
+IRLS_TOL = 1e-10
+IRLS_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -134,29 +137,24 @@ def _r_factor(A: np.ndarray) -> np.ndarray:
     return np.linalg.qr(A, mode="r")
 
 
-def _fit_logistic(
-    X: np.ndarray,
-    y: np.ndarray,
-    max_iter: int = 50,
-    tol: float = 1e-10,
-) -> tuple[np.ndarray, np.ndarray]:
+def _fit_logistic(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Binomial (or quasi-binomial for fractional y) IRLS fit of each design of the stack ``X`` (b, n, d).
 
-    Convergence: log-likelihood improvement below ``tol``.  Rows whose
+    Convergence: log-likelihood improvement below IRLS_TOL.  Rows whose
     coefficients diverge (perfect or quasi-separation) or whose Hessian is
     singular are refitted with a ridge penalty; returns
     (coefficients (b, d), used_ridge (b,)).
     """
     X = np.ascontiguousarray(X)
     y = np.broadcast_to(y, X.shape[:-1])
-    beta, ok = _irls(X, y, 0.0, max_iter, tol)
+    beta, ok = _irls(X, y, 0.0)
     ridged = ~ok
     if ridged.any():
-        beta[ridged] = _irls(X[ridged], y[ridged], 1e-6 * X.shape[-2], max_iter, tol)[0]
+        beta[ridged] = _irls(X[ridged], y[ridged], 1e-6 * X.shape[-2])[0]
     return beta, ridged
 
 
-def _irls(X, y, ridge: float, max_iter: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _irls(X, y, ridge: float) -> tuple[np.ndarray, np.ndarray]:
     """Penalized IRLS on every row of the stack, each row under its own stopping rules.
 
     Returns (coefficients (b, d), ok (b,)); a row is not ok when its Hessian
@@ -171,7 +169,7 @@ def _irls(X, y, ridge: float, max_iter: int, tol: float) -> tuple[np.ndarray, np
     mu = expit(_predict(Xr, beta_r))
     ll = _penalized_loglik(yr, mu, beta_r, ridge)
     ridge_eye = ridge * np.eye(d)
-    for _ in range(max_iter):
+    for _ in range(IRLS_MAX_ITER):
         w = np.maximum(mu * (1.0 - mu), 1e-10)
         grad = _predict(np.swapaxes(Xr, -1, -2), yr - mu) - ridge * beta_r
         hess = np.swapaxes(Xr * w[..., None], -1, -2) @ Xr + ridge_eye
@@ -200,7 +198,7 @@ def _irls(X, y, ridge: float, max_iter: int, tol: float) -> tuple[np.ndarray, np
         ok[rows[diverged]] = False
         going = solved & ~diverged
         converged = np.zeros(rows.size, dtype=bool)
-        converged[going] = ll_c[going] - ll[going] < tol
+        converged[going] = ll_c[going] - ll[going] < IRLS_TOL
         stop = ~solved | diverged | converged
         beta_r, mu, ll = cand, mu_c, ll_c
         if stop.any():

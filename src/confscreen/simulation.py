@@ -83,9 +83,6 @@ class SimulatedData:
     dataset: Dataset
     labels: tuple[str, ...]
 
-    def confounders(self) -> np.ndarray:
-        return np.array([lab == LABEL_CONFOUNDER for lab in self.labels])
-
 
 @dataclass(frozen=True)
 class OracleValue:

@@ -191,6 +191,26 @@ def test_rank_alpha_test(wide_csv, tmp_path):
     assert rows[0]["name"] == "x0" and rows[0]["selected"] == "true"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--estimator", "dr", "--top-k", "0"], "error: top-K must lie in 1..4, got 0"),
+        (["--estimator", "dr", "--top-k", "5"], "error: top-K must lie in 1..4, got 5"),
+        (
+            ["--estimator", "plugin-om"],
+            "error: alpha-test selection needs influence-based inference (dr or tmle estimates)",
+        ),
+        (["--estimator", "dr", "--alpha", "1.5"], "error: alpha must lie in (0, 1)"),
+    ],
+)
+def test_rank_selection_errors_exit_2(argv, message, wide_csv, tmp_path, capsys):
+    out = tmp_path / "rank.json"
+    code = main(["rank", "--data", wide_csv, "--outcome", "y", "--exposure", "treat", *argv, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
 def test_rank_group_singleton_matches_score(wide_csv, tmp_path):
     groups = tmp_path / "groups.json"
     groups.write_text('{"solo": ["x0"]}')

@@ -347,6 +347,13 @@ def test_groups_duplicate_membership():
         spec.validate(ds)
 
 
+def test_member_indices_rejects_overlapping_groups():
+    ds = _dataset_pq(2)
+    spec = GroupSpec(groups=(("a", ("c0", "c1")), ("b", ("c1",))))
+    with pytest.raises(ValidationError, match="more than one group"):
+        spec.member_indices(ds)
+
+
 def test_groups_empty_group():
     ds = _dataset_pq(2)
     spec = GroupSpec(groups=(("a", ()),))

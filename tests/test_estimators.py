@@ -20,7 +20,6 @@ from confscreen import (
     score_groups,
     scores_from_theta,
     theta_dr,
-    theta_naive,
     tmle_theta,
 )
 from confscreen import estimators
@@ -77,7 +76,7 @@ def test_scores_from_theta_mu_e_domain():
 
 def test_theta_naive_six_rows():
     fit = fit_saturated(SIX, 0)
-    assert theta_naive(SIX, fit) == pytest.approx(0.25, abs=1e-15)
+    assert theta_dr(SIX, fit).diagnostics["theta_naive"] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_all_estimators_on_worked_example():
@@ -188,6 +187,29 @@ def test_fit_without_a_needed_part_raises():
             estimator(ds, fit)
 
 
+@pytest.mark.parametrize("shape", ["1", "n-1", "n,1"])
+def test_fit_values_of_another_shape_raise(shape):
+    ds = _random_continuous(28, n=50)
+    fit = fit_nuisances(ds, [0], BasisConfig(degree=2), parts=("tau", "pi", "q"))[0]
+    values = {part: getattr(fit, part) for part in ("tau", "pi", "q0", "q1")}
+    cases = (
+        (plugin_scores_om, "tau"),
+        (plugin_scores_ps, "pi"),
+        (theta_dr, "tau"),
+        (theta_dr, "pi"),
+        (tmle_theta, "pi"),
+        (tmle_theta, "q0"),
+        (tmle_theta, "q1"),
+    )
+    for estimator, part in cases:
+        wrong = {"1": values[part][:1], "n-1": values[part][:-1], "n,1": values[part][:, None]}[shape]
+        broken = NuisanceFit((0,), **{**values, part: wrong}, warnings=[])
+        message = f"fit's {part} values have shape {wrong.shape}; the dataset has n = 50 rows"
+        with pytest.raises(ValidationError) as info:
+            estimator(ds, broken)
+        assert str(info.value) == message
+
+
 def test_plugin_ps_uses_observed_outcome_mean():
     ds = _random_continuous(14)
     fit = fit_nuisances(ds, [0], BasisConfig(degree=2), parts=("pi",))[0]
@@ -248,9 +270,8 @@ def test_theta_naive_bounded_outcome_on_original_scale():
     y = np.clip(expit(x) + 0.1 * rng.normal(size=n), 0.0, 1.0)
     ds = _dataset(y, e, x, outcome_kind="bounded", outcome_scale=10.0, outcome_offset=2.0)
     fit = fit_nuisances(ds, [0], BasisConfig(degree=2), parts=("tau", "pi"))[0]
-    naive = theta_naive(ds, fit)
+    naive = theta_dr(ds, fit).diagnostics["theta_naive"]
     assert naive == float(np.mean(e * (10.0 * fit.tau + 2.0)))
-    assert naive == theta_dr(ds, fit).diagnostics["theta_naive"]
     assert naive == plugin_scores_om(ds, fit).theta_hat
 
 
@@ -444,6 +465,7 @@ def _assert_same_targeting(a, b):
 @pytest.mark.parametrize("outcome_kind", ["continuous", "bounded"])
 @pytest.mark.parametrize("max_iter, newton_steps", [(100, estimators.NEWTON_MAX_STEPS), (2, estimators.NEWTON_MAX_STEPS), (100, 1)])
 def test_targeted_stack_rows_equal_targets_alone(monkeypatch, outcome_kind, max_iter, newton_steps):
+    monkeypatch.setattr(estimators, "TMLE_MAX_ITER", max_iter)
     monkeypatch.setattr(estimators, "NEWTON_MAX_STEPS", newton_steps)
     bisect = estimators._bisect_eps
     bisected = []
@@ -456,10 +478,10 @@ def test_targeted_stack_rows_equal_targets_alone(monkeypatch, outcome_kind, max_
     ds = _mixed_dataset(outcome_kind)
     fits = fit_nuisances(ds, list(range(ds.p)), BasisConfig(degree=3), parts=("pi", "q"))
     fits[2] = fit_saturated(ds, 2)
-    state = estimators._target(ds, fits, max_iter=max_iter)
+    state = estimators._target(ds, fits)
     iterations = [len(trace) for trace in state.trace]
     for i, fit in enumerate(fits):
-        _assert_same_targeting(tmle_theta(ds, state.row(i)), tmle_theta(ds, fit, max_iter=max_iter))
+        _assert_same_targeting(tmle_theta(ds, state.row(i)), tmle_theta(ds, fit))
     # The saturated row already solves both score equations.
     assert iterations[2] == 1 and max(map(abs, state.trace[2][0])) < 1e-12
     if max_iter == 2:

@@ -12,7 +12,6 @@ from confscreen import (
     ic_psi,
     infer_scores,
     score_covariate,
-    wald_inference,
 )
 from confscreen import influence
 from confscreen._stats import norm_ppf
@@ -105,20 +104,19 @@ def test_wald_inference_formulas():
     rng = np.random.default_rng(102)
     values = rng.normal(size=500)
     estimate = 0.3
-    se, ci, p = wald_inference(values, estimate, 0.0, 0.10)
+    (se,), (lo,), (hi,), (p,) = influence._wald_rows(values[None], np.array([estimate]), 0.0, 0.10)
     expected_se = values.std(ddof=1) / np.sqrt(500)
     assert se == pytest.approx(expected_se, abs=1e-14)
     z = norm_ppf(0.95)
-    assert ci[0] == pytest.approx(estimate - z * se, abs=1e-12)
-    assert ci[1] == pytest.approx(estimate + z * se, abs=1e-12)
+    assert lo == pytest.approx(estimate - z * se, abs=1e-12)
+    assert hi == pytest.approx(estimate + z * se, abs=1e-12)
     assert 0.0 < p < 1.0
 
 
 def test_wald_zero_variance():
-    se, ci, p = wald_inference(np.zeros(10), 0.5, 0.0, 0.05)
-    assert se == 0.0 and ci == (0.5, 0.5) and p == 0.0
-    _, _, p_null = wald_inference(np.zeros(10), 0.0, 0.0, 0.05)
-    assert p_null == 1.0
+    se, lo, hi, p = influence._wald_rows(np.zeros((2, 10)), np.array([0.5, 0.0]), 0.0, 0.05)
+    assert se.tolist() == [0.0, 0.0] and lo.tolist() == hi.tolist() == [0.5, 0.0]
+    assert p.tolist() == [0.0, 1.0]
 
 
 @pytest.mark.filterwarnings("error")
@@ -131,14 +129,15 @@ def test_wald_rows_rescale_only_overflowing_rows():
     assert np.isfinite(se).all() and np.isfinite(lo).all() and np.isfinite(hi).all()
     assert se[1] == pytest.approx(1e300 * (values[1] / 1e300).std(ddof=1) / np.sqrt(6), rel=1e-14)
     for i in (0, 2):
-        assert (se[i], (lo[i], hi[i]), p[i]) == wald_inference(values[i], estimates[i], 0.0, 0.10)
+        alone = influence._wald_rows(values[i : i + 1], estimates[i : i + 1], 0.0, 0.10)
+        assert (se[i], lo[i], hi[i], p[i]) == tuple(x[0] for x in alone)
 
 
 def test_wald_validation():
     with pytest.raises(ValidationError):
-        wald_inference(np.zeros(1), 0.0, 0.0, 0.1)
+        influence._wald_rows(np.zeros((1, 1)), np.zeros(1), 0.0, 0.1)
     with pytest.raises(ValidationError):
-        wald_inference(np.zeros(10), 0.0, 0.0, 1.5)
+        influence._wald_rows(np.zeros((1, 10)), np.zeros(1), 0.0, 1.5)
 
 
 def _tmle_estimate(seed=30):

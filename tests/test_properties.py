@@ -172,7 +172,7 @@ def test_exposure_relabelling_flips_scores(kind, screen):
         # d phi / d theta = 1/mu_E + 1/(1 - mu_E).
         dphi = 1.0 / b.mu_e_hat + 1.0 / (1.0 - b.mu_e_hat)
         assert f.phi_hat == pytest.approx(-b.phi_hat, abs=tol * dphi)
-        if b.psi_defined and f.psi_defined:
+        if b.psi_hat is not None and f.psi_hat is not None:
             # d log psi / d theta = 1/theta + 1/(mu_O - theta).
             dlog = 1.0 / abs(b.theta_hat) + 1.0 / abs(b.mu_o_hat - b.theta_hat)
             assert f.psi_hat * b.psi_hat == pytest.approx(1.0, abs=tol * dlog)

@@ -1,4 +1,4 @@
-"""Ranking, top-K selection, alpha-test selection, and the group pipeline."""
+"""Ranking, top-K selection, alpha-test selection, and the group screen."""
 
 from dataclasses import replace
 
@@ -13,13 +13,11 @@ from confscreen import (
     ScoreEstimate,
     ValidationError,
     rank,
-    rank_groups,
     infer_scores,
     score_all,
     score_covariate,
+    score_groups,
     screen,
-    select_by_test,
-    select_top_k,
 )
 from confscreen import ranking
 from confscreen._stats import expit
@@ -92,7 +90,7 @@ def test_constant_flag_propagates():
 
 def test_select_top_k():
     ests = [_estimate(j, phi) for j, phi in enumerate([0.1, 0.9, 0.5])]
-    report = select_top_k(rank(ests, "difference"), 2)
+    report = rank(ests, "difference", rule=("top_k", 2))
     selected = {row.id for row in report.rows if row.selected}
     assert selected == {1, 2}
     assert report.selection_rule == ("top_k", 2)
@@ -100,24 +98,23 @@ def test_select_top_k():
 
 def test_select_top_k_all():
     ests = [_estimate(j, 0.1 * j) for j in range(4)]
-    report = select_top_k(rank(ests, "difference"), 4)
+    report = rank(ests, "difference", rule=("top_k", 4))
     assert all(row.selected for row in report.rows)
 
 
 def test_select_top_k_bounds():
-    report = rank([_estimate(0, 0.1)], "difference")
+    ests = [_estimate(0, 0.1)]
     with pytest.raises(ValidationError):
-        select_top_k(report, 0)
+        rank(ests, "difference", rule=("top_k", 0))
     with pytest.raises(ValidationError):
-        select_top_k(report, 2)
+        rank(ests, "difference", rule=("top_k", 2))
 
 
 def test_top_k_monotone_in_k():
     ests = [_estimate(j, phi) for j, phi in enumerate([0.3, 0.1, 0.7, 0.2, 0.9])]
-    base = rank(ests, "difference")
     prev: set = set()
     for k in range(1, 6):
-        cur = {row.id for row in select_top_k(base, k).rows if row.selected}
+        cur = {row.id for row in rank(ests, "difference", rule=("top_k", k)).rows if row.selected}
         assert prev <= cur and len(cur) == k
         prev = cur
 
@@ -125,22 +122,20 @@ def test_top_k_monotone_in_k():
 def test_select_by_test():
     ests = [_estimate(0, 0.5), _estimate(1, 0.1)]
     infs = [_inference(0.01), _inference(0.5)]
-    report = select_by_test(rank(ests, "difference", inferences=infs), 0.10)
+    report = rank(ests, "difference", inferences=infs, rule=("alpha_test", 0.10))
     rows = {row.id: row.selected for row in report.rows}
     assert rows == {0: True, 1: False}
 
 
 def test_select_by_test_needs_inference():
-    report = rank([_estimate(0, 0.5)], "difference")
     with pytest.raises(ValidationError, match="inference"):
-        select_by_test(report, 0.10)
+        rank([_estimate(0, 0.5)], "difference", rule=("alpha_test", 0.10))
 
 
 def test_select_by_test_alpha_bounds():
     infs = [_inference(0.01)]
-    report = rank([_estimate(0, 0.5)], "difference", inferences=infs)
     with pytest.raises(ValidationError):
-        select_by_test(report, 0.0)
+        rank([_estimate(0, 0.5)], "difference", inferences=infs, rule=("alpha_test", 0.0))
 
 
 def _sim_dataset(seed=40, n=300, p=3):
@@ -153,10 +148,17 @@ def _sim_dataset(seed=40, n=300, p=3):
     )
 
 
+def _screen_groups(ds, spec, rule=None):
+    """The group screen: member columns, group scores, then ``screen``."""
+    members = spec.member_indices(ds)
+    estimates = score_groups(ds, members, "tmle", BasisConfig(degree=2))
+    return screen(estimates, "difference", rule, names=[name for name, _ in members])[0]
+
+
 def test_rank_groups_singleton_matches_single_covariate():
     ds = _sim_dataset()
     spec = GroupSpec(groups=(("only_c0", ("c0",)),))
-    report = rank_groups(ds, spec, "tmle", BasisConfig(degree=2), "difference")
+    report = _screen_groups(ds, spec)
     single = score_covariate(ds, 0, "tmle", BasisConfig(degree=2))
     assert report.rows[0].name == "only_c0"
     assert report.rows[0].score == pytest.approx(single.phi_hat, abs=1e-12)
@@ -165,9 +167,7 @@ def test_rank_groups_singleton_matches_single_covariate():
 def test_rank_groups_with_rule():
     ds = _sim_dataset()
     spec = GroupSpec(groups=(("g1", ("c0", "c1")), ("g2", ("c2",))))
-    report = rank_groups(
-        ds, spec, "tmle", BasisConfig(degree=2), "difference", rule=("top_k", 1)
-    )
+    report = _screen_groups(ds, spec, rule=("top_k", 1))
     assert sum(row.selected for row in report.rows) == 1
     assert report.rows[0].name == "g1"
 
@@ -190,7 +190,7 @@ def test_rank_groups_unknown_rule():
     ds = _sim_dataset()
     spec = GroupSpec(groups=(("g1", ("c0",)),))
     with pytest.raises(ValidationError, match="rule"):
-        rank_groups(ds, spec, "tmle", BasisConfig(degree=2), "difference", rule=("zap", 1))
+        _screen_groups(ds, spec, rule=("zap", 1))
 
 
 @pytest.mark.parametrize("kind", ["dr", "tmle"])
