@@ -35,8 +35,8 @@ for j, name in enumerate(data.column_names):
         psi = "undef" if est.psi_hat is None else f"{est.psi_hat:9.4f}"
         print(f"{name:<12} {estimator:<10} {est.theta_hat:9.4f} {est.phi_hat:9.4f} {psi:>9}")
 
-# The efficient estimators also carry influence values, so we can attach
-# standard errors, confidence intervals, and a test of "no confounding".
+# The efficient estimators also carry influence-curve standard errors, so we
+# can attach confidence intervals and a test of "no confounding".
 print("\n90% confidence intervals for the difference-scale score (TMLE):")
 for j, name in enumerate(data.column_names):
     est = score_covariate(data, j, "tmle", basis)

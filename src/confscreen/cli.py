@@ -189,7 +189,7 @@ def _screen_inputs(args, score_kind: str, rule):
     basis = BasisConfig(degree=args.degree)
     estimator_kind = _ESTIMATOR_FLAG[args.estimator]
     if args.groups:
-        members = load_groups(args.groups, dataset).member_indices(dataset)
+        members = load_groups(args.groups).member_indices(dataset)
         estimates = score_groups(dataset, members, estimator_kind, basis)
         names = [name for name, _ in members]
     else:
@@ -338,6 +338,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.alpha is not None and not (0.0 < args.alpha < 1.0):
+            raise DataError("alpha must lie in (0, 1)")
         return _COMMANDS[args.subcommand](args)
     except (DataError, OSError) as exc:
         msg = str(exc).replace("\n", " ")

@@ -295,8 +295,8 @@ def write_csv(dataset: Dataset, path, outcome_col: str = "outcome", exposure_col
             fh.write(f"{fmt(y)},{e},{','.join(map(fmt, row))}\r\n")
 
 
-def load_groups(path, dataset: Dataset) -> GroupSpec:
-    """Load a JSON object mapping group names to column-name lists."""
+def load_groups(path) -> GroupSpec:
+    """Load a JSON object mapping group names to column-name lists (``member_indices`` checks them)."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -311,6 +311,4 @@ def load_groups(path, dataset: Dataset) -> GroupSpec:
         if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
             raise ParseError(f"{path}: group {name!r} must map to a list of column names")
         groups.append((str(name), tuple(members)))
-    spec = GroupSpec(groups=tuple(groups))
-    spec.validate(dataset)
-    return spec
+    return GroupSpec(groups=tuple(groups))

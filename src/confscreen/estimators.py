@@ -15,6 +15,8 @@ affine transform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .nuisance import (
 
 __all__ = [
     "ScoreEstimate",
+    "ThetaStack",
     "TmleState",
     "plugin_scores_om",
     "plugin_scores_ps",
@@ -48,59 +51,86 @@ __all__ = [
 # Nuisance parts each estimator fits.
 ESTIMATOR_PARTS = {"plugin_om": ("tau",), "plugin_ps": ("pi",), "dr": ("tau", "pi"), "tmle": ("pi", "q")}
 ESTIMATOR_KINDS = tuple(ESTIMATOR_PARTS)
-# Estimators whose estimates carry influence values, hence SEs, CIs and p-values.
+# Estimators whose estimates carry influence-curve SEs, hence CIs and p-values.
 INFERENCE_KINDS = ("dr", "tmle")
 
 
 @dataclass
 class ScoreEstimate:
-    """Point estimates and per-observation influence values for one target."""
+    """Point estimates of one target's scores and, for dr and tmle, their standard errors.
+
+    ``se_phi`` and ``se_psi`` are influence-curve SEs, None for the plug-ins;
+    ``psi_hat`` and ``se_psi`` are None where the ratio score's denominator
+    vanishes.  ``infer_scores`` adds the Wald CIs and p-values.
+    """
 
     covariate_id: object
     estimator_kind: str
     theta_hat: float
-    mu_o_hat: float
-    mu_e_hat: float
     phi_hat: float
     psi_hat: float | None
-    influence_values: dict = field(default_factory=dict)
+    se_phi: float | None = None
+    se_psi: float | None = None
     diagnostics: dict = field(default_factory=dict)
+
+
+class ScoredRow(NamedTuple):
+    """One target's row of a scored stack: the ScoreEstimate fields after its id and kind."""
+
+    theta_hat: float
+    phi_hat: float
+    psi_hat: float | None
+    se_phi: float | None
+    se_psi: float | None
+    diagnostics: dict
+
+
+class ThetaStack(NamedTuple):
+    """An estimator's estimates for a stack of b targets.
+
+    ``theta`` (b,) and ``mu_o`` ((b,), or one value for every row) are on
+    the original outcome scale.  ``pi`` and ``tau`` (b, n) are the final
+    propensity and outcome-regression values, which dr and tmle give for
+    their influence curves; ``diagnostics`` holds one dict per target.
+    """
+
+    theta: np.ndarray
+    mu_o: np.ndarray | float
+    diagnostics: list
+    pi: np.ndarray | None = None
+    tau: np.ndarray | None = None
 
 
 @dataclass
 class TmleState:
     """Iteration state of the TMLE fluctuation loop for a stack of targets.
 
-    Row i of the (b, n) fitted values belongs to ``fits[i]``; ``trace[i]``
-    lists that row's (eps1, eps2) per iteration and ``converged[i]`` says
-    whether its loop stopped under the tolerance.
+    ``trace[i]`` lists row i's (eps1, eps2) per iteration and
+    ``converged[i]`` says whether its loop stopped under the tolerance.
     """
 
     pi_values: np.ndarray
     q0_values: np.ndarray
     q1_values: np.ndarray
-    fits: list = field(default_factory=list)
     trace: list = field(default_factory=list)
     converged: np.ndarray | None = None
 
-    def row(self, i: int) -> TmleState:
-        """Target i's state as a stack of one, on views of this stack's rows."""
-        r = slice(i, i + 1)
-        return TmleState(
-            self.pi_values[r], self.q0_values[r], self.q1_values[r], self.fits[r], self.trace[r], self.converged[r]
-        )
 
+def scores_from_theta(theta, mu_o, mu_e: float):
+    """Map (theta, mu_O, mu_E) to (phi, psi), elementwise over arrays of theta and mu_O.
 
-def scores_from_theta(theta: float, mu_o: float, mu_e: float) -> tuple[float, float | None]:
-    """Map (theta, mu_O, mu_E) to (phi, psi); psi is None when its denominator vanishes."""
+    phi and psi are arrays (0-d for scalar inputs); psi is NaN where its
+    denominator mu_O - theta vanishes.
+    """
     if not (0.0 < mu_e < 1.0):
         raise ValidationError("mu_E must lie strictly inside (0, 1)")
-    exposed = theta / mu_e
-    unexposed = (mu_o - theta) / (1.0 - mu_e)
-    phi = exposed - unexposed
-    if abs(mu_o - theta) < influence.PSI_DENOM_TOL:
-        return phi, None
-    return phi, exposed / unexposed
+    # As in Python float arithmetic, overflow gives inf silently; an undefined psi is NaN.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gap = mu_o - theta
+        exposed = theta / mu_e
+        unexposed = gap / (1.0 - mu_e)
+        psi = np.where(np.abs(gap) < influence.PSI_DENOM_TOL, np.nan, np.divide(exposed, unexposed))
+        return exposed - unexposed, psi
 
 
 def _mean(x: np.ndarray):
@@ -111,21 +141,28 @@ def _mean(x: np.ndarray):
     return np.add.reduce(x, axis=-1) / x.shape[-1]
 
 
-def _values(dataset: Dataset, fit, part: str) -> np.ndarray:
-    """``fit``'s values of nuisance ``part`` ("tau", "pi", "q0" or "q1") at the dataset's rows."""
-    values = getattr(fit, part)
-    if values is None:
-        raise ValidationError(f"fit has no {part} part")
-    shape = np.shape(values)
-    if shape != (dataset.n,):
-        raise ValidationError(f"fit's {part} values have shape {shape}; the dataset has n = {dataset.n} rows")
-    return values
+def _values(dataset: Dataset, fits: list, part: str) -> np.ndarray:
+    """The (b, n) stack of the ``fits``' values of nuisance ``part`` ("tau", "pi", "q0" or "q1")."""
+    rows = [getattr(fit, part) for fit in fits]
+    for values in rows:
+        if values is None:
+            raise ValidationError(f"fit has no {part} part")
+        if np.shape(values) != (dataset.n,):
+            raise ValidationError(
+                f"fit's {part} values have shape {np.shape(values)}; the dataset has n = {dataset.n} rows"
+            )
+    return np.stack(rows)
 
 
-def _naive(dataset: Dataset, fit) -> tuple[np.ndarray, float]:
-    """tau_hat at the dataset's covariates and the naive plug-in theta, both on the original scale."""
-    tau = dataset.to_original_scale(_values(dataset, fit, "tau"))
-    return tau, float(_mean(dataset.exposure_float * tau))
+def _warnings(fits: list) -> list[dict]:
+    """Each fit's diagnostics before estimation: a copy of its warnings."""
+    return [{"warnings": list(fit.warnings)} for fit in fits]
+
+
+def _naive(dataset: Dataset, fits: list) -> tuple[np.ndarray, np.ndarray]:
+    """tau_hat (b, n) at the dataset's covariates and the naive plug-in theta (b,), on the original scale."""
+    tau = dataset.to_original_scale(_values(dataset, fits, "tau"))
+    return tau, _mean(dataset.exposure_float * tau)
 
 
 def _target_id(columns: tuple[int, ...]):
@@ -133,83 +170,28 @@ def _target_id(columns: tuple[int, ...]):
     return columns[0] if len(columns) == 1 else columns
 
 
-def _estimate(dataset: Dataset, kind: str, fit, theta: float, mu_o: float, diagnostics: dict) -> ScoreEstimate:
-    """Scores of ``fit``'s target from theta and mu_O, without influence values."""
-    mu_e = dataset.exposure_mean
-    phi, psi = scores_from_theta(theta, mu_o, mu_e)
-    return ScoreEstimate(
-        covariate_id=_target_id(fit.columns),
-        estimator_kind=kind,
-        theta_hat=theta,
-        mu_o_hat=mu_o,
-        mu_e_hat=mu_e,
-        phi_hat=phi,
-        psi_hat=psi,
-        diagnostics=diagnostics,
-    )
-
-
-def plugin_scores_om(dataset: Dataset, fit) -> ScoreEstimate:
-    """Plug-in scores from the outcome-regression route (arm means of tau_hat)."""
-    tau, theta = _naive(dataset, fit)
+def plugin_scores_om(dataset: Dataset, fits: list) -> ThetaStack:
+    """Plug-in theta of each fit from the outcome-regression route (arm means of tau_hat)."""
+    tau, theta = _naive(dataset, fits)
     # Under the outcome-model plug-in measure, mu_O is the mean of tau over
     # the empirical covariate distribution; this keeps phi identical to the
     # within-arm mean difference.
-    mu_o = float(_mean(tau))
-    return _estimate(dataset, "plugin_om", fit, theta, mu_o, {"warnings": list(fit.warnings)})
+    return ThetaStack(theta, _mean(tau), _warnings(fits))
 
 
-def plugin_scores_ps(dataset: Dataset, fit) -> ScoreEstimate:
-    """Plug-in scores from the propensity route: E{O pi_hat(C)} / mean(E) etc."""
-    pi = _values(dataset, fit, "pi")
-    theta = float(_mean(dataset.outcome_original() * pi))
-    return _estimate(dataset, "plugin_ps", fit, theta, dataset.outcome_mean, {"warnings": list(fit.warnings)})
+def plugin_scores_ps(dataset: Dataset, fits: list) -> ThetaStack:
+    """Plug-in theta of each fit from the propensity route: E{O pi_hat(C)}; mu_O is mean(O)."""
+    theta = _mean(dataset.outcome_original() * _values(dataset, fits, "pi"))
+    return ThetaStack(theta, dataset.outcome_mean, _warnings(fits))
 
 
-def _finalize_efficient(
-    dataset: Dataset,
-    kind: str,
-    fit,
-    theta: float,
-    pi: np.ndarray,
-    tau: np.ndarray,
-    diagnostics: dict,
-) -> ScoreEstimate:
-    """Assemble scores plus influence values from final fitted values.
-
-    ``tau`` and ``theta`` are expected on the original outcome scale.
-    """
-    mu_o = dataset.outcome_mean
-    mu_e = dataset.exposure_mean
-    est = _estimate(dataset, kind, fit, theta, mu_o, diagnostics)
-    d_theta = influence.eic_theta(dataset.outcome_original(), dataset.exposure_float, pi, tau, theta)
-    # The influence curves of the plain means mu_O and mu_E are the centered
-    # values, shared by every target of the dataset.
-    d_mu_o = dataset.outcome_centered
-    d_mu_e = dataset.exposure_centered
-    d_phi = influence.ic_phi(d_theta, d_mu_o, d_mu_e, theta, mu_o, mu_e)
-    est.influence_values = {
-        "d_theta": d_theta,
-        "d_mu_o": d_mu_o,
-        "d_mu_e": d_mu_e,
-        "d_phi": d_phi,
-    }
-    if est.psi_hat is not None:
-        est.influence_values["d_psi"] = influence.ic_psi(d_theta, d_mu_o, d_mu_e, theta, mu_o, mu_e)
-    else:
-        diagnostics.setdefault("warnings", []).append(
-            "ratio-score influence curve undefined (vanishing denominator)"
-        )
-    return est
-
-
-def theta_dr(dataset: Dataset, fit) -> ScoreEstimate:
-    """One-step doubly robust correction of the naive plug-in."""
-    tau, theta_n = _naive(dataset, fit)
-    pi = _values(dataset, fit, "pi")
-    theta = theta_n + float(_mean(dataset.outcome_original() * pi - tau * pi))
-    diagnostics = {"theta_naive": theta_n, "warnings": list(fit.warnings)}
-    return _finalize_efficient(dataset, "dr", fit, theta, pi, tau, diagnostics)
+def theta_dr(dataset: Dataset, fits: list) -> ThetaStack:
+    """One-step doubly robust correction of each fit's naive plug-in."""
+    tau, theta_n = _naive(dataset, fits)
+    pi = _values(dataset, fits, "pi")
+    theta = theta_n + _mean(dataset.outcome_original() * pi - tau * pi)
+    diagnostics = [{"theta_naive": t, **d} for t, d in zip(theta_n.tolist(), _warnings(fits))]
+    return ThetaStack(theta, dataset.outcome_mean, diagnostics, pi, tau)
 
 
 NEWTON_TOL = 1e-10
@@ -360,8 +342,7 @@ def _target(dataset: Dataset, fits: list) -> TmleState:
     convergence do not depend on the other rows.
     """
     state = TmleState(
-        *(np.stack([_values(dataset, fit, part) for fit in fits]) for part in ("pi", "q0", "q1")),
-        fits=list(fits),
+        *(_values(dataset, fits, part) for part in ("pi", "q0", "q1")),
         trace=[[] for _ in fits],
         converged=np.zeros(len(fits), dtype=bool),
     )
@@ -386,59 +367,68 @@ def _target(dataset: Dataset, fits: list) -> TmleState:
     return state
 
 
-def tmle_theta(dataset: Dataset, fit) -> ScoreEstimate:
-    """Targeted maximum likelihood estimate of theta and the derived scores.
+def tmle_theta(dataset: Dataset, fits: list) -> ThetaStack:
+    """Targeted maximum likelihood estimate of theta for each fit, targeted as one stack.
 
-    ``fit`` is the target's nuisance fit, targeted here as a stack of one,
-    or its already targeted TmleState (a ``TmleState.row`` of a targeted
-    stack).  Targeting alternates the propensity and exposure-response
-    fluctuations until both coefficients fall below TMLE_TOL; theta is then
-    the substitution estimator mean(pi_hat * tau_hat) over the empirical
+    Targeting alternates the propensity and exposure-response fluctuations
+    until both coefficients fall below TMLE_TOL; theta is then the
+    substitution estimator mean(pi_hat * tau_hat) over the empirical
     covariate distribution, at which the empirical mean of the efficient
     influence curve vanishes.
     """
-    state = fit if isinstance(fit, TmleState) else _target(dataset, [fit])
-    pi, q0, q1 = state.pi_values[0], state.q0_values[0], state.q1_values[0]
-    trace = state.trace[0]
-    eps1, eps2 = trace[-1] if trace else (0.0, 0.0)
-    tau = dataset.to_original_scale(pi * q1 + (1.0 - pi) * q0)
+    state = _target(dataset, fits)
+    pi = state.pi_values
+    tau = dataset.to_original_scale(pi * state.q1_values + (1.0 - pi) * state.q0_values)
     # Substitution estimator over the empirical covariate distribution: the
     # fitted exposure law is pi_hat, so E_fit{I(E=1) tau(C)} = mean(pi * tau).
     # This is the form that zeroes the empirical influence-curve equation.
-    theta = float(_mean(pi * tau))
-    diagnostics = {
-        "iterations": len(trace),
-        "final_eps1": abs(eps1),
-        "final_eps2": abs(eps2),
-        "trace": list(trace),
-        "warnings": list(state.fits[0].warnings),
-    }
-    if not state.converged[0]:
-        diagnostics["warnings"].append(
-            f"tmle did not converge in {len(trace)} iterations "
-            f"(|eps1|={abs(eps1):.3e}, |eps2|={abs(eps2):.3e})"
+    theta = _mean(pi * tau)
+    diagnostics = []
+    for fit, trace, converged in zip(fits, state.trace, state.converged.tolist()):
+        eps1, eps2 = trace[-1] if trace else (0.0, 0.0)
+        warnings = list(fit.warnings)
+        if not converged:
+            warnings.append(
+                f"tmle did not converge in {len(trace)} iterations "
+                f"(|eps1|={abs(eps1):.3e}, |eps2|={abs(eps2):.3e})"
+            )
+        diagnostics.append(
+            dict(iterations=len(trace), final_eps1=abs(eps1), final_eps2=abs(eps2), trace=trace, warnings=warnings)
         )
-    return _finalize_efficient(dataset, "tmle", state.fits[0], theta, pi, tau, diagnostics)
+    return ThetaStack(theta, dataset.outcome_mean, diagnostics, pi, tau)
 
 
-def _constant_estimate(dataset: Dataset, cov_id, kind: str) -> ScoreEstimate:
-    """Degenerate estimate for a constant covariate: phi = 0, psi = 1."""
-    mu_o = dataset.outcome_mean
+def _score_stack(dataset: Dataset, estimator_kind: str, fits: list) -> list[ScoredRow]:
+    """Score a stack of nuisance fits: the estimator's theta, then every row's scores and SEs at once."""
+    estimator = {"plugin_om": plugin_scores_om, "plugin_ps": plugin_scores_ps, "dr": theta_dr, "tmle": tmle_theta}
+    out = estimator[estimator_kind](dataset, fits)
     mu_e = dataset.exposure_mean
-    est = ScoreEstimate(
-        covariate_id=cov_id,
-        estimator_kind=kind,
-        theta_hat=mu_o * mu_e,
-        mu_o_hat=mu_o,
-        mu_e_hat=mu_e,
-        phi_hat=0.0,
-        psi_hat=1.0,
-        diagnostics={"constant": True, "warnings": ["constant covariate: scores fixed at null"]},
-    )
-    if kind in INFERENCE_KINDS:
-        names = ("d_theta", "d_mu_o", "d_mu_e", "d_phi", "d_psi")
-        est.influence_values = dict.fromkeys(names, np.zeros(dataset.n))
-    return est
+    phi, psi = scores_from_theta(out.theta, out.mu_o, mu_e)
+    # psi is undefined where its denominator vanishes; a NaN theta gives a NaN psi, not an undefined one.
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in scores_from_theta
+        defined = (~(np.abs(out.mu_o - out.theta) < influence.PSI_DENOM_TOL)).tolist()
+    se_phi = se_psi = [None] * len(defined)
+    if out.pi is not None:
+        theta = out.theta[:, None]
+        d_theta = influence.eic_theta(dataset.outcome_original(), dataset.exposure_float, out.pi, out.tau, theta)
+        # The influence curves of the plain means mu_O and mu_E are the centered
+        # values, shared by every target of the dataset.
+        d_means = (dataset.outcome_centered, dataset.exposure_centered)
+        se_phi = influence.standard_errors(influence.ic_phi(d_theta, *d_means, theta, out.mu_o, mu_e)).tolist()
+        d_psi = influence.ic_psi(d_theta[defined], *d_means, theta[defined], out.mu_o, mu_e)
+        se_rows = iter(influence.standard_errors(d_psi).tolist())
+        se_psi = [next(se_rows) if ok else None for ok in defined]
+        for diagnostics in compress(out.diagnostics, [not ok for ok in defined]):
+            diagnostics["warnings"].append("ratio-score influence curve undefined (vanishing denominator)")
+    psi = [value if ok else None for value, ok in zip(psi.tolist(), defined)]
+    return [ScoredRow(*row) for row in zip(out.theta.tolist(), phi.tolist(), psi, se_phi, se_psi, out.diagnostics)]
+
+
+def _constant_row(dataset: Dataset, estimator_kind: str) -> ScoredRow:
+    """Row of a constant covariate: the null scores phi = 0 and psi = 1 and, for dr/tmle, SEs of 0."""
+    se = 0.0 if estimator_kind in INFERENCE_KINDS else None
+    diagnostics = {"constant": True, "warnings": ["constant covariate: scores fixed at null"]}
+    return ScoredRow(dataset.outcome_mean * dataset.exposure_mean, 0.0, 1.0, se, se, diagnostics)
 
 
 def score_covariate(
@@ -448,28 +438,26 @@ def score_covariate(
     basis: BasisConfig,
     fit=None,
 ) -> ScoreEstimate:
-    """Estimate the confounding scores of one covariate or covariate group.
+    """Estimate the confounding scores of one covariate or covariate group, with SEs for dr and tmle.
 
-    ``fit`` holds the target's nuisance values at the dataset's rows (a
-    NuisanceFit from fit_nuisances, fit_saturated or any other learner) or,
-    for tmle, its targeted TmleState; without one, the target's polynomial
-    parts are fitted here as a stack of one.
+    ``fit`` is the target's row of a scored stack (a ScoredRow, which is
+    only turned into the estimate), or its nuisance values at the dataset's
+    rows (a NuisanceFit from fit_nuisances, fit_saturated or any other
+    learner), scored here as a stack of one; without one, the target's
+    polynomial parts are fitted here.  A constant target gets the null
+    scores whatever its fit.
     """
     if estimator_kind not in ESTIMATOR_KINDS:
         raise ValidationError(f"unknown estimator kind {estimator_kind!r}")
     cols = _target_columns(columns)
-    if _constant_columns(dataset.covariates[:, cols]).all():
-        return _constant_estimate(dataset, _target_id(cols), estimator_kind)
-    if fit is None:
-        fit = fit_nuisances(dataset, [cols], basis, parts=ESTIMATOR_PARTS[estimator_kind])[0]
-
-    if estimator_kind == "plugin_om":
-        return plugin_scores_om(dataset, fit)
-    if estimator_kind == "plugin_ps":
-        return plugin_scores_ps(dataset, fit)
-    if estimator_kind == "dr":
-        return theta_dr(dataset, fit)
-    return tmle_theta(dataset, fit)
+    if not isinstance(fit, ScoredRow):
+        if _constant_columns(dataset.covariates[:, cols]).all():
+            fit = _constant_row(dataset, estimator_kind)
+        else:
+            if fit is None:
+                fit = fit_nuisances(dataset, [cols], basis, parts=ESTIMATOR_PARTS[estimator_kind])[0]
+            fit = _score_stack(dataset, estimator_kind, [fit])[0]
+    return ScoreEstimate(_target_id(cols), estimator_kind, *fit)
 
 
 # Largest design stack fitted at once, in doubles (targets x n x basis width).
@@ -479,12 +467,12 @@ STACK_DOUBLES = 2**16
 def _score_targets(
     dataset: Dataset, targets: list[tuple[int, ...]], estimator_kind: str, basis: BasisConfig
 ) -> list[ScoreEstimate]:
-    """Score ``targets`` in order, fitting each run of consecutive same-width targets in stacks.
+    """Score ``targets`` in order, fitting and scoring each run of consecutive same-width targets in stacks.
 
     A stack holds at most STACK_DOUBLES doubles of design and at least one
-    target; for tmle its fits are then targeted as one stack.  The stack is
-    dropped once its targets are scored.  Constant targets are scored
-    without a fit.
+    target, and is dropped once its targets are scored; each target's row
+    of it goes to ``score_covariate``.  Constant targets are scored without
+    a fit.
     """
     if estimator_kind not in ESTIMATOR_KINDS:
         raise ValidationError(f"unknown estimator kind {estimator_kind!r}")
@@ -495,11 +483,8 @@ def _score_targets(
     def flush():
         if stack:
             fits = fit_nuisances(dataset, stack, basis, parts=ESTIMATOR_PARTS[estimator_kind])
-            if estimator_kind == "tmle":
-                targeted = _target(dataset, fits)
-                fits = [targeted.row(i) for i in range(len(fits))]
-            for cols, fit in zip(stack, fits):
-                estimates.append(score_covariate(dataset, cols, estimator_kind, basis, fit))
+            for cols, row in zip(stack, _score_stack(dataset, estimator_kind, fits)):
+                estimates.append(score_covariate(dataset, cols, estimator_kind, basis, row))
             stack.clear()
 
     for cols in targets:

@@ -6,6 +6,9 @@ the delta method applied to their representations in terms of
 -theta/mu_E^2 - (mu_O - theta)/(1 - mu_E)^2 for the difference score and
 -psi/(mu_E (1 - mu_E)) for the ratio; both are validated against central
 finite differences in the test suite.
+
+The curves broadcast: with theta (and mu_O) a (b, 1) column and (b, n)
+fitted values, they are the (b, n) curves of b targets at once.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ __all__ = [
     "eic_theta",
     "ic_phi",
     "ic_psi",
-    "infer_block",
     "infer_scores",
+    "standard_errors",
 ]
 
 # |mu_O - theta| below this is a vanishing ratio-score denominator: psi and its curve are undefined.
@@ -57,11 +60,13 @@ def _check_mu_e(mu_e: float) -> None:
 def ic_phi(d_theta, d_mu_o, d_mu_e, theta, mu_o, mu_e):
     """Delta-method influence curve of the difference score."""
     _check_mu_e(mu_e)
+    # A target's coefficients overflow to inf silently, as Python floats do.
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_mu_e = theta / mu_e**2 + (mu_o - theta) / (1.0 - mu_e) ** 2
     return (
         np.asarray(d_theta, dtype=float) / (mu_e * (1.0 - mu_e))
         - np.asarray(d_mu_o, dtype=float) / (1.0 - mu_e)
-        - np.asarray(d_mu_e, dtype=float)
-        * (theta / mu_e**2 + (mu_o - theta) / (1.0 - mu_e) ** 2)
+        - np.asarray(d_mu_e, dtype=float) * c_mu_e
     )
 
 
@@ -73,30 +78,29 @@ def ic_psi(d_theta, d_mu_o, d_mu_e, theta, mu_o, mu_e):
     """
     _check_mu_e(mu_e)
     gap = mu_o - theta
-    if abs(gap) < PSI_DENOM_TOL:
+    if np.any(np.abs(gap) < PSI_DENOM_TOL):
         raise ValidationError("ratio-score denominator vanishes")
-    psi = (theta / mu_e) / (gap / (1.0 - mu_e))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in ic_phi
+        psi = (theta / mu_e) / (gap / (1.0 - mu_e))
+        c_theta = (1.0 - mu_e) * mu_o / (mu_e * gap * gap)
+        c_mu_o, c_mu_e = psi / gap, psi / (mu_e * (1.0 - mu_e))
     return (
-        ((1.0 - mu_e) * mu_o / (mu_e * gap * gap)) * np.asarray(d_theta, dtype=float)
-        - (psi / gap) * np.asarray(d_mu_o, dtype=float)
-        - (psi / (mu_e * (1.0 - mu_e))) * np.asarray(d_mu_e, dtype=float)
+        c_theta * np.asarray(d_theta, dtype=float)
+        - c_mu_o * np.asarray(d_mu_o, dtype=float)
+        - c_mu_e * np.asarray(d_mu_e, dtype=float)
     )
 
 
-def _wald_rows(values: np.ndarray, estimates: np.ndarray, null_value: float, alpha: float):
-    """Wald inference of each row of the influence values ``values`` (b, n) for ``estimates`` (b,).
+def standard_errors(values: np.ndarray) -> np.ndarray:
+    """Influence-curve standard error of each row of the influence values ``values`` (b, n).
 
-    Returns (se, ci_lo, ci_hi, p), each (b,).  se = sd(row, divisor n-1) /
-    sqrt(n); a row of finite values whose sum of squares overflows is
-    recomputed from the row scaled by its largest |value|.  A zero-variance
-    row yields a point interval and a 0/1 p-value by exact comparison with
-    the null.  Every row's result equals the result of that row alone.
+    se = sd(row, divisor n-1) / sqrt(n); a row of finite values whose sum of
+    squares overflows is recomputed from the row scaled by its largest
+    |value|.  Every row's SE equals the SE of that row alone.
     """
     n = values.shape[1]
     if n < 2:
         raise ValidationError("need at least 2 observations for Wald inference")
-    if not (0.0 < alpha < 1.0):
-        raise ValidationError("alpha must lie in (0, 1)")
 
     def sd(v):
         # v.std(axis=1, ddof=1) without its wrapper: the same sums, the same result.
@@ -110,38 +114,47 @@ def _wald_rows(values: np.ndarray, estimates: np.ndarray, null_value: float, alp
     if big.any():
         scale = np.abs(values[big]).max(axis=1)
         se[big] = scale * (sd(values[big] / scale[:, None]) / np.sqrt(n))
+    return se
+
+
+def _wald_rows(estimates: np.ndarray, se: np.ndarray, null_value: float, alpha: float):
+    """Wald interval bounds and p-value of each (estimate, SE) pair; returns (ci_lo, ci_hi, p), each (b,).
+
+    A zero SE yields a point interval and a 0/1 p-value by exact comparison
+    with the null.
+    """
+    if not (0.0 < alpha < 1.0):
+        raise ValidationError("alpha must lie in (0, 1)")
     z = norm_ppf(1.0 - alpha / 2.0)
     p = np.where(estimates == null_value, 1.0, 0.0)
     varies = se != 0.0
     p[varies] = 2.0 * norm_cdf(-np.abs(estimates[varies] - null_value) / se[varies])
-    return se, estimates - z * se, estimates + z * se, p
+    return estimates - z * se, estimates + z * se, p
 
 
-def infer_block(estimates: list, alpha: float) -> list[InferenceResult]:
-    """Wald inference for each dr/tmle ScoreEstimate of a block, from its stacked influence values.
-
-    The block's d_phi (and d_psi) values are copied into one (block, n)
-    array each, so callers bound the block size.  An estimate's result
-    equals its result alone (``infer_scores``).
-    """
+def _infer_rows(estimates: list, alpha: float) -> list[InferenceResult]:
+    """Wald inference of dr/tmle ScoreEstimates from their scores and SEs, one step per score for all rows."""
     for est in estimates:
-        if "d_phi" not in est.influence_values:
-            raise ValidationError(f"estimator kind {est.estimator_kind!r} carries no influence values")
+        if est.se_phi is None:
+            raise ValidationError(f"estimator kind {est.estimator_kind!r} carries no standard errors")
 
-    def rows(ests, key, score, null):
-        values = np.stack([est.influence_values[key] for est in ests])
-        wald = _wald_rows(values, np.array([getattr(est, score) for est in ests]), null, alpha)
-        return [(se, (lo, hi), p) for se, lo, hi, p in zip(*(x.tolist() for x in wald))]
+    def wald(ests, score, se, null):
+        scores, ses = (np.array([getattr(est, name) for est in ests]) for name in (score, se))
+        lo, hi, p = _wald_rows(scores, ses, null, alpha)
+        return zip(zip(lo.tolist(), hi.tolist()), p.tolist())
 
-    phi = rows(estimates, "d_phi", "phi_hat", 0.0)
-    with_psi = [i for i, est in enumerate(estimates) if est.psi_hat is not None and "d_psi" in est.influence_values]
-    psi = dict(zip(with_psi, rows([estimates[i] for i in with_psi], "d_psi", "psi_hat", 1.0))) if with_psi else {}
+    phi = wald(estimates, "phi_hat", "se_phi", 0.0)
+    psi = wald([est for est in estimates if est.se_psi is not None], "psi_hat", "se_psi", 1.0)
     return [
-        InferenceResult(*phi[i], alpha, *psi.get(i, (None, None, None)))
-        for i in range(len(estimates))
+        InferenceResult(est.se_phi, *next(phi), alpha, *(() if est.se_psi is None else (est.se_psi, *next(psi))))
+        for est in estimates
     ]
 
 
 def infer_scores(estimate, alpha: float) -> InferenceResult:
-    """Wald inference for one dr/tmle ScoreEstimate from its influence values (a block of one)."""
-    return infer_block([estimate], alpha)[0]
+    """Wald confidence intervals at level 1 - alpha and p-values of one dr/tmle ScoreEstimate.
+
+    The SEs come with the estimate; this is the Wald step that ``screen``
+    takes for all rows at once, for one row.
+    """
+    return _infer_rows([estimate], alpha)[0]

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .data import ValidationError
-from .estimators import INFERENCE_KINDS, STACK_DOUBLES, ScoreEstimate
-from .influence import InferenceResult, infer_block
+from .estimators import INFERENCE_KINDS, ScoreEstimate
+from .influence import InferenceResult, _infer_rows
 
 __all__ = ["RankRow", "RankingReport", "rank", "screen"]
 
@@ -127,14 +127,11 @@ def screen(
     """Infer, rank and select: the screening path from estimates to a selected ranking.
 
     Estimates of an estimator in ``INFERENCE_KINDS`` get Wald inference at
-    level ``alpha``, in blocks of at most STACK_DOUBLES influence values;
+    level ``alpha`` from their scores and SEs, in one step for all rows;
     the inferences (None for plug-ins) are returned in input order next to
     the report.  ``rule`` is passed to ``rank``.
     """
     inferences = None
     if estimates and all(est.estimator_kind in INFERENCE_KINDS for est in estimates):
-        block = max(1, STACK_DOUBLES // (len(estimates[0].influence_values.get("d_phi", ())) or 1))
-        inferences = [
-            inf for i in range(0, len(estimates), block) for inf in infer_block(estimates[i : i + block], alpha)
-        ]
+        inferences = _infer_rows(estimates, alpha)
     return rank(estimates, score_kind, names=names, inferences=inferences, rule=rule), inferences

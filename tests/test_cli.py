@@ -201,6 +201,8 @@ def test_rank_alpha_test(wide_csv, tmp_path):
             "error: alpha-test selection needs influence-based inference (dr or tmle estimates)",
         ),
         (["--estimator", "dr", "--alpha", "1.5"], "error: alpha must lie in (0, 1)"),
+        (["--estimator", "plugin-om", "--top-k", "2", "--alpha", "1.5"], "error: alpha must lie in (0, 1)"),
+        (["--estimator", "plugin-ps", "--top-k", "2", "--alpha", "0"], "error: alpha must lie in (0, 1)"),
     ],
 )
 def test_rank_selection_errors_exit_2(argv, message, wide_csv, tmp_path, capsys):

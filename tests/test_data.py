@@ -328,7 +328,7 @@ def test_groups_validate_and_indices(tmp_path):
     ds = _dataset_pq(4)
     path = tmp_path / "g.json"
     path.write_text('{"g1": ["c0", "c2"], "g2": ["c3"]}')
-    spec = load_groups(path, ds)
+    spec = load_groups(path)
     assert spec.member_indices(ds) == [("g1", (0, 2)), ("g2", (3,))]
 
 
@@ -337,7 +337,7 @@ def test_groups_unknown_column(tmp_path):
     path = tmp_path / "g.json"
     path.write_text('{"g1": ["zz"]}')
     with pytest.raises(MissingColumnError, match="zz"):
-        load_groups(path, ds)
+        load_groups(path).member_indices(ds)
 
 
 def test_groups_duplicate_membership():
@@ -362,8 +362,7 @@ def test_groups_empty_group():
 
 
 def test_groups_bad_json(tmp_path):
-    ds = _dataset_pq(2)
     path = tmp_path / "g.json"
     path.write_text("not json")
     with pytest.raises(ParseError):
-        load_groups(path, ds)
+        load_groups(path)

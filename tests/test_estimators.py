@@ -9,6 +9,7 @@ from confscreen import (
     NuisanceFit,
     TmleState,
     ValidationError,
+    eic_theta,
     fit_nuisances,
     fit_saturated,
     fluctuate_pi,
@@ -65,7 +66,7 @@ def test_scores_from_theta_general():
 
 def test_scores_from_theta_psi_undefined():
     phi, psi = scores_from_theta(0.5, 0.5, 0.5)
-    assert psi is None
+    assert np.isnan(psi)
     assert phi == pytest.approx(1.0)
 
 
@@ -76,7 +77,7 @@ def test_scores_from_theta_mu_e_domain():
 
 def test_theta_naive_six_rows():
     fit = fit_saturated(SIX, 0)
-    assert theta_dr(SIX, fit).diagnostics["theta_naive"] == pytest.approx(0.25, abs=1e-15)
+    assert theta_dr(SIX, [fit]).diagnostics[0]["theta_naive"] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_all_estimators_on_worked_example():
@@ -89,15 +90,15 @@ def test_all_estimators_on_worked_example():
 
 def test_dr_correction_zero_on_saturated():
     fit = fit_saturated(SIX, 0)
-    est = theta_dr(SIX, fit)
-    assert est.theta_hat == pytest.approx(est.diagnostics["theta_naive"], abs=1e-14)
+    out = theta_dr(SIX, [fit])
+    assert out.theta[0] == pytest.approx(out.diagnostics[0]["theta_naive"], abs=1e-14)
 
 
 def test_tmle_converges_at_zero_on_saturated():
     fit = fit_saturated(SIX, 0)
-    est = tmle_theta(SIX, fit)
-    assert est.diagnostics["iterations"] == 1
-    eps1, eps2 = est.diagnostics["trace"][0]
+    diagnostics = tmle_theta(SIX, [fit]).diagnostics[0]
+    assert diagnostics["iterations"] == 1
+    eps1, eps2 = diagnostics["trace"][0]
     assert abs(eps1) < 1e-12 and abs(eps2) < 1e-12
 
 
@@ -145,15 +146,15 @@ def test_fluctuate_q_bounded_dataset_takes_logistic_path():
 def test_tmle_eic_mean_zero_continuous():
     ds = _random_continuous(11)
     fit = fit_nuisances(ds, [0], BasisConfig(degree=3), parts=("pi", "q"))[0]
-    est = tmle_theta(ds, fit)
-    assert abs(est.influence_values["d_theta"].mean()) < 1e-8
+    out = tmle_theta(ds, [fit])
+    d_theta = eic_theta(ds.outcome_original(), ds.exposure, out.pi, out.tau, out.theta[:, None])
+    assert abs(d_theta.mean()) < 1e-8
 
 
 def test_tmle_trace_and_convergence_diagnostics():
     ds = _random_continuous(12)
     fit = fit_nuisances(ds, [0], BasisConfig(degree=2), parts=("pi", "q"))[0]
-    est = tmle_theta(ds, fit)
-    d = est.diagnostics
+    d = tmle_theta(ds, [fit]).diagnostics[0]
     assert d["iterations"] == len(d["trace"])
     assert max(d["final_eps1"], d["final_eps2"]) < 1e-8
 
@@ -164,7 +165,7 @@ def test_plugin_om_phi_is_within_arm_tau_difference():
         _dataset(ds.outcome, ds.exposure, np.round(ds.covariates[:, 0])), 0
     )
     ds_round = _dataset(ds.outcome, ds.exposure, np.round(ds.covariates[:, 0]))
-    est = plugin_scores_om(ds_round, fit)
+    est = score_covariate(ds_round, 0, "plugin_om", BasisConfig(degree=1), fit)
     tau = fit.tau
     e = ds_round.exposure
     direct = tau[e == 1].mean() - tau[e == 0].mean()
@@ -184,7 +185,7 @@ def test_fit_without_a_needed_part_raises():
     for estimator, parts in cases:
         fit = fit_nuisances(ds, [0], basis, parts=parts)[0]
         with pytest.raises(ValidationError, match=r"fit has no [\w-]+ part"):
-            estimator(ds, fit)
+            estimator(ds, [fit])
 
 
 @pytest.mark.parametrize("shape", ["1", "n-1", "n,1"])
@@ -206,24 +207,26 @@ def test_fit_values_of_another_shape_raise(shape):
         broken = NuisanceFit((0,), **{**values, part: wrong}, warnings=[])
         message = f"fit's {part} values have shape {wrong.shape}; the dataset has n = 50 rows"
         with pytest.raises(ValidationError) as info:
-            estimator(ds, broken)
+            estimator(ds, [broken])
         assert str(info.value) == message
 
 
 def test_plugin_ps_uses_observed_outcome_mean():
     ds = _random_continuous(14)
     fit = fit_nuisances(ds, [0], BasisConfig(degree=2), parts=("pi",))[0]
-    est = plugin_scores_ps(ds, fit)
-    assert est.mu_o_hat == pytest.approx(float(ds.outcome.mean()), abs=1e-14)
+    assert plugin_scores_ps(ds, [fit]).mu_o == pytest.approx(float(ds.outcome.mean()), abs=1e-14)
 
 
 def test_phi_self_consistency_invariant():
-    for kind in ("plugin_om", "plugin_ps", "dr", "tmle"):
-        ds = _random_continuous(15)
-        est = score_covariate(ds, 0, kind, BasisConfig(degree=2))
-        recomputed = est.theta_hat / est.mu_e_hat - (est.mu_o_hat - est.theta_hat) / (
-            1.0 - est.mu_e_hat
-        )
+    ds = _random_continuous(15)
+    basis = BasisConfig(degree=2)
+    fit = fit_nuisances(ds, [0], basis)[0]
+    mu_e = ds.exposure_mean
+    for kind, estimator in zip(KINDS, (plugin_scores_om, plugin_scores_ps, theta_dr, tmle_theta)):
+        est = score_covariate(ds, 0, kind, basis, fit)
+        out = estimator(ds, [fit])
+        mu_o = np.ravel(out.mu_o)[0]
+        recomputed = out.theta[0] / mu_e - (mu_o - out.theta[0]) / (1.0 - mu_e)
         assert est.phi_hat == pytest.approx(recomputed, abs=1e-12)
 
 
@@ -253,10 +256,13 @@ def test_bounded_outcome_back_transform():
         outcome_scale=float(raw.max() - raw.min()),
         outcome_offset=float(raw.min()),
     )
-    est = score_covariate(ds, 0, "tmle", BasisConfig(degree=2))
+    basis = BasisConfig(degree=2)
+    est = score_covariate(ds, 0, "tmle", basis)
+    mu_e = ds.exposure_mean
     # theta on the original scale must be bounded by the outcome range.
-    assert raw.min() * est.mu_e_hat - 1e-9 <= est.theta_hat <= raw.max() * est.mu_e_hat + 1e-9
-    assert est.mu_o_hat == pytest.approx(raw.mean(), abs=1e-9)
+    assert raw.min() * mu_e - 1e-9 <= est.theta_hat <= raw.max() * mu_e + 1e-9
+    fits = fit_nuisances(ds, [0], basis, parts=("pi", "q"))
+    assert tmle_theta(ds, fits).mu_o == pytest.approx(raw.mean(), abs=1e-9)
     # Substitution range guarantee on the rescaled outcome: |phi| <= range.
     assert abs(est.phi_hat) <= (raw.max() - raw.min()) + 1e-9
 
@@ -270,9 +276,9 @@ def test_theta_naive_bounded_outcome_on_original_scale():
     y = np.clip(expit(x) + 0.1 * rng.normal(size=n), 0.0, 1.0)
     ds = _dataset(y, e, x, outcome_kind="bounded", outcome_scale=10.0, outcome_offset=2.0)
     fit = fit_nuisances(ds, [0], BasisConfig(degree=2), parts=("tau", "pi"))[0]
-    naive = theta_dr(ds, fit).diagnostics["theta_naive"]
+    naive = theta_dr(ds, [fit]).diagnostics[0]["theta_naive"]
     assert naive == float(np.mean(e * (10.0 * fit.tau + 2.0)))
-    assert naive == plugin_scores_om(ds, fit).theta_hat
+    assert naive == plugin_scores_om(ds, [fit]).theta[0]
 
 
 def test_bounded_phi_within_unit_interval_on_unit_outcome():
@@ -328,13 +334,10 @@ KINDS = ("plugin_om", "plugin_ps", "dr", "tmle")
 
 
 def _assert_same_estimate(a, b):
-    """Bitwise equality of two estimates."""
-    for name in ("covariate_id", "estimator_kind", "theta_hat", "mu_o_hat", "mu_e_hat", "phi_hat", "psi_hat"):
+    """Bitwise equality of two estimates, their SEs included."""
+    for name in ("covariate_id", "estimator_kind", "theta_hat", "phi_hat", "psi_hat", "se_phi", "se_psi"):
         assert getattr(a, name) == getattr(b, name), name
     assert a.diagnostics.get("warnings") == b.diagnostics.get("warnings")
-    assert a.influence_values.keys() == b.influence_values.keys()
-    for key, value in a.influence_values.items():
-        assert np.array_equal(value, b.influence_values[key]), key
 
 
 def _layout_dataset(layout, n, seed=26):
@@ -480,8 +483,10 @@ def test_targeted_stack_rows_equal_targets_alone(monkeypatch, outcome_kind, max_
     fits[2] = fit_saturated(ds, 2)
     state = estimators._target(ds, fits)
     iterations = [len(trace) for trace in state.trace]
-    for i, fit in enumerate(fits):
-        _assert_same_targeting(tmle_theta(ds, state.row(i)), tmle_theta(ds, fit))
+    basis = BasisConfig(degree=3)
+    for i, (fit, row) in enumerate(zip(fits, estimators._score_stack(ds, "tmle", fits))):
+        alone = score_covariate(ds, i, "tmle", basis, fit)
+        _assert_same_targeting(score_covariate(ds, i, "tmle", basis, row), alone)
     # The saturated row already solves both score equations.
     assert iterations[2] == 1 and max(map(abs, state.trace[2][0])) < 1e-12
     if max_iter == 2:

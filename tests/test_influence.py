@@ -104,7 +104,8 @@ def test_wald_inference_formulas():
     rng = np.random.default_rng(102)
     values = rng.normal(size=500)
     estimate = 0.3
-    (se,), (lo,), (hi,), (p,) = influence._wald_rows(values[None], np.array([estimate]), 0.0, 0.10)
+    (se,) = influence.standard_errors(values[None])
+    (lo,), (hi,), (p,) = influence._wald_rows(np.array([estimate]), np.array([se]), 0.0, 0.10)
     expected_se = values.std(ddof=1) / np.sqrt(500)
     assert se == pytest.approx(expected_se, abs=1e-14)
     z = norm_ppf(0.95)
@@ -114,7 +115,8 @@ def test_wald_inference_formulas():
 
 
 def test_wald_zero_variance():
-    se, lo, hi, p = influence._wald_rows(np.zeros((2, 10)), np.array([0.5, 0.0]), 0.0, 0.05)
+    se = influence.standard_errors(np.zeros((2, 10)))
+    lo, hi, p = influence._wald_rows(np.array([0.5, 0.0]), se, 0.0, 0.05)
     assert se.tolist() == [0.0, 0.0] and lo.tolist() == hi.tolist() == [0.5, 0.0]
     assert p.tolist() == [0.0, 1.0]
 
@@ -125,19 +127,21 @@ def test_wald_rows_rescale_only_overflowing_rows():
     values = rng.normal(size=(3, 6))
     values[1] = [1e300, -1e300, 5e299, 2e300, -1.5e300, 3e299]
     estimates = np.array([0.1, 2e299, -0.3])
-    se, lo, hi, p = influence._wald_rows(values, estimates, 0.0, 0.10)
+    se = influence.standard_errors(values)
+    lo, hi, p = influence._wald_rows(estimates, se, 0.0, 0.10)
     assert np.isfinite(se).all() and np.isfinite(lo).all() and np.isfinite(hi).all()
     assert se[1] == pytest.approx(1e300 * (values[1] / 1e300).std(ddof=1) / np.sqrt(6), rel=1e-14)
     for i in (0, 2):
-        alone = influence._wald_rows(values[i : i + 1], estimates[i : i + 1], 0.0, 0.10)
-        assert (se[i], lo[i], hi[i], p[i]) == tuple(x[0] for x in alone)
+        (se_alone,) = influence.standard_errors(values[i : i + 1])
+        alone = influence._wald_rows(estimates[i : i + 1], np.array([se_alone]), 0.0, 0.10)
+        assert (se[i], lo[i], hi[i], p[i]) == (se_alone, *(x[0] for x in alone))
 
 
 def test_wald_validation():
     with pytest.raises(ValidationError):
-        influence._wald_rows(np.zeros((1, 1)), np.zeros(1), 0.0, 0.1)
+        influence.standard_errors(np.zeros((1, 1)))
     with pytest.raises(ValidationError):
-        influence._wald_rows(np.zeros((1, 10)), np.zeros(1), 0.0, 1.5)
+        influence._wald_rows(np.zeros(1), np.zeros(1), 0.0, 1.5)
 
 
 def _tmle_estimate(seed=30):
@@ -169,6 +173,6 @@ def test_infer_scores_ci_width_scales_with_alpha():
 
 def test_infer_scores_requires_influence_values():
     est = _tmle_estimate()
-    est.influence_values = {}
+    est.se_phi = None
     with pytest.raises(ValidationError):
         infer_scores(est, 0.10)

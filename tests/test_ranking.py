@@ -19,7 +19,6 @@ from confscreen import (
     score_groups,
     screen,
 )
-from confscreen import ranking
 from confscreen._stats import expit
 
 
@@ -29,8 +28,6 @@ def _estimate(cov_id, phi, psi=None, kind="tmle", constant=False):
         covariate_id=cov_id,
         estimator_kind=kind,
         theta_hat=0.1,
-        mu_o_hat=0.5,
-        mu_e_hat=0.5,
         phi_hat=phi,
         psi_hat=psi,
         diagnostics=diag,
@@ -194,31 +191,19 @@ def test_rank_groups_unknown_rule():
 
 
 @pytest.mark.parametrize("kind", ["dr", "tmle"])
-def test_screen_block_inference_equals_infer_scores(monkeypatch, kind):
+def test_screen_block_inference_equals_infer_scores(kind):
     rng = np.random.default_rng(71)
     n = 150
     c = rng.normal(size=(n, 7))
-    c[:, 4] = 1.5  # constant: zero influence values, the null scores and p = 1
+    c[:, 4] = 1.5  # constant: the null scores, SEs of 0 and p = 1
     e = (rng.random(n) < expit(c[:, 0])).astype(int)
     y = 2.0 + c[:, 0] + 0.5 * c[:, 1] + rng.normal(size=n)
     ds = Dataset(outcome=y, exposure=e, covariates=c, column_names=tuple(f"c{j}" for j in range(7)))
     estimates = score_all(ds, kind, BasisConfig(degree=2))
     first = estimates[0]
-    no_psi = {k: v for k, v in first.influence_values.items() if k != "d_psi"}
-    estimates.append(replace(first, covariate_id=7, psi_hat=None, influence_values=no_psi))
-    zero = dict.fromkeys(first.influence_values, np.zeros(n))
-    estimates.append(replace(first, covariate_id=8, phi_hat=0.3, influence_values=zero))
-    blocks = []
-    block_inference = ranking.infer_block
-
-    def recorded(ests, alpha):
-        blocks.append(len(ests))
-        return block_inference(ests, alpha)
-
-    monkeypatch.setattr(ranking, "infer_block", recorded)
-    monkeypatch.setattr(ranking, "STACK_DOUBLES", 4 * n - 1)
+    estimates.append(replace(first, covariate_id=7, psi_hat=None, se_psi=None))
+    estimates.append(replace(first, covariate_id=8, phi_hat=0.3, se_phi=0.0, se_psi=0.0))
     _, inferences = screen(estimates, "ratio", ("alpha_test", 0.10), 0.10)
-    assert blocks == [3, 3, 3]
     assert repr(inferences) == repr([infer_scores(est, 0.10) for est in estimates])
     assert inferences[4].se_phi == 0.0 and inferences[4].p_phi == 1.0
     assert inferences[7].se_psi is None and inferences[7].p_phi == inferences[0].p_phi
