@@ -7,6 +7,17 @@ uses the Hart (1968) double-precision algorithm as popularised by West
 error is below 1e-15.  The quantile uses Acklam's rational approximation
 followed by one Halley refinement against the CDF, giving absolute error
 well below 1e-8 over (1e-300, 1 - 1e-16).
+
+``norm_cdf``, ``norm_ppf`` and ``expit`` evaluate their input in flat blocks
+of ``BLOCK`` elements, so that each temporary fits in cache instead of being
+a fresh page-faulting array the size of the input.  Within a block the
+common branch runs on every element and the rare ones (the CDF beyond
+|x| = 7.07, the quantile's tails) overwrite their elements by index.  The
+sign blends are exact and branch-free, and hold for +-0, +-inf and NaN:
+with out <= 1/2 the CDF is |[x > 0] - out|, and with e = exp(-|x|) <= 1 the
+numerator of expit is max(e, [x >= 0]).  Each element goes through the same
+IEEE operations in the same order as the elementwise formulas, so results
+are bitwise those of the formulas, whatever the block or the input size.
 """
 
 from __future__ import annotations
@@ -69,95 +80,99 @@ _AD = (
     3.754408661907416e+00,
 )
 _P_LOW = 0.02425
+# |x| below which the CDF uses the central rational approximation.
+_Z_SMALL = 7.07106781186547
+# Elements per evaluation block: the temporaries of one block stay in cache.
+BLOCK = 1 << 16
+
+
+def _horner(coef, z):
+    """The polynomial ``coef`` (highest degree first) at ``z``."""
+    out = coef[0] * z + coef[1]
+    for c in coef[2:]:
+        out *= z
+        out += c
+    return out
+
+
+def _blockwise(kernel, x):
+    """Run ``kernel(xb, ob)`` over flat blocks of ``BLOCK`` elements of ``x``; return ``out``."""
+    out = np.empty(x.shape)
+    xf, of = x.reshape(-1), out.reshape(-1)
+    for lo in range(0, xf.size, BLOCK):
+        kernel(xf[lo : lo + BLOCK], of[lo : lo + BLOCK])
+    return out
+
+
+def _cdf_block(x, out):
+    z = np.abs(x)
+    small = z < _Z_SMALL
+    # Far values get the central formula at the branch edge, then their own
+    # value below; clamping keeps the formula free of overflow.
+    np.minimum(z, _Z_SMALL, out=z)
+    np.divide(np.exp(-0.5 * z * z) * _horner(_HN, z), _horner(_HD, z), out=out)
+    if not small.all():
+        far = np.flatnonzero(~small)
+        zb = np.abs(x[far])
+        # exp(-z^2/2) underflows just past z = 38.5; beyond that (and for
+        # NaN) the mass is below the smallest subnormal and 0 is returned.
+        big = zb < 38.5
+        zb = zb[big]
+        # Mills-ratio continued fraction for the far tail; 12 levels keep the
+        # relative error below 1e-12 over the whole branch.
+        cf = zb + 0.65
+        for k in range(12, 0, -1):
+            cf = zb + k / cf
+        out[far] = 0.0
+        out[far[big]] = np.exp(-0.5 * zb * zb) / (cf * _SQRT_2PI)
+    # out <= 1/2, so |[x > 0] - out| is out for x <= 0 and 1 - out for x > 0.
+    np.abs(np.subtract(x > 0.0, out, out=out), out=out)
+
+
+def _ppf_block(p, x):
+    q = p - 0.5
+    r = q * q
+    np.divide(_horner(_AA, r) * q, _horner(_AB, r) * r + 1.0, out=x)
+    tail = np.flatnonzero((p < _P_LOW) | (p > 1.0 - _P_LOW))
+    if tail.size:
+        pt = p[tail]
+        q = np.sqrt(-2.0 * np.log(np.minimum(pt, 1.0 - pt)))
+        xt = _horner(_AC, q) / (_horner(_AD, q) * q + 1.0)
+        x[tail] = np.negative(xt, out=xt, where=pt > 1.0 - _P_LOW)
+    # One Halley step against the high-precision CDF.
+    _cdf_block(x, r)
+    u = (r - p) * _SQRT_2PI * np.exp(0.5 * x * x)
+    x -= u / (1.0 + 0.5 * x * u)
 
 
 def norm_cdf(x):
     """Standard normal CDF, vectorised over ``x``."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    z = np.abs(x)
-    out = np.zeros_like(z)
-
-    small = z < 7.07106781186547
-    zs = z[small]
-    e = np.exp(-0.5 * zs * zs)
-    num = _HN[0] * zs + _HN[1]
-    for c in _HN[2:]:
-        num = num * zs + c
-    den = _HD[0] * zs + _HD[1]
-    for c in _HD[2:]:
-        den = den * zs + c
-    out[small] = e * num / den
-
-    # exp(-z^2/2) underflows just past z = 38.5; beyond that the mass is
-    # below the smallest subnormal and 0 is returned.
-    big = (~small) & (z < 38.5)
-    zb = z[big]
-    e = np.exp(-0.5 * zb * zb)
-    # Mills-ratio continued fraction for the far tail; 12 levels keep the
-    # relative error below 1e-12 over the whole branch.
-    cf = zb + 0.65
-    for k in range(12, 0, -1):
-        cf = zb + k / cf
-    out[big] = e / (cf * _SQRT_2PI)
-
-    res = np.where(x > 0.0, 1.0 - out, out)
-    return float(res[0]) if scalar else res
+    out = _blockwise(_cdf_block, np.asarray(x, dtype=float))
+    return float(out) if out.ndim == 0 else out
 
 
 def norm_ppf(p):
     """Standard normal quantile, vectorised over ``p`` in (0, 1)."""
     p = np.asarray(p, dtype=float)
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    if np.any(~((p > 0.0) & (p < 1.0))):
         raise ValueError("probabilities must lie strictly inside (0, 1)")
-    x = np.empty_like(p)
+    x = _blockwise(_ppf_block, p)
+    return float(x) if x.ndim == 0 else x
 
-    lo = p < _P_LOW
-    hi = p > 1.0 - _P_LOW
-    mid = ~(lo | hi)
 
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        num = _AA[0] * r + _AA[1]
-        for c in _AA[2:]:
-            num = num * r + c
-        den = _AB[0] * r + _AB[1]
-        for c in _AB[2:]:
-            den = den * r + c
-        x[mid] = num * q / (den * r + 1.0)
-    for mask, sign, pp in ((lo, 1.0, p[lo]), (hi, -1.0, 1.0 - p[hi])):
-        if not np.any(mask):
-            continue
-        q = np.sqrt(-2.0 * np.log(pp))
-        num = _AC[0] * q + _AC[1]
-        for c in _AC[2:]:
-            num = num * q + c
-        den = _AD[0] * q + _AD[1]
-        for c in _AD[2:]:
-            den = den * q + c
-        x[mask] = sign * num / (den * q + 1.0)
-
-    # One Halley step against the high-precision CDF.
-    err = norm_cdf(x) - p
-    u = err * _SQRT_2PI * np.exp(0.5 * x * x)
-    x = x - u / (1.0 + 0.5 * x * u)
-    return float(x[0]) if scalar else x
+def _expit_block(x, out):
+    e = np.exp(-np.abs(x))
+    np.divide(np.maximum(e, x >= 0.0), 1.0 + e, out=out)
 
 
 def expit(x):
     """Numerically stable logistic function.
 
     With e = exp(-|x|) <= 1 this is 1 / (1 + e) for x >= 0 and e / (1 + e)
-    otherwise, so neither branch can overflow.
+    otherwise, so neither branch can overflow.  Both numerators are
+    max(e, [x >= 0]).
     """
-    x = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return _blockwise(_expit_block, np.asarray(x, dtype=float))
 
 
 def logit(p):

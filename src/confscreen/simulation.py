@@ -98,7 +98,8 @@ def substream(seed: int, replicate: int = 0) -> np.random.Generator:
 
 def _uniforms(gen: np.random.Generator, size) -> np.ndarray:
     u = gen.random(size)
-    return np.clip(u, 1e-300, 1.0 - 1e-16)
+    np.maximum(u, 1e-300, out=u)
+    return np.minimum(u, 1.0 - 1e-16, out=u)
 
 
 def _normals(gen: np.random.Generator, size) -> np.ndarray:
