@@ -151,7 +151,10 @@ def _values(dataset: Dataset, fits: list, part: str) -> np.ndarray:
             raise ValidationError(
                 f"fit's {part} values have shape {np.shape(values)}; the dataset has n = {dataset.n} rows"
             )
-    return np.stack(rows)
+    stack = np.stack(rows)
+    if not np.isfinite(stack).all():
+        raise ValidationError(f"fit's {part} values are not all finite")
+    return stack
 
 
 def _warnings(fits: list) -> list[dict]:

@@ -121,7 +121,8 @@ def _wald_rows(estimates: np.ndarray, se: np.ndarray, null_value: float, alpha: 
     """Wald interval bounds and p-value of each (estimate, SE) pair; returns (ci_lo, ci_hi, p), each (b,).
 
     A zero SE yields a point interval and a 0/1 p-value by exact comparison
-    with the null.
+    with the null.  A NaN estimate or SE yields a NaN p-value, which no test
+    level selects.
     """
     if not (0.0 < alpha < 1.0):
         raise ValidationError("alpha must lie in (0, 1)")
@@ -129,6 +130,7 @@ def _wald_rows(estimates: np.ndarray, se: np.ndarray, null_value: float, alpha: 
     p = np.where(estimates == null_value, 1.0, 0.0)
     varies = se != 0.0
     p[varies] = 2.0 * norm_cdf(-np.abs(estimates[varies] - null_value) / se[varies])
+    p[np.isnan(estimates) | np.isnan(se)] = np.nan
     return estimates - z * se, estimates + z * se, p
 
 

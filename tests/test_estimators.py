@@ -188,27 +188,46 @@ def test_fit_without_a_needed_part_raises():
             estimator(ds, [fit])
 
 
+# Each estimator with each nuisance part it reads.
+_PARTS_READ = (
+    (plugin_scores_om, "tau"),
+    (plugin_scores_ps, "pi"),
+    (theta_dr, "tau"),
+    (theta_dr, "pi"),
+    (tmle_theta, "pi"),
+    (tmle_theta, "q0"),
+    (tmle_theta, "q1"),
+)
+
+
 @pytest.mark.parametrize("shape", ["1", "n-1", "n,1"])
 def test_fit_values_of_another_shape_raise(shape):
     ds = _random_continuous(28, n=50)
     fit = fit_nuisances(ds, [0], BasisConfig(degree=2), parts=("tau", "pi", "q"))[0]
     values = {part: getattr(fit, part) for part in ("tau", "pi", "q0", "q1")}
-    cases = (
-        (plugin_scores_om, "tau"),
-        (plugin_scores_ps, "pi"),
-        (theta_dr, "tau"),
-        (theta_dr, "pi"),
-        (tmle_theta, "pi"),
-        (tmle_theta, "q0"),
-        (tmle_theta, "q1"),
-    )
-    for estimator, part in cases:
+    for estimator, part in _PARTS_READ:
         wrong = {"1": values[part][:1], "n-1": values[part][:-1], "n,1": values[part][:, None]}[shape]
         broken = NuisanceFit((0,), **{**values, part: wrong}, warnings=[])
         message = f"fit's {part} values have shape {wrong.shape}; the dataset has n = 50 rows"
         with pytest.raises(ValidationError) as info:
             estimator(ds, [broken])
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_values_not_finite_raise(bad):
+    ds = _random_continuous(28, n=50)
+    fit = fit_nuisances(ds, [0], BasisConfig(degree=2), parts=("tau", "pi", "q"))[0]
+    values = {part: getattr(fit, part) for part in ("tau", "pi", "q0", "q1")}
+    for estimator, part in _PARTS_READ:
+        broken = NuisanceFit((0,), **{**values, part: np.where(np.arange(50) == 7, bad, values[part])})
+        with pytest.raises(ValidationError) as info:
+            estimator(ds, [broken])
+        assert str(info.value) == f"fit's {part} values are not all finite"
+        if part == "pi":
+            # Through the public API: a NaN propensity no longer scores phi NaN with p-value 0.
+            with pytest.raises(ValidationError, match="fit's pi values are not all finite"):
+                score_covariate(ds, 0, "dr", BasisConfig(degree=2), broken)
 
 
 def test_plugin_ps_uses_observed_outcome_mean():

@@ -137,6 +137,14 @@ def test_wald_rows_rescale_only_overflowing_rows():
         assert (se[i], lo[i], hi[i], p[i]) == (se_alone, *(x[0] for x in alone))
 
 
+def test_wald_nan_estimate_or_se_gives_nan_p():
+    lo, hi, p = influence._wald_rows(np.array([0.1, np.nan]), np.array([np.nan, 0.2]), 0.0, 0.05)
+    assert np.isnan(p).all() and np.isnan(lo).all() and np.isnan(hi).all()
+    # A NaN estimate with a zero SE, and a NaN SE at the null, too.
+    _, _, p = influence._wald_rows(np.array([np.nan, 0.0, 0.3]), np.array([0.0, np.nan, 0.0]), 0.0, 0.05)
+    assert np.isnan(p[:2]).all() and p[2] == 0.0
+
+
 def test_wald_validation():
     with pytest.raises(ValidationError):
         influence.standard_errors(np.zeros((1, 1)))

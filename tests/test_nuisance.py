@@ -11,7 +11,16 @@ from confscreen import (
     fit_saturated,
 )
 from confscreen._stats import expit, logit
-from confscreen.nuisance import PROB_CLIP, QR_BLOCK_ROWS, _design_matrix, _designs, _fit_logistic, _solve_lstsq
+from confscreen.nuisance import (
+    PROB_CLIP,
+    ROW_BLOCK,
+    _design_matrix,
+    _designs,
+    _fit_logistic,
+    _newton_terms,
+    _solve_lstsq,
+    _standardize,
+)
 
 
 def _dataset(y, e, c, **kw):
@@ -230,10 +239,9 @@ def test_group_basis_additive():
     np.testing.assert_allclose(fit.tau, y, atol=1e-8)
 
 
-def _mixed_dataset(outcome_kind="continuous"):
+def _mixed_dataset(outcome_kind="continuous", n=120):
     """An ordinary, a binary and a separating covariate (which predicts the exposure exactly)."""
     rng = np.random.default_rng(10)
-    n = 120
     x = rng.normal(size=n)
     e = (rng.random(n) < expit(x)).astype(int)
     binary = (rng.random(n) < 0.4).astype(float)
@@ -246,26 +254,28 @@ def _mixed_dataset(outcome_kind="continuous"):
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_solvers_give_each_row_its_stack_of_one_result(degree):
-    ds = _mixed_dataset()
-    order = [0, 1, 2, 0, 2, 1]
-    designs = [_designs(ds, [(j,)], BasisConfig(degree=degree))[0] for j in order]
-    # A zero column makes the design rank-deficient and its Hessian exactly singular.
-    zero = designs[0].copy()
-    zero[:, -1] = 0.0
-    X = np.stack([*designs, zero])
-    for solver, y in ((_solve_lstsq, ds.outcome), (_fit_logistic, ds.exposure_float)):
-        coeffs, ridged = solver(X, y)
-        for i in range(len(X)):
-            one, one_ridged = solver(X[i : i + 1], y)
-            assert np.array_equal(coeffs[i], one[0]) and ridged[i] == one_ridged[0]
-        assert np.all(np.isfinite(coeffs))
-        if solver is _solve_lstsq:
-            # The binary column's powers repeat from degree 2 on.
-            expected = [degree >= 2 and j == 1 for j in order]
-        else:
-            # The separating column's fit diverges.
-            expected = [j == 2 for j in order]
-        assert ridged.tolist() == [*expected, True]
+    # 2 * ROW_BLOCK + 123 rows take the row-blocked kernels.
+    for n in (120, 2 * ROW_BLOCK + 123):
+        ds = _mixed_dataset(n=n)
+        order = [0, 1, 2, 0, 2, 1]
+        designs = [_designs(ds, [(j,)], BasisConfig(degree=degree))[0] for j in order]
+        # A zero column makes the design rank-deficient and its Hessian exactly singular.
+        zero = designs[0].copy()
+        zero[:, -1] = 0.0
+        X = np.stack([*designs, zero])
+        for solver, y in ((_solve_lstsq, ds.outcome), (_fit_logistic, ds.exposure_float)):
+            coeffs, ridged = solver(X, y)
+            for i in range(len(X)):
+                one, one_ridged = solver(X[i : i + 1], y)
+                assert np.array_equal(coeffs[i], one[0]) and ridged[i] == one_ridged[0]
+            assert np.all(np.isfinite(coeffs))
+            if solver is _solve_lstsq:
+                # The binary column's powers repeat from degree 2 on.
+                expected = [degree >= 2 and j == 1 for j in order]
+            else:
+                # The separating column's fit diverges.
+                expected = [j == 2 for j in order]
+            assert ridged.tolist() == [*expected, True]
 
 
 @pytest.mark.parametrize("outcome_kind", ["continuous", "bounded"])
@@ -288,7 +298,7 @@ def test_stack_targets_must_share_a_width():
 
 def test_tall_least_squares_by_row_blocks_match_one_qr():
     rng = np.random.default_rng(11)
-    n = 2 * QR_BLOCK_ROWS + 123
+    n = 2 * ROW_BLOCK + 123
     X = np.stack([np.column_stack([np.ones(n), rng.normal(size=(n, 3))]) for _ in range(2)])
     y = X[0] @ np.array([1.0, -2.0, 0.5, 3.0]) + rng.normal(size=n)
     coeffs, ridged = _solve_lstsq(X, y)
@@ -298,3 +308,35 @@ def test_tall_least_squares_by_row_blocks_match_one_qr():
         assert np.array_equal(coeffs[i], one[0])
         r = np.linalg.qr(np.column_stack([X[i], y]), mode="r")
         np.testing.assert_allclose(coeffs[i], np.linalg.solve(r[:4, :4], r[:4, 4]), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2 * ROW_BLOCK, 2 * ROW_BLOCK + 1, 2 * ROW_BLOCK + 123, 7 * ROW_BLOCK - 5])
+def test_newton_terms_by_row_blocks_match_whole_arrays(n):
+    ds = _mixed_dataset(n=n)
+    X = _designs(ds, [(0,), (1,), (2,)], BasisConfig(degree=3))
+    rng = np.random.default_rng(12)
+    mu = expit(rng.normal(size=X.shape[:-1]))
+    w, r = mu * (1.0 - mu), ds.exposure_float - mu
+    hess, grad = _newton_terms(X, w, r)
+
+    def whole(X, w, r):
+        Xt = np.swapaxes(X, -1, -2)
+        return np.swapaxes(X * w[..., None], -1, -2) @ X, np.matmul(Xt, r[..., None])[..., 0]
+
+    oracle_hess, oracle_grad = whole(X, w, r)
+    if n <= 2 * ROW_BLOCK:
+        assert np.array_equal(hess, oracle_hess) and np.array_equal(grad, oracle_grad)
+    else:
+        # Another summation order: each entry within 1e-13 of the sum of its terms' magnitudes.
+        abs_hess, abs_grad = whole(np.abs(X), w, np.abs(r))
+        assert np.all(np.abs(hess - oracle_hess) <= 1e-13 * abs_hess)
+        assert np.all(np.abs(grad - oracle_grad) <= 1e-13 * abs_grad)
+
+
+def test_designs_by_row_blocks_equal_one_design_matrix():
+    ds = _mixed_dataset(n=2 * ROW_BLOCK + 123)
+    basis = BasisConfig(degree=4)
+    columns = [(0, 1), (2, 0), (1, 2)]
+    c = ds.covariates.T[np.array(columns)]
+    z = _standardize(c, c.mean(axis=-1, keepdims=True), c.std(axis=-1, ddof=1, keepdims=True))
+    assert np.array_equal(_designs(ds, columns, basis), _design_matrix(np.swapaxes(z, -1, -2), basis))

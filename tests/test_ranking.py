@@ -124,6 +124,14 @@ def test_select_by_test():
     assert rows == {0: True, 1: False}
 
 
+def test_select_by_test_leaves_a_nan_se_row_unselected():
+    ests = [replace(_estimate(0, 0.5), se_phi=float("nan")), replace(_estimate(1, 0.5), se_phi=0.1)]
+    infs = [infer_scores(est, 0.10) for est in ests]
+    assert np.isnan(infs[0].p_phi) and infs[1].p_phi < 0.10
+    report = rank(ests, "difference", inferences=infs, rule=("alpha_test", 0.10))
+    assert {row.id: row.selected for row in report.rows} == {0: False, 1: True}
+
+
 def test_select_by_test_needs_inference():
     with pytest.raises(ValidationError, match="inference"):
         rank([_estimate(0, 0.5)], "difference", rule=("alpha_test", 0.10))
