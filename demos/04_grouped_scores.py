@@ -8,7 +8,7 @@ whole block and returns one score per group.
 
 import numpy as np
 
-from confscreen import BasisConfig, Dataset, GroupSpec, score_covariate, score_groups, screen
+from confscreen import BasisConfig, Dataset, GroupSpec, rank, score_covariate, score_groups
 from confscreen._stats import expit
 
 rng = np.random.default_rng(21)
@@ -41,7 +41,7 @@ groups = GroupSpec(groups=(
 basis = BasisConfig(degree=2)
 members = groups.member_indices(data)  # validates the groups against the data
 estimates = score_groups(data, members, "tmle", basis)
-report, _ = screen(estimates, "difference", rule=("top_k", 2), names=[name for name, _ in members])
+report = rank(estimates, "difference", [name for name, _ in members], rule=("top_k", 2))
 for row in report.rows:
     mark = "selected" if row.selected else ""
     print(f"rank {row.rank}: group {row.name:<6} phi = {row.score:+.4f}  {mark}")

@@ -10,6 +10,8 @@ the run manifest (which records wall time) goes to a sibling
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import os
 import platform
@@ -22,7 +24,7 @@ from . import __version__
 from .data import DataError, load_csv, load_groups
 from .estimators import INFERENCE_KINDS, score_all, score_groups
 from .nuisance import BasisConfig
-from .ranking import screen
+from .ranking import rank
 from .simulation import SimScenario, run_replicates, uniform_closed_form_phi
 
 __all__ = ["main", "build_parser"]
@@ -102,10 +104,16 @@ def _resolved_config(args) -> dict:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to a temp file and rename it to ``path``; on failure the temp file is removed."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _write_manifest(out_path: str, config: dict, wall_time: float, threads=None) -> None:
@@ -153,27 +161,27 @@ def _emit_results(
         _atomic_write(args.out, json.dumps(doc, indent=2) + "\n")
 
 
-def _row(est, name, se_key: str, se, ci, p_value, **fields) -> dict:
-    """One output row of an estimate and the inference of the score it reports.
+def _row(est, row, se_key: str, **fields) -> dict:
+    """One output row of an estimate and its RankRow ``row``.
 
-    ``se_key`` names the SE of that score ("se_phi" or "se_psi"); ``ci`` and
-    ``p_value`` describe the same score.  ``fields`` override or extend the row.
+    The row's SE, CI and p-value are those of the ranked score, whose SE
+    ``se_key`` names ("se_phi" or "se_psi"); ``fields`` override or extend the row.
     """
-    row = {
+    out = {
         "id": est.covariate_id if not isinstance(est.covariate_id, tuple) else list(est.covariate_id),
-        "name": name,
+        "name": row.name,
         "theta": est.theta_hat,
         "phi": est.phi_hat,
         "psi": est.psi_hat,
-        se_key: se,
-        "ci_lo": ci[0] if ci else None,
-        "ci_hi": ci[1] if ci else None,
-        "p_value": p_value,
+        se_key: row.se,
+        "ci_lo": row.ci[0] if row.ci else None,
+        "ci_hi": row.ci[1] if row.ci else None,
+        "p_value": row.p_value,
         "rank": None,
         "selected": None,
     }
-    row.update(fields)
-    return row
+    out.update(fields)
+    return out
 
 
 def _selection_rule(args) -> tuple:
@@ -181,10 +189,7 @@ def _selection_rule(args) -> tuple:
 
 
 def _screen_inputs(args, score_kind: str, rule):
-    """(estimates, inferences, names, report) of every covariate or group, screened with ``rule``.
-
-    Plug-in estimates get no inference: their inferences are all None.
-    """
+    """(estimates by name in input order, report) of every covariate or group, ranked with ``rule``."""
     dataset = load_csv(args.data, args.outcome, args.exposure, args.outcome_kind)
     basis = BasisConfig(degree=args.degree)
     estimator_kind = _ESTIMATOR_FLAG[args.estimator]
@@ -195,20 +200,17 @@ def _screen_inputs(args, score_kind: str, rule):
     else:
         estimates = score_all(dataset, estimator_kind, basis, saturated=args.saturated)
         names = list(dataset.column_names)
-    report, inferences = screen(estimates, score_kind, rule, args.alpha, names)
-    return estimates, inferences or [None] * len(estimates), names, report
+    return dict(zip(names, estimates)), rank(estimates, score_kind, names, rule, args.alpha)
 
 
 def cmd_score(args) -> int:
     config = _resolved_config(args)
     start = time.monotonic()
-    estimates, inferences, names, _ = _screen_inputs(args, "difference", None)
+    by_name, report = _screen_inputs(args, "difference", None)
+    by_row = {row.name: row for row in report.rows}
     rows = [
-        _row(
-            est, name, "se_phi", inf.se_phi if inf else None, inf.ci_phi if inf else None,
-            inf.p_phi if inf else None, warnings=list(est.diagnostics.get("warnings", [])),
-        )
-        for est, inf, name in zip(estimates, inferences, names)
+        _row(est, by_row[name], "se_phi", warnings=list(est.diagnostics.get("warnings", [])))
+        for name, est in by_name.items()
     ]
     _emit_results(args, config, rows)
     _write_manifest(args.out, config, time.monotonic() - start, args.threads)
@@ -218,13 +220,10 @@ def cmd_score(args) -> int:
 def cmd_rank(args) -> int:
     config = _resolved_config(args)
     start = time.monotonic()
-    estimates, _, names, report = _screen_inputs(args, args.score, _selection_rule(args))
-    by_name = dict(zip(names, estimates))
-    # SE, CI and p-value are those of the ranked score, as RankRow holds them.
+    by_name, report = _screen_inputs(args, args.score, _selection_rule(args))
     se_key = "se_psi" if args.score == "ratio" else "se_phi"
     rows = [
-        _row(by_name[row.name], row.name, se_key, row.se, row.ci, row.p_value, rank=row.rank,
-             selected=bool(row.selected), flags=list(row.flags))
+        _row(by_name[row.name], row, se_key, rank=row.rank, selected=bool(row.selected), flags=list(row.flags))
         for row in report.rows
     ]
     extra = {"selection_rule": list(report.selection_rule)}
@@ -243,8 +242,7 @@ def _load_scenario(path: str, seed_override) -> SimScenario:
         raise DataError(f"{path}: invalid scenario file: {exc}") from None
     if not isinstance(raw, dict) or "kind" not in raw:
         raise DataError(f"{path}: scenario file must be a JSON object with a 'kind' field")
-    allowed = {"kind", "n", "p", "rho", "theta", "seed", "replicates", "alphas", "betas", "beta0"}
-    unknown = set(raw) - allowed
+    unknown = set(raw) - {f.name for f in dataclasses.fields(SimScenario)}
     if unknown:
         raise DataError(f"{path}: unknown scenario fields {sorted(unknown)}")
     if seed_override is not None:

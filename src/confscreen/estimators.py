@@ -122,8 +122,7 @@ def scores_from_theta(theta, mu_o, mu_e: float):
     phi and psi are arrays (0-d for scalar inputs); psi is NaN where its
     denominator mu_O - theta vanishes.
     """
-    if not (0.0 < mu_e < 1.0):
-        raise ValidationError("mu_E must lie strictly inside (0, 1)")
+    influence._check_mu_e(mu_e)
     # As in Python float arithmetic, overflow gives inf silently; an undefined psi is NaN.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         gap = mu_o - theta

@@ -134,29 +134,18 @@ def _wald_rows(estimates: np.ndarray, se: np.ndarray, null_value: float, alpha: 
     return estimates - z * se, estimates + z * se, p
 
 
-def _infer_rows(estimates: list, alpha: float) -> list[InferenceResult]:
-    """Wald inference of dr/tmle ScoreEstimates from their scores and SEs, one step per score for all rows."""
-    for est in estimates:
-        if est.se_phi is None:
-            raise ValidationError(f"estimator kind {est.estimator_kind!r} carries no standard errors")
-
-    def wald(ests, score, se, null):
-        scores, ses = (np.array([getattr(est, name) for est in ests]) for name in (score, se))
-        lo, hi, p = _wald_rows(scores, ses, null, alpha)
-        return zip(zip(lo.tolist(), hi.tolist()), p.tolist())
-
-    phi = wald(estimates, "phi_hat", "se_phi", 0.0)
-    psi = wald([est for est in estimates if est.se_psi is not None], "psi_hat", "se_psi", 1.0)
-    return [
-        InferenceResult(est.se_phi, *next(phi), alpha, *(() if est.se_psi is None else (est.se_psi, *next(psi))))
-        for est in estimates
-    ]
-
-
 def infer_scores(estimate, alpha: float) -> InferenceResult:
     """Wald confidence intervals at level 1 - alpha and p-values of one dr/tmle ScoreEstimate.
 
-    The SEs come with the estimate; this is the Wald step that ``screen``
-    takes for all rows at once, for one row.
+    The SEs come with the estimate; this is the Wald step that ``rank``
+    takes for all rows of the ranked score at once, for one row and both scores.
     """
-    return _infer_rows([estimate], alpha)[0]
+    if estimate.se_phi is None:
+        raise ValidationError(f"estimator kind {estimate.estimator_kind!r} carries no standard errors")
+
+    def wald(score, se, null):
+        (lo,), (hi,), (p,) = (a.tolist() for a in _wald_rows(np.array([score]), np.array([se]), null, alpha))
+        return se, (lo, hi), p
+
+    psi = () if estimate.se_psi is None else wald(estimate.psi_hat, estimate.se_psi, 1.0)
+    return InferenceResult(*wald(estimate.phi_hat, estimate.se_phi, 0.0), alpha, *psi)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .data import ValidationError
-from .estimators import INFERENCE_KINDS, ScoreEstimate
-from .influence import InferenceResult, _infer_rows
+import numpy as np
 
-__all__ = ["RankRow", "RankingReport", "rank", "screen"]
+from .data import ValidationError
+from .estimators import ScoreEstimate
+from .influence import _wald_rows
+
+__all__ = ["RankRow", "RankingReport", "rank"]
 
 SCORE_KINDS = ("difference", "ratio")
 
@@ -36,15 +38,17 @@ def rank(
     estimates: list[ScoreEstimate],
     score_kind: str,
     names: list[str] | None = None,
-    inferences: list[InferenceResult | None] | None = None,
     rule: tuple | None = None,
+    alpha: float = 0.10,
 ) -> RankingReport:
     """Rank estimates by |score - null|, descending with ties on input order, and select by ``rule``.
 
-    ``rule`` is ``("top_k", k)`` (the first K ranks), ``("alpha_test",
-    level)`` (every score with p < level, which needs ``inferences``) or
-    None for no selection.  Undefined ratio scores sink to the bottom and
-    are flagged instead of aborting the screen.
+    When every estimate carries SEs (dr and tmle), each row of a defined
+    score gets its Wald CI at level 1 - ``alpha`` and p-value, in one step
+    for all rows.  ``rule`` is ``("top_k", k)`` (the first K ranks),
+    ``("alpha_test", level)`` (every score with p < level, which needs the
+    SEs) or None for no selection.  Undefined ratio scores sink to the
+    bottom and are flagged instead of aborting the screen.
     """
     if score_kind not in SCORE_KINDS:
         raise ValidationError(f"unknown score kind {score_kind!r}")
@@ -55,27 +59,24 @@ def rank(
         raise ValidationError(f"mixed estimator kinds in one ranking: {sorted(kinds)}")
     if names is None:
         names = [str(est.covariate_id) for est in estimates]
-    if inferences is None:
-        inferences = [None] * len(estimates)
-    null = 0.0 if score_kind == "difference" else 1.0
+    difference = score_kind == "difference"
+    null = 0.0 if difference else 1.0
+    scores = [est.phi_hat if difference else est.psi_hat for est in estimates]
+    inference = [(None, None, None)] * len(estimates)  # (se, ci, p) of each row
+    if all(est.se_phi is not None for est in estimates):
+        ses = [est.se_phi if difference else est.se_psi for est in estimates]
+        defined = [i for i, se in enumerate(ses) if se is not None]
+        lo, hi, p = _wald_rows(*(np.array([v[i] for i in defined]) for v in (scores, ses)), null, alpha)
+        for i, ci, p_i in zip(defined, zip(lo.tolist(), hi.tolist()), p.tolist()):
+            inference[i] = (ses[i], ci, p_i)
 
     entries = []
-    for idx, (est, name, inf) in enumerate(zip(estimates, names, inferences)):
+    for idx, (est, name, score, (se, ci, p)) in enumerate(zip(estimates, names, scores, inference)):
         flags = []
         if est.diagnostics.get("constant"):
             flags.append("constant")
-        if score_kind == "difference":
-            score = est.phi_hat
-            se = inf.se_phi if inf else None
-            ci = inf.ci_phi if inf else None
-            p = inf.p_phi if inf else None
-        else:
-            score = est.psi_hat
-            se = inf.se_psi if inf else None
-            ci = inf.ci_psi if inf else None
-            p = inf.p_psi if inf else None
-            if score is None:
-                flags.append("psi_undefined")
+        if score is None:
+            flags.append("psi_undefined")
         distance = abs(score - null) if score is not None else float("-inf")
         entries.append((distance, idx, est.covariate_id, name, score, se, ci, p, tuple(flags)))
 
@@ -115,23 +116,3 @@ def rank(
         for pos, (_, _, cov_id, name, score, se, ci, p, flags) in enumerate(entries)
     )
     return RankingReport(rows=rows, selection_rule=rule)
-
-
-def screen(
-    estimates: list[ScoreEstimate],
-    score_kind: str,
-    rule: tuple | None = None,
-    alpha: float = 0.10,
-    names: list[str] | None = None,
-) -> tuple[RankingReport, list[InferenceResult] | None]:
-    """Infer, rank and select: the screening path from estimates to a selected ranking.
-
-    Estimates of an estimator in ``INFERENCE_KINDS`` get Wald inference at
-    level ``alpha`` from their scores and SEs, in one step for all rows;
-    the inferences (None for plug-ins) are returned in input order next to
-    the report.  ``rule`` is passed to ``rank``.
-    """
-    inferences = None
-    if estimates and all(est.estimator_kind in INFERENCE_KINDS for est in estimates):
-        inferences = _infer_rows(estimates, alpha)
-    return rank(estimates, score_kind, names=names, inferences=inferences, rule=rule), inferences

@@ -15,9 +15,10 @@ import numpy as np
 
 from ._stats import expit, norm_ppf
 from .data import Dataset, ValidationError
-from .estimators import score_all
+from .estimators import INFERENCE_KINDS, score_all
+from .influence import _wald_rows
 from .nuisance import BasisConfig, _target_columns
-from .ranking import screen
+from .ranking import rank
 
 __all__ = [
     "SimScenario",
@@ -118,15 +119,19 @@ def design_coefficients(p: int) -> tuple[np.ndarray, np.ndarray]:
     return alphas, betas
 
 
-def _labels_gaussian(p: int) -> tuple[str, ...]:
-    labels = [LABEL_SPURIOUS] * p
-    for j in range(0, 5):
-        labels[j] = LABEL_CONFOUNDER
-    for j in range(5, 10):
-        labels[j] = LABEL_PRECISION
-    for j in range(10, 15):
-        labels[j] = LABEL_INSTRUMENT
-    return tuple(labels)
+def _labels(alphas, betas) -> tuple[str, ...]:
+    """Each covariate's role from its exposure (alpha) and outcome (beta) coefficients.
+
+    Confounder where alpha > 0 and beta != 0, instrument where only alpha > 0,
+    precision where only beta != 0, otherwise spurious.
+    """
+    roles = {
+        (True, True): LABEL_CONFOUNDER,
+        (True, False): LABEL_INSTRUMENT,
+        (False, True): LABEL_PRECISION,
+        (False, False): LABEL_SPURIOUS,
+    }
+    return tuple(roles[bool(a > 0.0), bool(b != 0.0)] for a, b in zip(alphas, betas))
 
 
 def _ar1_covariates(gen: np.random.Generator, n: int, p: int, rho: float) -> np.ndarray:
@@ -157,7 +162,7 @@ def _gen_low_dim(scenario: SimScenario, replicate: int = 0) -> SimulatedData:
     alphas, betas = design_coefficients(p)
     e = (_uniforms(gen, n) < expit(c @ alphas)).astype(np.int64)
     y = scenario.theta * e + c @ betas + _normals(gen, n)
-    return SimulatedData(dataset=_make_dataset(y, e, c), labels=_labels_gaussian(p))
+    return SimulatedData(dataset=_make_dataset(y, e, c), labels=_labels(alphas, betas))
 
 
 def _mis_f(j: int, c: np.ndarray) -> np.ndarray:
@@ -190,7 +195,7 @@ def _gen_misspecified(scenario: SimScenario, replicate: int = 0) -> SimulatedDat
         g_sum += _mis_g(j, c[:, j])
     e = (_uniforms(gen, n) < expit(logits)).astype(np.int64)
     y = scenario.theta * e + g_sum + _normals(gen, n)
-    return SimulatedData(dataset=_make_dataset(y, e, c), labels=_labels_gaussian(p))
+    return SimulatedData(dataset=_make_dataset(y, e, c), labels=_labels(*design_coefficients(p)))
 
 
 def _gen_uniform(scenario: SimScenario, replicate: int = 0) -> SimulatedData:
@@ -202,17 +207,7 @@ def _gen_uniform(scenario: SimScenario, replicate: int = 0) -> SimulatedData:
     c = _uniforms(gen, (n, p))
     e = (_uniforms(gen, n) < c @ alphas).astype(np.int64)
     y = scenario.beta0 + scenario.theta * e + c @ betas + _normals(gen, n)
-    labels = []
-    for j in range(p):
-        if alphas[j] > 0.0 and betas[j] != 0.0:
-            labels.append(LABEL_CONFOUNDER)
-        elif alphas[j] > 0.0:
-            labels.append(LABEL_INSTRUMENT)
-        elif betas[j] != 0.0:
-            labels.append(LABEL_PRECISION)
-        else:
-            labels.append(LABEL_SPURIOUS)
-    return SimulatedData(dataset=_make_dataset(y, e, c), labels=tuple(labels))
+    return SimulatedData(dataset=_make_dataset(y, e, c), labels=_labels(alphas, betas))
 
 
 _GENERATORS = {
@@ -276,6 +271,15 @@ class _ArmAccumulator:
         return OracleValue(value=float(m1 - m0), mc_se=float(np.sqrt(max(var_d, 0.0) / self.m)))
 
 
+def _monte_carlo(draw, mc_size: int, chunk: int) -> OracleValue:
+    """Arm means of tau over ``mc_size`` draws, made ``chunk`` at a time by ``draw(m)`` -> (tau, e)."""
+    acc = _ArmAccumulator()
+    mc_size = int(mc_size)
+    for start in range(0, mc_size, chunk):
+        acc.add(*draw(min(chunk, mc_size - start)))
+    return acc.result()
+
+
 def _oracle_gaussian(scenario, cols, mc_size, oracle_seed, chunk=1_000_000):
     p = scenario.p
     offsets = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
@@ -294,11 +298,8 @@ def _oracle_gaussian(scenario, cols, mc_size, oracle_seed, chunk=1_000_000):
     chol = np.linalg.cholesky(sigma_gg)
 
     gen = substream(oracle_seed, 0)
-    acc = _ArmAccumulator()
-    remaining = int(mc_size)
-    while remaining > 0:
-        m = min(chunk, remaining)
-        remaining -= m
+
+    def draw(m):
         cg = _normals(gen, (m, len(cols))) @ chol.T
         l_mean = cg @ a
         l = l_mean + s * _normals(gen, m)
@@ -306,8 +307,9 @@ def _oracle_gaussian(scenario, cols, mc_size, oracle_seed, chunk=1_000_000):
         tau = cg @ b
         if scenario.theta != 0.0:
             tau = tau + scenario.theta * _gh_expit_mean(l_mean, s)
-        acc.add(tau, e)
-    return acc.result()
+        return tau, e
+
+    return _monte_carlo(draw, mc_size, chunk)
 
 
 def _oracle_uniform(scenario, cols, mc_size, oracle_seed, chunk=1_000_000):
@@ -321,11 +323,8 @@ def _oracle_uniform(scenario, cols, mc_size, oracle_seed, chunk=1_000_000):
     rest_beta_mean = betas[~out_mask].sum() / 2.0
 
     gen = substream(oracle_seed, 0)
-    acc = _ArmAccumulator()
-    remaining = int(mc_size)
-    while remaining > 0:
-        m = min(chunk, remaining)
-        remaining -= m
+
+    def draw(m):
         c = _uniforms(gen, (m, p))
         e = _uniforms(gen, m) < c @ alphas
         cg = c[:, cols]
@@ -335,8 +334,9 @@ def _oracle_uniform(scenario, cols, mc_size, oracle_seed, chunk=1_000_000):
             + scenario.theta * (cg @ alphas[cols] + rest_alpha_mean)
             + rest_beta_mean
         )
-        acc.add(tau, e)
-    return acc.result()
+        return tau, e
+
+    return _monte_carlo(draw, mc_size, chunk)
 
 
 def _oracle_misspecified(scenario, cols, mc_size, oracle_seed, chunk=200_000, inner=4096):
@@ -358,11 +358,7 @@ def _oracle_misspecified(scenario, cols, mc_size, oracle_seed, chunk=200_000, in
             if k != j:
                 r_inner += _mis_f(k, zi[:, k])
 
-    acc = _ArmAccumulator()
-    remaining = int(mc_size)
-    while remaining > 0:
-        m = min(chunk, remaining)
-        remaining -= m
+    def draw(m):
         c = _normals(gen, (m, 15))
         logits = np.full(m, -15.0)
         for k in range(15):
@@ -378,8 +374,9 @@ def _oracle_misspecified(scenario, cols, mc_size, oracle_seed, chunk=200_000, in
                 hi = min(lo + block, m)
                 p_e[lo:hi] = expit(fj[lo:hi, None] + r_inner[None, :]).mean(axis=1)
             tau = tau + scenario.theta * p_e
-        acc.add(tau, e)
-    return acc.result()
+        return tau, e
+
+    return _monte_carlo(draw, mc_size, chunk)
 
 
 def oracle_phi(scenario: SimScenario, target, mc_size: int = 10_000_000, oracle_seed: int = 777) -> OracleValue:
@@ -473,7 +470,7 @@ def run_replicates(
 ) -> SimResult:
     """Run the scenario's replicates and collect selection metrics.
 
-    Each replicate is screened by ``ranking.screen`` with ``rule`` and ``alpha``.
+    Each replicate is ranked by ``ranking.rank`` with ``rule`` and ``alpha``.
     ``oracle_values`` (length-p array) enables per-covariate CI coverage
     indicators; pass None to skip coverage.
     """
@@ -483,7 +480,8 @@ def run_replicates(
     spec = np.empty(reps)
     phis = np.empty((reps, p))
     ses = np.full((reps, p), np.nan)
-    cover = np.full((reps, p), np.nan) if oracle_values is not None else None
+    oracle = None if oracle_values is None else np.asarray(oracle_values, dtype=float)
+    cover = np.full((reps, p), np.nan) if oracle is not None else None
     roc_sum = np.zeros((p + 1, 2))
     labels = None
 
@@ -491,17 +489,14 @@ def run_replicates(
         sim = generate(scenario, r)
         labels = sim.labels
         estimates = score_all(sim.dataset, estimator_kind, basis)
-        report, inferences = screen(estimates, score_kind, rule, alpha, names=list(sim.dataset.column_names))
-        selected = [row.id for row in report.rows if row.selected]
-        s, sp = evaluate_selection(selected, labels)
-        sens[r], spec[r] = s, sp
+        report = rank(estimates, score_kind, list(sim.dataset.column_names), rule, alpha)
+        sens[r], spec[r] = evaluate_selection([row.id for row in report.rows if row.selected], labels)
         phis[r] = [est.phi_hat for est in estimates]
-        if inferences is not None:
-            ses[r] = [inf.se_phi for inf in inferences]
+        if estimator_kind in INFERENCE_KINDS:
+            ses[r] = [est.se_phi for est in estimates]
             if cover is not None:
-                for j, inf in enumerate(inferences):
-                    lo, hi = inf.ci_phi
-                    cover[r, j] = float(lo <= oracle_values[j] <= hi)
+                lo, hi, _ = _wald_rows(phis[r], ses[r], 0.0, alpha)
+                cover[r] = (lo <= oracle) & (oracle <= hi)
         roc_sum += _roc_along([row.id for row in report.rows], labels)
 
     roc_mean = roc_sum / reps
@@ -525,6 +520,6 @@ def run_replicates(
         se_hats=ses,
         coverage=cover,
         roc_mean=roc_mean,
-        oracle_values=None if oracle_values is None else np.asarray(oracle_values, dtype=float),
+        oracle_values=oracle,
         aggregates=aggregates,
     )

@@ -156,6 +156,31 @@ def test_no_partial_output_on_failure(six_csv, tmp_path):
     main(["score", "--data", six_csv, "--outcome", "O", "--exposure", "nope",
           "--out", str(out)])
     assert not out.exists()
+    # The write succeeds and the rename fails: --out names an existing directory.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"kind": "uniform_closed_form", "n": 50, "p": 2,
+                                    "alphas": [0.5, 0.0], "betas": [1.0, 0.0]}))
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    assert main(["simulate", "--scenario", str(scenario), "--estimator", "plugin-om",
+                 "--top-k", "1", "--out", str(outdir)]) == 2
+    assert not list(tmp_path.glob("*.tmp.*"))
+
+
+@pytest.mark.parametrize("estimator", ["tmle", "plugin-om"])
+def test_score_rows_equal_rank_rows(wide_csv, tmp_path, estimator):
+    # score and rank write their rows through one path: the same numbers for each name.
+    base = ["--data", wide_csv, "--outcome", "y", "--exposure", "treat", "--estimator", estimator]
+    assert main(["score", *base, "--out", str(tmp_path / "score.json")]) == 0
+    assert main(["rank", *base, "--top-k", "4", "--out", str(tmp_path / "rank.json")]) == 0
+    scored, ranked = (json.loads((tmp_path / f"{cmd}.json").read_text())["results"] for cmd in ("score", "rank"))
+    by_name = {row["name"]: row for row in ranked}
+    assert [row["name"] for row in scored] == sorted(by_name) == ["x0", "x1", "x2", "x3"]
+    fields = ("theta", "phi", "psi", "se_phi", "ci_lo", "ci_hi", "p_value")
+    for row in scored:
+        assert {k: row[k] for k in fields} == {k: by_name[row["name"]][k] for k in fields}, row["name"]
+    if estimator == "tmle":
+        assert all(row["p_value"] is not None for row in scored)
 
 
 def test_score_determinism_byte_identical(six_csv, tmp_path):

@@ -9,7 +9,6 @@ from confscreen import (
     BasisConfig,
     Dataset,
     GroupSpec,
-    InferenceResult,
     ScoreEstimate,
     ValidationError,
     rank,
@@ -17,7 +16,6 @@ from confscreen import (
     score_all,
     score_covariate,
     score_groups,
-    screen,
 )
 from confscreen._stats import expit
 
@@ -32,10 +30,6 @@ def _estimate(cov_id, phi, psi=None, kind="tmle", constant=False):
         psi_hat=psi,
         diagnostics=diag,
     )
-
-
-def _inference(p, se=0.1):
-    return InferenceResult(se_phi=se, ci_phi=(-1.0, 1.0), p_phi=p, alpha=0.10)
 
 
 def test_rank_orders_by_absolute_distance():
@@ -117,9 +111,9 @@ def test_top_k_monotone_in_k():
 
 
 def test_select_by_test():
-    ests = [_estimate(0, 0.5), _estimate(1, 0.1)]
-    infs = [_inference(0.01), _inference(0.5)]
-    report = rank(ests, "difference", inferences=infs, rule=("alpha_test", 0.10))
+    # p is about 6e-7 for 0.5 +- 0.1 and 0.32 for 0.1 +- 0.1.
+    ests = [replace(_estimate(0, 0.5), se_phi=0.1), replace(_estimate(1, 0.1), se_phi=0.1)]
+    report = rank(ests, "difference", rule=("alpha_test", 0.10), alpha=0.10)
     rows = {row.id: row.selected for row in report.rows}
     assert rows == {0: True, 1: False}
 
@@ -128,7 +122,7 @@ def test_select_by_test_leaves_a_nan_se_row_unselected():
     ests = [replace(_estimate(0, 0.5), se_phi=float("nan")), replace(_estimate(1, 0.5), se_phi=0.1)]
     infs = [infer_scores(est, 0.10) for est in ests]
     assert np.isnan(infs[0].p_phi) and infs[1].p_phi < 0.10
-    report = rank(ests, "difference", inferences=infs, rule=("alpha_test", 0.10))
+    report = rank(ests, "difference", rule=("alpha_test", 0.10), alpha=0.10)
     assert {row.id: row.selected for row in report.rows} == {0: False, 1: True}
 
 
@@ -138,9 +132,11 @@ def test_select_by_test_needs_inference():
 
 
 def test_select_by_test_alpha_bounds():
-    infs = [_inference(0.01)]
+    ests = [replace(_estimate(0, 0.5), se_phi=0.1)]
     with pytest.raises(ValidationError):
-        rank([_estimate(0, 0.5)], "difference", inferences=infs, rule=("alpha_test", 0.0))
+        rank(ests, "difference", rule=("alpha_test", 0.0), alpha=0.10)
+    with pytest.raises(ValidationError, match="alpha"):
+        rank(ests, "difference", rule=("alpha_test", 0.10), alpha=0.0)
 
 
 def _sim_dataset(seed=40, n=300, p=3):
@@ -154,10 +150,10 @@ def _sim_dataset(seed=40, n=300, p=3):
 
 
 def _screen_groups(ds, spec, rule=None):
-    """The group screen: member columns, group scores, then ``screen``."""
+    """The group screen: member columns, group scores, then ``rank``."""
     members = spec.member_indices(ds)
     estimates = score_groups(ds, members, "tmle", BasisConfig(degree=2))
-    return screen(estimates, "difference", rule, names=[name for name, _ in members])[0]
+    return rank(estimates, "difference", names=[name for name, _ in members], rule=rule)
 
 
 def test_rank_groups_singleton_matches_single_covariate():
@@ -181,14 +177,16 @@ def test_screen_infers_only_efficient_estimates():
     ds = _sim_dataset()
     basis = BasisConfig(degree=2)
     plugin = [score_covariate(ds, j, "plugin_om", basis) for j in range(3)]
-    report, inferences = screen(plugin, "difference", ("top_k", 2))
-    assert inferences is None
+    report = rank(plugin, "difference", rule=("top_k", 2))
+    assert all(row.se is None and row.ci is None and row.p_value is None for row in report.rows)
     assert [row.selected for row in report.rows] == [True, True, False]
     efficient = [score_covariate(ds, j, "dr", basis) for j in range(3)]
-    report, inferences = screen(efficient, "difference", alpha=0.05)
+    report = rank(efficient, "difference", alpha=0.05)
     assert report.selection_rule is None and not any(row.selected for row in report.rows)
-    assert [inf.alpha for inf in inferences] == [0.05] * 3
-    assert {row.id: row.p_value for row in report.rows} == {j: inf.p_phi for j, inf in enumerate(inferences)}
+    inferences = [infer_scores(est, 0.05) for est in efficient]
+    assert {row.id: (row.se, row.ci, row.p_value) for row in report.rows} == {
+        j: (inf.se_phi, inf.ci_phi, inf.p_phi) for j, inf in enumerate(inferences)
+    }
 
 
 def test_rank_groups_unknown_rule():
@@ -211,8 +209,15 @@ def test_screen_block_inference_equals_infer_scores(kind):
     first = estimates[0]
     estimates.append(replace(first, covariate_id=7, psi_hat=None, se_psi=None))
     estimates.append(replace(first, covariate_id=8, phi_hat=0.3, se_phi=0.0, se_psi=0.0))
-    _, inferences = screen(estimates, "ratio", ("alpha_test", 0.10), 0.10)
-    assert repr(inferences) == repr([infer_scores(est, 0.10) for est in estimates])
-    assert inferences[4].se_phi == 0.0 and inferences[4].p_phi == 1.0
-    assert inferences[7].se_psi is None and inferences[7].p_phi == inferences[0].p_phi
-    assert inferences[8].se_phi == 0.0 and inferences[8].p_phi == 0.0
+    inferences = [infer_scores(est, 0.10) for est in estimates]
+    rows = {}
+    for score_kind, suffix in (("difference", "phi"), ("ratio", "psi")):
+        report = rank(estimates, score_kind, rule=("alpha_test", 0.10), alpha=0.10)
+        rows[score_kind] = {row.id: row for row in report.rows}
+        got = [(row.se, row.ci, row.p_value) for row in map(rows[score_kind].get, range(9))]
+        want = [tuple(getattr(inf, f"{name}_{suffix}") for name in ("se", "ci", "p")) for inf in inferences]
+        assert repr(got) == repr(want)
+    phi, psi = rows["difference"], rows["ratio"]
+    assert phi[4].se == 0.0 and phi[4].p_value == 1.0
+    assert psi[7].se is None and psi[7].p_value is None and phi[7].p_value == phi[0].p_value
+    assert phi[8].se == 0.0 and phi[8].p_value == 0.0
