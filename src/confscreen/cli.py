@@ -1,9 +1,9 @@
 """Command-line interface: score, rank, and simulate subcommands.
 
 Exit codes: 0 success, 2 input/validation problems (single-line reason on
-stderr), 1 internal errors.  Output files are written atomically (temp file
-plus rename) and are byte-identical across repeat runs of the same config;
-the run manifest (which records wall time) goes to a sibling
+stderr), 1 internal errors.  A command writes all of its output files or none
+(temp files, then renames), and they are byte-identical across repeat runs of
+the same config; the run manifest (which records wall time) goes to a sibling
 ``<out>.manifest.json`` and is excluded from that determinism contract.
 """
 
@@ -103,32 +103,43 @@ def _resolved_config(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "threads"}
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to a temp file and rename it to ``path``; on failure the temp file is removed."""
-    tmp = f"{path}.tmp.{os.getpid()}"
+def _atomic_write(files: dict[str, str]) -> None:
+    """Write every ``path: text`` of one command's ``files``, or none of them.
+
+    Every text goes to a temp file first, then each temp file is renamed to
+    its path.  On any failure the temp files and the outputs this call has
+    already renamed into place are removed, and the error is re-raised.
+    """
+    tmps = {path: f"{path}.tmp.{os.getpid()}" for path in files}
+    placed = []
     try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in files.items():
+            with open(tmps[path], "w", newline="") as fh:
+                fh.write(text)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
+            placed.append(path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for path in [*tmps.values(), *placed]:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         raise
 
 
-def _write_manifest(out_path: str, config: dict, wall_time: float, threads=None) -> None:
+def _manifest(args, config: dict, start: float) -> dict[str, str]:
+    """The ``<out>.manifest.json`` file of a run that started at ``start``, as ``{path: text}``."""
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "config": {**config, "threads": threads},
+        "config": {**config, "threads": args.threads},
         "versions": {
             "confscreen": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
         "seed": config.get("seed"),
-        "wall_time_seconds": wall_time,
+        "wall_time_seconds": time.monotonic() - start,
     }
-    _atomic_write(f"{out_path}.manifest.json", json.dumps(manifest, indent=2) + "\n")
+    return {f"{args.out}.manifest.json": json.dumps(manifest, indent=2) + "\n"}
 
 
 def _fmt(value) -> str:
@@ -150,15 +161,17 @@ def _rows_to_csv(rows: list[dict], se_key: str) -> str:
 
 
 def _emit_results(
-    args, config: dict, rows: list[dict], extra: dict | None = None, se_key: str = "se_phi"
+    args, config: dict, start: float, rows: list[dict], extra: dict | None = None, se_key: str = "se_phi"
 ) -> None:
+    """Write the result rows to ``args.out`` together with the run's manifest."""
     if args.format == "csv":
-        _atomic_write(args.out, _rows_to_csv(rows, se_key))
+        text = _rows_to_csv(rows, se_key)
     else:
         doc = {"schema_version": SCHEMA_VERSION, "config": config, "results": rows}
         if extra:
             doc.update(extra)
-        _atomic_write(args.out, json.dumps(doc, indent=2) + "\n")
+        text = json.dumps(doc, indent=2) + "\n"
+    _atomic_write({args.out: text, **_manifest(args, config, start)})
 
 
 def _row(est, row, se_key: str, **fields) -> dict:
@@ -212,8 +225,7 @@ def cmd_score(args) -> int:
         _row(est, by_row[name], "se_phi", warnings=list(est.diagnostics.get("warnings", [])))
         for name, est in by_name.items()
     ]
-    _emit_results(args, config, rows)
-    _write_manifest(args.out, config, time.monotonic() - start, args.threads)
+    _emit_results(args, config, start, rows)
     return 0
 
 
@@ -227,8 +239,7 @@ def cmd_rank(args) -> int:
         for row in report.rows
     ]
     extra = {"selection_rule": list(report.selection_rule)}
-    _emit_results(args, config, rows, extra=extra, se_key=se_key)
-    _write_manifest(args.out, config, time.monotonic() - start, args.threads)
+    _emit_results(args, config, start, rows, extra=extra, se_key=se_key)
     return 0
 
 
@@ -302,16 +313,15 @@ def cmd_simulate(args) -> int:
         lines = ["replicate,sensitivity,specificity"]
         for row in per_replicate:
             lines.append(f"{row['replicate']},{row['sensitivity']!r},{row['specificity']!r}")
-        _atomic_write(args.out, "\n".join(lines) + "\n")
         roc_lines = ["k,sensitivity,false_positive_rate"]
         for k, (sens, fpr) in enumerate(roc):
             roc_lines.append(f"{k},{sens!r},{fpr!r}")
-        _atomic_write(f"{args.out}.roc.csv", "\n".join(roc_lines) + "\n")
-        _atomic_write(
-            f"{args.out}.summary.json",
-            json.dumps({"schema_version": SCHEMA_VERSION, "config": config, "aggregates": aggregates}, indent=2)
-            + "\n",
-        )
+        summary = {"schema_version": SCHEMA_VERSION, "config": config, "aggregates": aggregates}
+        files = {
+            args.out: "\n".join(lines) + "\n",
+            f"{args.out}.roc.csv": "\n".join(roc_lines) + "\n",
+            f"{args.out}.summary.json": json.dumps(summary, indent=2) + "\n",
+        }
     else:
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -321,8 +331,8 @@ def cmd_simulate(args) -> int:
             "aggregates": aggregates,
             "roc": roc,
         }
-        _atomic_write(args.out, json.dumps(doc, indent=2) + "\n")
-    _write_manifest(args.out, config, time.monotonic() - start, args.threads)
+        files = {args.out: json.dumps(doc, indent=2) + "\n"}
+    _atomic_write({**files, **_manifest(args, config, start)})
     return 0
 
 

@@ -4,14 +4,16 @@ Three functions are fitted on a shared polynomial basis of the standardized
 covariate(s): the outcome regression tau(c) = E(O | C=c), the propensity
 pi(c) = Pr(E=1 | C=c), and the per-arm adjusted exposure-response model
 Q(e, c) = E(O | E=e, C=c).  Targets of the same width are fitted as one
-stack of design matrices of shape (targets, n, basis width): least squares
-by a Householder QR of each augmented design, logistic models by IRLS with a
-per-target stopping rule.  A design of more than 2 * ROW_BLOCK rows is
-built, QR-reduced and summed into the IRLS terms X' diag(w) X and X' r by
-blocks of ROW_BLOCK rows, which stay in cache: a shorter design gives the
-bits of whole-array expressions, a taller one matches them to rounding.  The
-blocks depend on n alone, so a target's fit does not depend on which stack
-it is fitted in.
+feature-major stack of designs (targets, basis width, n): each basis column
+is a contiguous row of observations, so per-observation products run along
+contiguous memory and a design's transpose is column-major for LAPACK.
+Least squares is a Householder QR of each augmented design, logistic models
+IRLS with a per-target stopping rule.  A design of more than 2 * ROW_BLOCK
+observations is built, QR-reduced and summed into the IRLS terms
+X diag(w) X' and X r by blocks of ROW_BLOCK observations, which stay in
+cache: a shorter design gives the bits of whole-array expressions, a taller
+one matches them to rounding.  The blocks depend on n alone, so a target's
+fit does not depend on which stack it is fitted in.
 
 Every estimator reads the nuisance models only at the dataset's own rows, so
 a fit is its values there: a NuisanceFit holds tau, pi, Q(0, c) and Q(1, c)
@@ -37,8 +39,8 @@ __all__ = [
 
 PROB_CLIP = 1e-6
 MAX_SATURATED_LEVELS = 64
-# Rows of one block of a tall design.  A 2048 x 19 block and its weighted copy
-# (about 0.6 MB) stay in a 2 MB L2 cache; 4096-row blocks were slower.
+# Observations of one block of a tall design.  A 19 x 2048 block and its weighted copy
+# (about 0.6 MB) stay in a 2 MB L2 cache; 4096-observation blocks were slower.
 ROW_BLOCK = 2048
 # IRLS stops a row once its log-likelihood gains less than IRLS_TOL, or after IRLS_MAX_ITER steps.
 IRLS_TOL = 1e-10
@@ -64,25 +66,25 @@ class BasisConfig:
 
 
 def _row_blocks(n: int) -> list[slice]:
-    """Row slices of a design of ``n`` rows: all rows up to 2 * ROW_BLOCK, else blocks of ROW_BLOCK."""
+    """Slices of ``n`` observations: all of them up to 2 * ROW_BLOCK, else blocks of ROW_BLOCK."""
     if n <= 2 * ROW_BLOCK:
         return [slice(None)]
     return [slice(start, start + ROW_BLOCK) for start in range(0, n, ROW_BLOCK)]
 
 
 def _design_matrix(z: np.ndarray, basis: BasisConfig, out: np.ndarray | None = None) -> np.ndarray:
-    """Basis expansion of standardized columns ``z`` (..., n, m) into (..., n, width), or into ``out``."""
-    m = z.shape[-1]
-    X = np.empty((*z.shape[:-1], basis.width(m))) if out is None else out
-    X[..., 0] = 1.0
+    """Basis expansion of standardized members ``z`` (..., m, n) into (..., width, n), or into ``out``."""
+    m, n = z.shape[-2:]
+    X = np.empty((*z.shape[:-2], basis.width(m), n)) if out is None else out
+    X[..., 0, :] = 1.0
     col = 1
     for j in range(m):
-        zj = z[..., j]
+        zj = z[..., j, :]
         power = zj
-        X[..., col] = power
+        X[..., col, :] = power
         for k in range(1, basis.degree):
             power = power * zj
-            X[..., col + k] = power
+            X[..., col + k, :] = power
         col += basis.degree
     return X
 
@@ -94,25 +96,26 @@ def _standardize(c: np.ndarray, centers: np.ndarray, scales: np.ndarray) -> np.n
 
 
 def _predict(X: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """X @ coeffs for designs (..., n, d) and coefficients (..., d)."""
-    return np.matmul(X, coeffs[..., None])[..., 0]
+    """coeffs @ X for designs (..., d, n) and coefficients (..., d)."""
+    return np.matmul(coeffs[..., None, :], X)[..., 0, :]
 
 
 def _solve_lstsq(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares of every design of the stack ``X`` (b, n, d) on ``y`` (n,) or (b, n).
+    """Least squares of every design of the stack ``X`` (b, d, n) on ``y`` (n,) or (b, n).
 
     The coefficients come from the triangle of a Householder QR of the
-    augmented [X | y] (reduced by row blocks, see _r_factor).  A design is rank-deficient when some
+    augmented [X' | y], the column-major transposed view of [X; y] (reduced
+    by row blocks, see _r_factor).  A design is rank-deficient when some
     |diag R| <= max(n, d) * eps * max|diag R|; those rows are re-solved from
-    the normal equations with penalty 1e-8 * trace(X'X) / d.  Returns
+    the normal equations with penalty 1e-8 * trace(X X') / d.  Returns
     (coefficients (b, d), used_ridge (b,)).  The stack is made C-contiguous
     first: BLAS takes another path for another memory layout, and a row's
     result must not depend on the stack it is in.
     """
     X = np.ascontiguousarray(X)
-    b, n, d = X.shape
+    b, d, n = X.shape
     y = np.broadcast_to(y, (b, n))
-    r = _r_factor(np.concatenate([X, y[..., None]], axis=-1))
+    r = _r_factor(np.swapaxes(np.concatenate([X, y[:, None]], axis=1), -1, -2))
     ridged = np.ones(b, dtype=bool)
     if r.shape[-2] >= d:
         diag = np.abs(np.diagonal(r[:, :d, :d], axis1=-2, axis2=-1))
@@ -124,11 +127,9 @@ def _solve_lstsq(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         beta[full] = np.linalg.solve(r[full, :d, :d], r[full, :d, d:])[..., 0]
     if ridged.any():
         Xr = X[ridged]
-        Xt = np.swapaxes(Xr, -1, -2)
-        xtx = Xt @ Xr
+        xtx = Xr @ np.swapaxes(Xr, -1, -2)
         lam = 1e-8 * np.trace(xtx, axis1=-2, axis2=-1) / d
-        rhs = _predict(Xt, y[ridged])
-        beta[ridged] = np.linalg.solve(xtx + lam[:, None, None] * np.eye(d), rhs[..., None])[..., 0]
+        beta[ridged] = np.linalg.solve(xtx + lam[:, None, None] * np.eye(d), Xr @ y[ridged, :, None])[..., 0]
     return beta, ridged
 
 
@@ -146,7 +147,7 @@ def _r_factor(A: np.ndarray) -> np.ndarray:
 
 
 def _fit_logistic(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Binomial (or quasi-binomial for fractional y) IRLS fit of each design of the stack ``X`` (b, n, d).
+    """Binomial (or quasi-binomial for fractional y) IRLS fit of each design of the stack ``X`` (b, d, n).
 
     Convergence: log-likelihood improvement below IRLS_TOL.  Rows whose
     coefficients diverge (perfect or quasi-separation) or whose Hessian is
@@ -154,11 +155,11 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     (coefficients (b, d), used_ridge (b,)).
     """
     X = np.ascontiguousarray(X)
-    y = np.broadcast_to(y, X.shape[:-1])
+    y = np.broadcast_to(y, (len(X), X.shape[-1]))
     beta, ok = _irls(X, y, 0.0)
     ridged = ~ok
     if ridged.any():
-        beta[ridged] = _irls(X[ridged], y[ridged], 1e-6 * X.shape[-2])[0]
+        beta[ridged] = _irls(X[ridged], y[ridged], 1e-6 * X.shape[-1])[0]
     return beta, ridged
 
 
@@ -169,7 +170,7 @@ def _irls(X, y, ridge: float) -> tuple[np.ndarray, np.ndarray]:
     is singular or its coefficients leave the finite range or pass 15.  Row
     subsets are indexed only once some rows have stopped.
     """
-    b, n, d = X.shape
+    b, d, n = X.shape
     beta = np.zeros((b, d))
     ok = np.ones(b, dtype=bool)
     rows = np.arange(b)  # stack rows still iterating
@@ -182,14 +183,14 @@ def _irls(X, y, ridge: float) -> tuple[np.ndarray, np.ndarray]:
         hess, grad = _newton_terms(Xr, w, yr - mu)
         step, solved = _solve_rows(hess + ridge_eye, grad - ridge * beta_r)
         ok[rows[~solved]] = False
-        # Step-halving keeps each row's likelihood monotone; the 30th
-        # candidate is taken whatever its likelihood.
+        # Step-halving keeps each row's likelihood monotone up to the rounding of
+        # its sum (8 ulps of |ll|); the 30th candidate is taken whatever its likelihood.
         scale = np.ones(rows.size)
         cand = beta_r + step
         mu_c = expit(_predict(Xr, cand))
         ll_c = _penalized_loglik(yr, mu_c, cand, ridge)
         for _ in range(29):
-            halve = solved & ~(ll_c >= ll - 1e-14)
+            halve = solved & ~(ll_c >= ll - 8 * np.spacing(np.abs(ll)))
             if not halve.any():
                 break
             h = slice(None) if halve.all() else np.flatnonzero(halve)
@@ -219,12 +220,12 @@ def _irls(X, y, ridge: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _newton_terms(X: np.ndarray, w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X' diag(w) X (b, d, d) and X' r (b, d) of each design of the stack ``X`` (b, n, d), by _row_blocks."""
+    """X diag(w) X' (b, d, d) and X r (b, d) of each design of the stack ``X`` (b, d, n), by _row_blocks."""
     hess = grad = None
-    for rows in _row_blocks(X.shape[-2]):
-        Xb = X[:, rows]
-        h = np.swapaxes(Xb * w[:, rows, None], -1, -2) @ Xb
-        g = _predict(np.swapaxes(Xb, -1, -2), r[:, rows])
+    for rows in _row_blocks(X.shape[-1]):
+        Xb = X[..., rows]
+        h = (Xb * w[:, None, rows]) @ np.swapaxes(Xb, -1, -2)
+        g = (Xb @ r[:, rows, None])[..., 0]
         hess, grad = (h, g) if hess is None else (hess + h, grad + g)
     return hess, grad
 
@@ -299,14 +300,13 @@ def _store(fits: list[NuisanceFit], part: str, values, ridged, warning: str) -> 
 
 
 def _designs(dataset: Dataset, columns: list[tuple[int, ...]], basis: BasisConfig) -> np.ndarray:
-    """Design stack (targets, n, basis width) of each target's standardized columns, built by _row_blocks."""
+    """Design stack (targets, basis width, n) of each target's standardized columns, built by _row_blocks."""
     c = dataset.covariates.T[np.array(columns)]  # (targets, members, n)
     centers = c.mean(axis=-1)[..., None]
     scales = np.where(_constant_columns(np.moveaxis(c, -1, 0)), 0.0, c.std(axis=-1, ddof=1))[..., None]
-    X = np.empty((len(columns), dataset.n, basis.width(c.shape[1])))
+    X = np.empty((len(columns), basis.width(c.shape[1]), dataset.n))
     for rows in _row_blocks(dataset.n):
-        z = _standardize(c[..., rows], centers, scales)
-        _design_matrix(np.swapaxes(z, -1, -2), basis, out=X[:, rows])
+        _design_matrix(_standardize(c[..., rows], centers, scales), basis, out=X[..., rows])
     return X
 
 
@@ -333,7 +333,7 @@ def fit_nuisances(
         fitted = _clip_prob(expit(_predict(X, coeffs)))
         _store(fits, "pi", fitted, ridged, "pi: separation detected, ridge fallback used")
     if "q" in parts:
-        n_basis = X.shape[-1]
+        n_basis = X.shape[1]
         bounded = dataset.outcome_kind == "bounded"
         solver = _fit_logistic if bounded else _solve_lstsq
         for arm, mask in enumerate(dataset.arm_masks):
@@ -343,7 +343,7 @@ def fit_nuisances(
                     f"exposure arm {arm} has {count} observations; "
                     f"need at least {n_basis + 1} for the requested basis"
                 )
-            coeffs, ridged = solver(X[:, mask], dataset.outcome[mask])
+            coeffs, ridged = solver(X[..., mask], dataset.outcome[mask])
             fitted = _predict(X, coeffs)
             if bounded:
                 fitted = _clip_prob(expit(fitted))

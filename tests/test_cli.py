@@ -165,6 +165,15 @@ def test_no_partial_output_on_failure(six_csv, tmp_path):
     assert main(["simulate", "--scenario", str(scenario), "--estimator", "plugin-om",
                  "--top-k", "1", "--out", str(outdir)]) == 2
     assert not list(tmp_path.glob("*.tmp.*"))
+    # A later file of the command cannot be renamed into place: <out>.roc.csv is
+    # an existing directory, so out.csv, already in place, is removed again.
+    out = tmp_path / "out.csv"
+    (tmp_path / "out.csv.roc.csv").mkdir()
+    assert main(["simulate", "--scenario", str(scenario), "--estimator", "plugin-om",
+                 "--top-k", "1", "--format", "csv", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert not (tmp_path / "out.csv.summary.json").exists()
+    assert not list(tmp_path.glob("*.tmp.*"))
 
 
 @pytest.mark.parametrize("estimator", ["tmle", "plugin-om"])
