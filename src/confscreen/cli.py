@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .data import DataError, load_csv, load_groups
+from .data import DataError, _read_json, load_csv, load_groups
 from .estimators import INFERENCE_KINDS, score_all, score_groups
 from .nuisance import BasisConfig
 from .ranking import rank
@@ -244,13 +244,7 @@ def cmd_rank(args) -> int:
 
 
 def _load_scenario(path: str, seed_override) -> SimScenario:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid scenario file: {exc}") from None
+    raw = _read_json(path, "scenario")
     if not isinstance(raw, dict) or "kind" not in raw:
         raise DataError(f"{path}: scenario file must be a JSON object with a 'kind' field")
     unknown = set(raw) - {f.name for f in dataclasses.fields(SimScenario)}

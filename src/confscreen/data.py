@@ -295,15 +295,33 @@ def write_csv(dataset: Dataset, path, outcome_col: str = "outcome", exposure_col
             fh.write(f"{fmt(y)},{e},{','.join(map(fmt, row))}\r\n")
 
 
-def load_groups(path) -> GroupSpec:
-    """Load a JSON object mapping group names to column-name lists (``member_indices`` checks them)."""
+def _read_json(path, what: str):
+    """Parse the JSON ``what`` file at ``path``; a ParseError names the file.
+
+    The file must be UTF-8 JSON, and no object in it may repeat a key (a
+    plain ``json.load`` would keep only the last value).
+    """
+
+    def unique_keys(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ParseError(f"{path}: invalid {what} file: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid group file: {exc}") from None
+        raise ParseError(f"{path}: invalid {what} file: {exc}") from None
+
+
+def load_groups(path) -> GroupSpec:
+    """Load a JSON object mapping group names to column-name lists (``member_indices`` checks them)."""
+    raw = _read_json(path, "group")
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: group file must be an object of name -> column list")
     groups = []

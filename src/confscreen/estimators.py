@@ -35,7 +35,6 @@ from .nuisance import (
 __all__ = [
     "ScoreEstimate",
     "ThetaStack",
-    "TmleState",
     "plugin_scores_om",
     "plugin_scores_ps",
     "theta_dr",
@@ -99,21 +98,6 @@ class ThetaStack(NamedTuple):
     diagnostics: list
     pi: np.ndarray | None = None
     tau: np.ndarray | None = None
-
-
-@dataclass
-class TmleState:
-    """Iteration state of the TMLE fluctuation loop for a stack of targets.
-
-    ``trace[i]`` lists row i's (eps1, eps2) per iteration and
-    ``converged[i]`` says whether its loop stopped under the tolerance.
-    """
-
-    pi_values: np.ndarray
-    q0_values: np.ndarray
-    q1_values: np.ndarray
-    trace: list = field(default_factory=list)
-    converged: np.ndarray | None = None
 
 
 def scores_from_theta(theta, mu_o, mu_e: float):
@@ -278,15 +262,15 @@ def _bisect_eps(h: np.ndarray, y: np.ndarray, base: np.ndarray, s0: float) -> fl
     return 0.5 * (a + b)
 
 
-def fluctuate_pi(state: TmleState, dataset: Dataset) -> np.ndarray:
-    """Propensity update of every row along its least-favorable logistic path; returns eps1 (b,).
+def fluctuate_pi(pi: np.ndarray, q0: np.ndarray, q1: np.ndarray, dataset: Dataset):
+    """Propensity update of every row along its least-favorable logistic path; returns (eps1 (b,), pi (b, n)).
 
     The path covariate is H1 = -2 pi (Q1 - Q0) - Q0 and eps1 maximizes the
     Bernoulli log-likelihood of the exposure.  A row whose score at eps = 0
-    already vanishes (e.g. saturated fits, or H1 = 0) is left untouched.
+    already vanishes (e.g. saturated fits, or H1 = 0) keeps its values.  No
+    argument is written to.
     """
-    pi = state.pi_values
-    h1 = -2.0 * pi * (state.q1_values - state.q0_values) - state.q0_values
+    h1 = -2.0 * pi * (q1 - q0) - q0
     e = dataset.exposure_float
     eps1 = np.zeros(len(pi))
     move = ~(np.abs(_mean(h1 * (e - pi))) < NEWTON_TOL)
@@ -294,22 +278,23 @@ def fluctuate_pi(state: TmleState, dataset: Dataset) -> np.ndarray:
         h1 = h1[move]
         base = logit(_clip_prob(pi[move]))
         eps1[move] = _offset_logistic_mle(h1, e, base)
-        state.pi_values = pi.copy()
-        state.pi_values[move] = _clip_prob(expit(base + eps1[move, None] * h1))
-    return eps1
+        pi = pi.copy()
+        pi[move] = _clip_prob(expit(base + eps1[move, None] * h1))
+    return eps1, pi
 
 
-def fluctuate_q(state: TmleState, dataset: Dataset) -> np.ndarray:
-    """Exposure-response update of every row along its least-favorable path; returns eps2 (b,).
+def fluctuate_q(pi: np.ndarray, q0: np.ndarray, q1: np.ndarray, dataset: Dataset):
+    """Exposure-response update of every row along its least-favorable path; returns (eps2 (b,), q0, q1 (b, n)).
 
     Continuous outcome: linear path Q + eps * H2 with H2 = -pi (updated this
     iteration); eps2 has the closed-form least-squares solution, and a row
-    with sum(H2^2) < 1e-14 is left untouched.  Bounded outcome
+    with sum(H2^2) < 1e-14 keeps its values.  Bounded outcome
     (``dataset.outcome_kind``): logistic path on logit(Q) with the Bernoulli
-    loss, leaving untouched a row whose score at eps = 0 already vanishes.
+    loss, and a row whose score at eps = 0 already vanishes keeps its values.
+    No argument is written to.
     """
-    h2 = -state.pi_values
-    q_obs = np.where(dataset.arm_masks[1], state.q1_values, state.q0_values)
+    h2 = -pi
+    q_obs = np.where(dataset.arm_masks[1], q1, q0)
     o = dataset.outcome
     eps2 = np.zeros(len(h2))
     bounded = dataset.outcome_kind == "bounded"
@@ -323,50 +308,49 @@ def fluctuate_q(state: TmleState, dataset: Dataset) -> np.ndarray:
         eps2[move] = np.add.reduce(h2[move] * (o - q_obs[move]), axis=-1) / denom[move]
     if move.any():
         shift = eps2[move, None] * h2[move]
-        for attr in ("q0_values", "q1_values"):
-            q = getattr(state, attr).copy()
+        q0, q1 = q0.copy(), q1.copy()
+        for q in (q0, q1):
             q[move] = _clip_prob(expit(logit(_clip_prob(q[move])) + shift)) if bounded else q[move] + shift
-            setattr(state, attr, q)
-    return eps2
+    return eps2, q0, q1
 
 
 TMLE_TOL = 1e-8
 TMLE_MAX_ITER = 100
-_STATE_VALUES = ("pi_values", "q0_values", "q1_values")
 
 
-def _target(dataset: Dataset, fits: list) -> TmleState:
+def _target(dataset: Dataset, fits: list):
     """Run the TMLE fluctuation loop on the stack of ``fits``' in-sample values.
 
     Every row alternates the propensity and exposure-response fluctuations
     until max(|eps1|, |eps2|) < TMLE_TOL or TMLE_MAX_ITER iterations; a row
-    that stopped leaves the stack, so its targeted values, trace and
-    convergence do not depend on the other rows.
+    that stopped leaves the stack, so nothing of it depends on the other
+    rows.  Returns the targeted (pi, q0, q1) (b, n), and each row's
+    iteration count (b,), last (|eps1|, |eps2|) (2, b) and convergence (b,).
     """
-    state = TmleState(
-        *(_values(dataset, fits, part) for part in ("pi", "q0", "q1")),
-        trace=[[] for _ in fits],
-        converged=np.zeros(len(fits), dtype=bool),
-    )
-    live = TmleState(state.pi_values, state.q0_values, state.q1_values)
+    live = [_values(dataset, fits, part) for part in ("pi", "q0", "q1")]
+    values = [v.copy() for v in live]
+    iterations = np.zeros(len(fits), dtype=int)
+    final_eps = np.zeros((2, len(fits)))
+    converged = np.zeros(len(fits), dtype=bool)
     rows = np.arange(len(fits))  # stack rows still iterating
-    for _ in range(TMLE_MAX_ITER):
-        eps1 = fluctuate_pi(live, dataset)
-        eps2 = fluctuate_q(live, dataset)
-        for r, pair in zip(rows.tolist(), zip(eps1.tolist(), eps2.tolist())):
-            state.trace[r].append(pair)
-        for attr in _STATE_VALUES:
-            getattr(state, attr)[rows] = getattr(live, attr)
+    for it in range(1, TMLE_MAX_ITER + 1):
+        eps1, live[0] = fluctuate_pi(*live, dataset)
+        eps2, live[1], live[2] = fluctuate_q(*live, dataset)
         # max(|eps1|, |eps2|) as Python's max takes it: |eps1| unless |eps2| > |eps1|.
         a1, a2 = np.abs(eps1), np.abs(eps2)
         stop = np.where(a2 > a1, a2, a1) < TMLE_TOL
-        state.converged[rows[stop]] = True
-        if stop.all():
-            break
-        if stop.any():
-            rows = rows[~stop]
-            live = TmleState(*(getattr(live, attr)[~stop] for attr in _STATE_VALUES))
-    return state
+        leave = stop | (it == TMLE_MAX_ITER)
+        if leave.any():
+            done = rows[leave]
+            for full, part in zip(values, live):
+                full[done] = part[leave]
+            iterations[done] = it
+            final_eps[:, done] = a1[leave], a2[leave]
+            converged[done] = stop[leave]
+            if leave.all():
+                break
+            rows, *live = [a[~leave] for a in (rows, *live)]
+    return values, iterations, final_eps, converged
 
 
 def tmle_theta(dataset: Dataset, fits: list) -> ThetaStack:
@@ -378,25 +362,18 @@ def tmle_theta(dataset: Dataset, fits: list) -> ThetaStack:
     covariate distribution, at which the empirical mean of the efficient
     influence curve vanishes.
     """
-    state = _target(dataset, fits)
-    pi = state.pi_values
-    tau = dataset.to_original_scale(pi * state.q1_values + (1.0 - pi) * state.q0_values)
+    (pi, q0, q1), iterations, final_eps, converged = _target(dataset, fits)
+    tau = dataset.to_original_scale(pi * q1 + (1.0 - pi) * q0)
     # Substitution estimator over the empirical covariate distribution: the
     # fitted exposure law is pi_hat, so E_fit{I(E=1) tau(C)} = mean(pi * tau).
     # This is the form that zeroes the empirical influence-curve equation.
     theta = _mean(pi * tau)
     diagnostics = []
-    for fit, trace, converged in zip(fits, state.trace, state.converged.tolist()):
-        eps1, eps2 = trace[-1] if trace else (0.0, 0.0)
+    for fit, n_iter, eps1, eps2, ok in zip(fits, iterations.tolist(), *final_eps.tolist(), converged.tolist()):
         warnings = list(fit.warnings)
-        if not converged:
-            warnings.append(
-                f"tmle did not converge in {len(trace)} iterations "
-                f"(|eps1|={abs(eps1):.3e}, |eps2|={abs(eps2):.3e})"
-            )
-        diagnostics.append(
-            dict(iterations=len(trace), final_eps1=abs(eps1), final_eps2=abs(eps2), trace=trace, warnings=warnings)
-        )
+        if not ok:
+            warnings.append(f"tmle did not converge in {n_iter} iterations (|eps1|={eps1:.3e}, |eps2|={eps2:.3e})")
+        diagnostics.append(dict(iterations=n_iter, final_eps1=eps1, final_eps2=eps2, warnings=warnings))
     return ThetaStack(theta, dataset.outcome_mean, diagnostics, pi, tau)
 
 

@@ -48,7 +48,8 @@ def rank(
     for all rows.  ``rule`` is ``("top_k", k)`` (the first K ranks),
     ``("alpha_test", level)`` (every score with p < level, which needs the
     SEs) or None for no selection.  Undefined ratio scores sink to the
-    bottom and are flagged instead of aborting the screen.
+    bottom and are flagged instead of aborting the screen; NaN scores sink
+    there too, in input order, without a flag.
     """
     if score_kind not in SCORE_KINDS:
         raise ValidationError(f"unknown score kind {score_kind!r}")
@@ -77,7 +78,8 @@ def rank(
             flags.append("constant")
         if score is None:
             flags.append("psi_undefined")
-        distance = abs(score - null) if score is not None else float("-inf")
+        # An undefined or NaN score has no distance: it sorts after every defined score.
+        distance = abs(score - null) if score is not None and score == score else float("-inf")
         entries.append((distance, idx, est.covariate_id, name, score, se, ci, p, tuple(flags)))
 
     k, level = 0, None  # without a rule nothing is selected

@@ -8,7 +8,11 @@ Monte Carlo from the generating equations) anchor every derived value.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,8 +173,7 @@ def test_criterion_03_eic_residual(capsys, discrete_bank):
         fit = fit_nuisances(ds, [0], cs.BasisConfig(degree=3), parts=("pi", "q"))[0]
         worst = max(worst, _eic_mean(ds, fit))
     sat = tmle_theta(SIX, [cs.fit_saturated(SIX, 0)]).diagnostics[0]
-    eps1, eps2 = sat["trace"][0]
-    sat_ok = sat["iterations"] == 1 and abs(eps1) < 1e-12 and abs(eps2) < 1e-12
+    sat_ok = sat["iterations"] == 1 and max(sat["final_eps1"], sat["final_eps2"]) < 1e-12
     ok = worst <= 1e-6 and sat_ok
     _report(
         capsys, 3,
@@ -424,16 +427,19 @@ def test_criterion_11_determinism(capsys, tmp_path):
     scen.write_text(json.dumps({"kind": "low_dim", "n": 120, "p": 15, "seed": 3,
                                 "replicates": 2}))
     ok = True
+    env = {**os.environ, "PYTHONPATH": str(Path(cs.__file__).parents[1])}
     for fmt in ("csv", "json"):
         blobs = []
         out = tmp_path / f"report.{fmt}"
-        for threads in ("1", "1", "4"):
-            code = cli_main(
-                ["rank", "--data", str(data), "--outcome", "y", "--exposure", "e",
-                 "--estimator", "tmle", "--top-k", "3", "--threads", threads,
-                 "--out", str(out), "--format", fmt]
+        argv = ["rank", "--data", str(data), "--outcome", "y", "--exposure", "e",
+                "--estimator", "tmle", "--top-k", "3", "--out", str(out), "--format", fmt]
+        code = f"import sys; from confscreen.cli import main; sys.exit(main({argv!r}))"
+        # OpenBLAS reads its thread count when numpy is imported, so each run is a new interpreter.
+        for threads in ("1", "1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-c", code], env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True
             )
-            ok &= code == 0
+            ok &= result.returncode == 0
             blobs.append(out.read_bytes())
         ok &= blobs[0] == blobs[1] == blobs[2]
     sims = []
@@ -447,6 +453,6 @@ def test_criterion_11_determinism(capsys, tmp_path):
     _report(
         capsys, 11,
         "fixed (config, seed) reproduces byte-identical CSV/JSON outputs across "
-        "repeat runs and thread counts",
+        "repeat runs and BLAS thread counts",
         ok,
     )

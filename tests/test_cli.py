@@ -332,6 +332,24 @@ def test_simulate_bad_scenario_exit_2(tmp_path, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["groups", "scenario"])
+def test_duplicate_json_key_exit_2(wide_csv, tmp_path, capsys, kind):
+    path = tmp_path / f"{kind}.json"
+    out = tmp_path / "x.json"
+    if kind == "groups":
+        path.write_text('{"g": ["x0"], "g": ["x1", "x2"]}')
+        argv = ["score", "--data", wide_csv, "--outcome", "y", "--exposure", "treat", "--groups", str(path)]
+        key = "g"
+    else:
+        path.write_text('{"kind": "low_dim", "n": 200, "p": 15, "n": 100}')
+        argv = ["simulate", "--scenario", str(path), "--estimator", "dr", "--top-k", "1"]
+        key = "n"
+    assert main([*argv, "--out", str(out)]) == 2
+    what = "group" if kind == "groups" else "scenario"
+    assert capsys.readouterr().err == f"error: {path}: invalid {what} file: duplicate key {key!r}\n"
+    assert not out.exists()
+
+
 def test_simulate_alpha_test_needs_efficient_estimator(tmp_path, capsys):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps({"kind": "low_dim", "n": 100, "p": 15, "seed": 1}))

@@ -361,6 +361,14 @@ def test_groups_empty_group():
         spec.validate(ds)
 
 
+def test_groups_duplicate_key_rejected(tmp_path):
+    # json.load alone keeps the last "g" and silently drops the first.
+    path = tmp_path / "g.json"
+    path.write_text('{"g": ["c1"], "g": ["c2", "c3"]}')
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: invalid group file: duplicate key 'g'$"):
+        load_groups(path)
+
+
 def test_groups_bad_json(tmp_path):
     path = tmp_path / "g.json"
     path.write_text("not json")

@@ -7,7 +7,6 @@ from confscreen import (
     BasisConfig,
     Dataset,
     NuisanceFit,
-    TmleState,
     ValidationError,
     eic_theta,
     fit_nuisances,
@@ -98,32 +97,34 @@ def test_tmle_converges_at_zero_on_saturated():
     fit = fit_saturated(SIX, 0)
     diagnostics = tmle_theta(SIX, [fit]).diagnostics[0]
     assert diagnostics["iterations"] == 1
-    eps1, eps2 = diagnostics["trace"][0]
-    assert abs(eps1) < 1e-12 and abs(eps2) < 1e-12
+    assert diagnostics["final_eps1"] < 1e-12 and diagnostics["final_eps2"] < 1e-12
+
+
+def _read_only(*arrays):
+    """Read-only copies of ``arrays``: a fluctuation step that writes to an argument raises."""
+    copies = [np.array(a, dtype=float) for a in arrays]
+    for a in copies:
+        a.setflags(write=False)
+    return copies
 
 
 def test_fluctuate_pi_zero_score_leaves_state():
     fit = fit_saturated(SIX, 0)
-    state = TmleState(pi_values=fit.pi[None], q0_values=fit.q0[None], q1_values=fit.q1[None])
-    before = state.pi_values.copy()
-    eps1 = fluctuate_pi(state, SIX)
+    pi, q0, q1 = _read_only(fit.pi[None], fit.q0[None], fit.q1[None])
+    eps1, pi_new = fluctuate_pi(pi, q0, q1, SIX)
     assert eps1 == 0.0
-    np.testing.assert_array_equal(state.pi_values, before)
+    np.testing.assert_array_equal(pi_new, fit.pi[None])
 
 
 def test_fluctuate_q_closed_form_example():
     # Q = 0, O = 1, pi = 0.5 -> H2 = -0.5, eps2 = -2, updated Q = 1.
     n = 8
     ds = _dataset(np.ones(n), np.tile([0, 1], n // 2), np.arange(float(n)))
-    state = TmleState(
-        pi_values=np.full((1, n), 0.5),
-        q0_values=np.zeros((1, n)),
-        q1_values=np.zeros((1, n)),
-    )
-    eps2 = fluctuate_q(state, ds)
+    pi, q0, q1 = _read_only(np.full((1, n), 0.5), np.zeros((1, n)), np.zeros((1, n)))
+    eps2, q0_new, q1_new = fluctuate_q(pi, q0, q1, ds)
     assert eps2 == pytest.approx(-2.0, abs=1e-12)
-    np.testing.assert_allclose(state.q0_values, 1.0, atol=1e-12)
-    np.testing.assert_allclose(state.q1_values, 1.0, atol=1e-12)
+    np.testing.assert_allclose(q0_new, 1.0, atol=1e-12)
+    np.testing.assert_allclose(q1_new, 1.0, atol=1e-12)
 
 
 def test_fluctuate_q_bounded_dataset_takes_logistic_path():
@@ -134,13 +135,21 @@ def test_fluctuate_q_bounded_dataset_takes_logistic_path():
     x = rng.normal(size=n)
     e = (rng.random(n) < expit(x)).astype(int)
     ds = _dataset(rng.random(n) ** 2, e, x, outcome_kind="bounded")
-    pi = expit(0.8 * x)[None]
-    q0, q1 = expit(0.5 - x)[None], expit(1.0 + x)[None]
-    state = TmleState(pi_values=pi, q0_values=q0, q1_values=q1)
-    eps2 = fluctuate_q(state, ds)
+    pi, q0, q1 = _read_only(expit(0.8 * x)[None], expit(0.5 - x)[None], expit(1.0 + x)[None])
+    eps2, q0_new, q1_new = fluctuate_q(pi, q0, q1, ds)
     assert abs(eps2) > 1e-3
-    np.testing.assert_allclose(state.q0_values, expit(logit(q0) - eps2 * pi), rtol=1e-12)
-    np.testing.assert_allclose(state.q1_values, expit(logit(q1) - eps2 * pi), rtol=1e-12)
+    np.testing.assert_allclose(q0_new, expit(logit(q0) - eps2 * pi), rtol=1e-12)
+    np.testing.assert_allclose(q1_new, expit(logit(q1) - eps2 * pi), rtol=1e-12)
+
+
+def test_fluctuate_pi_moves_pi_and_writes_no_argument():
+    rng = np.random.default_rng(29)
+    n = 200
+    x = rng.normal(size=n)
+    ds = _dataset(x + rng.normal(size=n), (rng.random(n) < expit(x)).astype(int), x)
+    pi, q0, q1 = _read_only(expit(0.3 * x)[None], (0.2 * x)[None], (1.0 + x)[None])
+    eps1, pi_new = fluctuate_pi(pi, q0, q1, ds)
+    assert abs(eps1) > 1e-3 and not np.array_equal(pi_new, pi)
 
 
 def test_tmle_eic_mean_zero_continuous():
@@ -151,11 +160,11 @@ def test_tmle_eic_mean_zero_continuous():
     assert abs(d_theta.mean()) < 1e-8
 
 
-def test_tmle_trace_and_convergence_diagnostics():
+def test_tmle_convergence_diagnostics():
     ds = _random_continuous(12)
     fit = fit_nuisances(ds, [0], BasisConfig(degree=2), parts=("pi", "q"))[0]
     d = tmle_theta(ds, [fit]).diagnostics[0]
-    assert d["iterations"] == len(d["trace"])
+    assert d["iterations"] >= 1 and "trace" not in d
     assert max(d["final_eps1"], d["final_eps2"]) < 1e-8
 
 
@@ -479,7 +488,7 @@ def _mixed_dataset(outcome_kind, n=240, seed=43):
 
 
 def _assert_same_targeting(a, b):
-    """Bitwise equality of two tmle estimates, their traces and diagnostics included."""
+    """Bitwise equality of two tmle estimates, their diagnostics included."""
     _assert_same_estimate(a, b)
     assert repr(a.diagnostics) == repr(b.diagnostics)
 
@@ -500,24 +509,41 @@ def test_targeted_stack_rows_equal_targets_alone(monkeypatch, outcome_kind, max_
     ds = _mixed_dataset(outcome_kind)
     fits = fit_nuisances(ds, list(range(ds.p)), BasisConfig(degree=3), parts=("pi", "q"))
     fits[2] = fit_saturated(ds, 2)
-    state = estimators._target(ds, fits)
-    iterations = [len(trace) for trace in state.trace]
+    _, iterations, final_eps, converged = estimators._target(ds, fits)
     basis = BasisConfig(degree=3)
     for i, (fit, row) in enumerate(zip(fits, estimators._score_stack(ds, "tmle", fits))):
         alone = score_covariate(ds, i, "tmle", basis, fit)
         _assert_same_targeting(score_covariate(ds, i, "tmle", basis, row), alone)
     # The saturated row already solves both score equations.
-    assert iterations[2] == 1 and max(map(abs, state.trace[2][0])) < 1e-12
+    assert iterations[2] == 1 and final_eps[:, 2].max() < 1e-12
     if max_iter == 2:
-        assert not state.converged.all() and state.converged[2]
+        assert not converged.all() and converged[2]
     else:
-        assert state.converged.all() and len(set(iterations)) > 1
+        assert converged.all() and len(set(iterations.tolist())) > 1
     if newton_steps == 1:
         assert bisected
 
 
 @pytest.mark.parametrize("outcome_kind", ["continuous", "bounded"])
-def test_score_all_tmle_equals_score_covariate_with_trace(outcome_kind):
+def test_nonconverged_tmle_rows_carry_their_last_eps(monkeypatch, outcome_kind):
+    monkeypatch.setattr(estimators, "TMLE_MAX_ITER", 2)
+    nonconverged = 0
+    for est in score_all(_mixed_dataset(outcome_kind), "tmle", BasisConfig(degree=3)):
+        d = est.diagnostics
+        late = [w for w in d["warnings"] if w.startswith("tmle did not converge")]
+        if max(d["final_eps1"], d["final_eps2"]) < estimators.TMLE_TOL:
+            assert not late
+            continue
+        nonconverged += 1
+        assert d["iterations"] == 2
+        assert late == [
+            f"tmle did not converge in 2 iterations (|eps1|={d['final_eps1']:.3e}, |eps2|={d['final_eps2']:.3e})"
+        ]
+    assert nonconverged
+
+
+@pytest.mark.parametrize("outcome_kind", ["continuous", "bounded"])
+def test_score_all_tmle_equals_score_covariate_with_diagnostics(outcome_kind):
     ds = _mixed_dataset(outcome_kind)
     basis = BasisConfig(degree=3)
     for j, est in enumerate(score_all(ds, "tmle", basis)):

@@ -58,6 +58,14 @@ def test_rank_undefined_ratio_sinks_with_flag():
     assert "psi_undefined" in report.rows[-1].flags
 
 
+def test_rank_nan_scores_sink_in_input_order():
+    phis = [0.5, np.nan, 0.9, 0.1, 0.7, np.nan, 0.3]
+    report = rank([_estimate(i, phi) for i, phi in enumerate(phis)], "difference", rule=("top_k", 2))
+    assert [row.id for row in report.rows] == [2, 4, 0, 6, 3, 1, 5]
+    assert [row.id for row in report.rows if row.selected] == [2, 4]
+    assert all(row.flags == () for row in report.rows)
+
+
 def test_rank_mixed_kinds_rejected():
     ests = [_estimate(0, 0.1, kind="dr"), _estimate(1, 0.2, kind="tmle")]
     with pytest.raises(ValidationError, match="mixed"):
