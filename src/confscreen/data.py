@@ -176,7 +176,13 @@ def load_csv(path, outcome_col: str, exposure_col: str, outcome_kind: str = "con
     ``float()`` reads it.  All columns other than the named outcome and
     exposure become covariates in file order.  A bounded outcome whose raw
     range exceeds [0, 1] is affinely rescaled into [0, 1] and the affine map
-    recorded on the Dataset.  A file that is not UTF-8 text is a ParseError.
+    recorded on the Dataset.  A file that is not UTF-8 text, or whose header
+    repeats a name, is a ParseError; outcome and exposure naming one column
+    is a ValidationError.
+
+    The parsed matrix is the one full-size copy of the file: the outcome and
+    exposure are copied out of it, and covariates whose columns form one run
+    are a (read-only) view of it; any other column order copies them.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -199,14 +205,22 @@ def load_csv(path, outcome_col: str, exposure_col: str, outcome_kind: str = "con
     for col in (outcome_col, exposure_col):
         if col not in header:
             raise MissingColumnError(f"{path}: no column named {col!r}")
+    if len(set(header)) < len(header):
+        col = next(c for i, c in enumerate(header) if c in header[:i])
+        raise ParseError(f"{path}: column {col!r} appears more than once in the header")
+    if outcome_col == exposure_col:
+        raise ValidationError(f"{path}: outcome and exposure name the same column {outcome_col!r}")
     if values is None:
         values = _parse_cells(path, header, rows)
     o_idx = header.index(outcome_col)
     e_idx = header.index(exposure_col)
     cov_idx = [i for i in range(len(header)) if i not in (o_idx, e_idx)]
 
-    outcome = values[:, o_idx]
-    exposure_raw = values[:, e_idx]
+    outcome = values[:, o_idx].copy()
+    exposure_raw = values[:, e_idx].copy()
+    run = cov_idx and cov_idx[-1] + 1 - cov_idx[0] == len(cov_idx)
+    covariates = values[:, cov_idx[0] : cov_idx[-1] + 1] if run else values[:, cov_idx]
+    del values
     if not np.all(np.isin(exposure_raw, (0.0, 1.0))):
         raise ValidationError(f"{path}: exposure column {exposure_col!r} must be 0/1")
     scale, offset = 1.0, 0.0
@@ -219,7 +233,7 @@ def load_csv(path, outcome_col: str, exposure_col: str, outcome_kind: str = "con
     return Dataset(
         outcome=outcome,
         exposure=exposure_raw.astype(np.int64),
-        covariates=values[:, cov_idx],
+        covariates=covariates,
         column_names=tuple(header[i] for i in cov_idx),
         outcome_kind=outcome_kind,
         outcome_scale=scale,

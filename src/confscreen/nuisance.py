@@ -104,18 +104,19 @@ def _solve_lstsq(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least squares of every design of the stack ``X`` (b, d, n) on ``y`` (n,) or (b, n).
 
     The coefficients come from the triangle of a Householder QR of the
-    augmented [X' | y], the column-major transposed view of [X; y] (reduced
-    by row blocks, see _r_factor).  A design is rank-deficient when some
-    |diag R| <= max(n, d) * eps * max|diag R|; those rows are re-solved from
-    the normal equations with penalty 1e-8 * trace(X X') / d.  Returns
-    (coefficients (b, d), used_ridge (b,)).  The stack is made C-contiguous
-    first: BLAS takes another path for another memory layout, and a row's
-    result must not depend on the stack it is in.
+    augmented [X' | y], which _r_factor builds one row block at a time, so
+    no full-size augmented copy of the stack is made.  A design is
+    rank-deficient when some |diag R| <= max(n, d) * eps * max|diag R|;
+    those rows are re-solved from the normal equations with penalty
+    1e-8 * trace(X X') / d.  Returns (coefficients (b, d), used_ridge (b,)).
+    The stack is made C-contiguous first: BLAS takes another path for
+    another memory layout, and a row's result must not depend on the stack
+    it is in.
     """
     X = np.ascontiguousarray(X)
     b, d, n = X.shape
     y = np.broadcast_to(y, (b, n))
-    r = _r_factor(np.swapaxes(np.concatenate([X, y[:, None]], axis=1), -1, -2))
+    r = _r_factor(X, y)
     ridged = np.ones(b, dtype=bool)
     if r.shape[-2] >= d:
         diag = np.abs(np.diagonal(r[:, :d, :d], axis1=-2, axis2=-1))
@@ -133,17 +134,20 @@ def _solve_lstsq(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return beta, ridged
 
 
-def _r_factor(A: np.ndarray) -> np.ndarray:
-    """R factor of the QR of each matrix of the stack ``A`` (b, n, k), up to the signs of its rows.
+def _r_factor(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """R factor, up to row signs, of the QR of each augmented [X' | y] of the stack ``X`` (b, d, n), ``y`` (b, n).
 
-    Above 2 * ROW_BLOCK rows, the R factor of each row block (_row_blocks)
-    replaces its rows: stacked, they have the same R factor as the rows they
-    replace, and each LAPACK call's work copy stays small.
+    Each row block (_row_blocks) is reduced from its own [X' | y], the
+    column-major transposed view of [X; y] over its observations.  Above
+    2 * ROW_BLOCK observations the blocks' R factors, stacked, have the same
+    R factor as the whole: no augmented copy of the whole stack is made, and
+    each LAPACK call's work copy stays small.
     """
-    blocks = _row_blocks(A.shape[-2])
-    if len(blocks) > 1:
-        A = np.concatenate([np.linalg.qr(A[:, rows], mode="r") for rows in blocks], axis=1)
-    return np.linalg.qr(A, mode="r")
+    blocks = [
+        np.linalg.qr(np.swapaxes(np.concatenate([X[..., rows], y[:, None, rows]], axis=1), -1, -2), mode="r")
+        for rows in _row_blocks(X.shape[-1])
+    ]
+    return blocks[0] if len(blocks) == 1 else np.linalg.qr(np.concatenate(blocks, axis=1), mode="r")
 
 
 def _fit_logistic(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

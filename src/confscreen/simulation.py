@@ -135,14 +135,12 @@ def _labels(alphas, betas) -> tuple[str, ...]:
 
 
 def _ar1_covariates(gen: np.random.Generator, n: int, p: int, rho: float) -> np.ndarray:
-    z = _normals(gen, (n, p))
-    if rho == 0.0:
-        return z
-    c = np.empty_like(z)
-    c[:, 0] = z[:, 0]
-    scale = np.sqrt(1.0 - rho * rho)
-    for j in range(1, p):
-        c[:, j] = rho * c[:, j - 1] + scale * z[:, j]
+    """(n, p) standard-normal columns, AR(1) with lag-one correlation ``rho``, drawn in place."""
+    c = _normals(gen, (n, p))
+    if rho != 0.0:
+        scale = np.sqrt(1.0 - rho * rho)
+        for j in range(1, p):
+            c[:, j] = rho * c[:, j - 1] + scale * c[:, j]
     return c
 
 
@@ -498,6 +496,7 @@ def run_replicates(
                 lo, hi, _ = _wald_rows(phis[r], ses[r], 0.0, alpha)
                 cover[r] = (lo <= oracle) & (oracle <= hi)
         roc_sum += _roc_along([row.id for row in report.rows], labels)
+        del sim, estimates, report  # freed before the next replicate is drawn
 
     roc_mean = roc_sum / reps
     aggregates = {

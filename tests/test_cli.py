@@ -102,6 +102,35 @@ def test_invalid_column_exit_2(six_csv, tmp_path, capsys):
     assert "nope" in err and "\n" == err[-1] and err.count("\n") == 1
 
 
+@pytest.fixture
+def same_name_csv(tmp_path):
+    rng = np.random.default_rng(8)
+    rows = np.column_stack([rng.normal(size=40), np.arange(40) % 2, rng.normal(size=(40, 3))])
+
+    def write(header):
+        path = tmp_path / "names.csv"
+        path.write_text(header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+        return str(path)
+    return write
+
+
+@pytest.mark.parametrize(
+    "header, outcome, exposure, message",
+    [
+        ("y,e,c1,c2,c3", "e", "e", "outcome and exposure name the same column 'e'"),
+        ("y,e,c1,y,c3", "y", "e", "column 'y' appears more than once in the header"),
+    ],
+)
+def test_ambiguous_columns_exit_2(same_name_csv, tmp_path, capsys, header, outcome, exposure, message):
+    data = same_name_csv(header)
+    out = tmp_path / "x.json"
+    code = main(["rank", "--data", data, "--outcome", outcome, "--exposure", exposure,
+                 "--estimator", "dr", "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_exit_2(tmp_path):
     code = main(["score", "--data", str(tmp_path / "absent.csv"), "--outcome", "O",
                  "--exposure", "E", "--out", str(tmp_path / "x.json")])
@@ -263,12 +292,18 @@ def test_rank_group_singleton_matches_score(wide_csv, tmp_path):
 
 
 def test_rank_thread_count_invariance(wide_csv, tmp_path):
+    out = tmp_path / "t.csv"
+    argv = ["rank", "--data", wide_csv, "--outcome", "y", "--exposure", "treat",
+            "--estimator", "tmle", "--top-k", "2", "--out", str(out), "--format", "csv"]
+    code = f"import sys; from confscreen.cli import main; sys.exit(main({argv!r}))"
+    env = {**os.environ, "PYTHONPATH": str(Path(confscreen.__file__).parents[1])}
     outs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"t{threads}.csv"
-        assert main(["rank", "--data", wide_csv, "--outcome", "y", "--exposure", "treat",
-                     "--estimator", "tmle", "--top-k", "2", "--threads", threads,
-                     "--out", str(out), "--format", "csv"]) == 0
+    # OpenBLAS reads its thread count when numpy is imported, so each run is a new interpreter.
+    for threads in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-c", code], env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 

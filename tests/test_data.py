@@ -215,6 +215,65 @@ def test_duplicate_column_names_rejected():
         )
 
 
+def test_outcome_and_exposure_naming_one_column_rejected(tmp_path):
+    path = tmp_path / "same.csv"
+    path.write_text("y,e,c1,c2,c3\n1,0,1,2,3\n2,1,4,5,6\n")
+    with pytest.raises(ValidationError, match="same column 'e'"):
+        load_csv(path, "e", "e")
+
+
+@pytest.mark.parametrize("header, repeated", [("y,e,c1,y,c3", "y"), ("y,e,c1,c1,c3", "c1")])
+def test_repeated_header_name_rejected(tmp_path, header, repeated):
+    path = tmp_path / "rep.csv"
+    path.write_text(header + "\n1,0,1,2,3\n2,1,4,5,6\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: column {repeated!r} appears more than once")):
+        load_csv(path, "y", "e")
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["loadtxt", "per_cell"])
+@pytest.mark.parametrize(
+    "header, run",
+    [
+        ("y,e,c1,c2,c3", True),  # outcome and exposure first
+        ("c1,c2,c3,e,y", True),  # both last
+        ("y,c1,c2,c3,e", True),  # one at each end
+        ("c1,y,c2,e,c3", False),  # in the middle
+    ],
+)
+def test_load_csv_holds_one_copy(tmp_path, monkeypatch, header, run, fast):
+    # The outcome and exposure are copied out of the parsed matrix; covariates
+    # are a view of it exactly when their columns form one run.
+    rng = np.random.default_rng(17)
+    names = header.split(",")
+    cells = rng.normal(size=(30, len(names)))
+    cells[:, names.index("e")] = np.arange(30) % 2
+    path = tmp_path / "order.csv"
+    path.write_text(header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in cells.tolist()))
+    parsed = []  # what each parse returned; load_csv keeps the last one
+    parse_fast, parse_cells = data._parse_rows_fast, data._parse_cells
+
+    def recorded(parse):
+        return lambda *args: parsed.append(parse(*args)) or parsed[-1]
+
+    monkeypatch.setattr(data, "_parse_rows_fast", recorded(parse_fast if fast else lambda *args: None))
+    monkeypatch.setattr(data, "_parse_cells", recorded(parse_cells))
+    ds = load_csv(path, "y", "e")
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    reference = parse_cells(path, rows[0], rows[1:])
+    cov = [j for j, name in enumerate(names) if name not in ("y", "e")]
+    assert ds.column_names == tuple(names[j] for j in cov)
+    assert ds.outcome.tobytes() == reference[:, names.index("y")].tobytes()
+    assert ds.exposure.tolist() == reference[:, names.index("e")].tolist()
+    assert ds.covariates.tobytes() == np.ascontiguousarray(reference[:, cov]).tobytes()
+    assert not np.shares_memory(ds.covariates, ds.outcome)
+    assert not np.shares_memory(ds.covariates, ds.exposure)
+    assert len(parsed) == (1 if fast else 2)
+    assert np.shares_memory(ds.covariates, parsed[-1]) == run
+    with pytest.raises(ValueError):
+        ds.covariates[0, 0] = 0.0
+
+
 def test_bounded_rescale_records_affine(tmp_path):
     path = tmp_path / "b.csv"
     path.write_text("O,E,C\n10,1,0.1\n20,0,0.2\n30,1,0.3\n15,0,0.4\n")

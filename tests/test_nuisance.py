@@ -1,5 +1,7 @@
 """Polynomial nuisance fits: exact recovery, score equations, saturated oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -312,6 +314,20 @@ def test_tall_least_squares_by_row_blocks_match_one_qr():
         assert np.array_equal(coeffs[i], one[0])
         r = np.linalg.qr(np.column_stack([X[i].T, y]), mode="r")
         np.testing.assert_allclose(coeffs[i], np.linalg.solve(r[:4, :4], r[:4, 4]), rtol=1e-12)
+
+
+def test_tall_least_squares_makes_no_full_size_copy():
+    # The augmented [X' | y] is built one row block at a time, never for the whole stack.
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(1, 19, 50_000))
+    y = rng.normal(size=50_000)
+    tracemalloc.start()
+    try:
+        _solve_lstsq(X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * X.nbytes
 
 
 @pytest.mark.parametrize("n", [2 * ROW_BLOCK, 2 * ROW_BLOCK + 1, 2 * ROW_BLOCK + 123, 7 * ROW_BLOCK - 5])

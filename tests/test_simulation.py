@@ -84,6 +84,17 @@ def test_ar1_correlation():
     assert c[:, 5].std(ddof=1) == pytest.approx(1.0, abs=0.02)
 
 
+@pytest.mark.parametrize("rho", [0.5, 0.0])
+def test_ar1_in_place_equals_two_array_recursion(rho):
+    n, p = 300, 12
+    z = simulation._normals(substream(9, 1), (n, p))
+    c = z.copy()
+    if rho != 0.0:
+        for j in range(1, p):
+            c[:, j] = rho * c[:, j - 1] + np.sqrt(1.0 - rho * rho) * z[:, j]
+    assert simulation._ar1_covariates(substream(9, 1), n, p, rho).tobytes() == c.tobytes()
+
+
 def test_misspecified_design_moments():
     sc = SimScenario(kind="misspecified", n=20000, p=15, theta=0.0, seed=4)
     sim = generate(sc, 0)
