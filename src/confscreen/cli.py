@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=DEFAULT_ALPHA,
             help="test level; confidence intervals are at 1 - alpha (default 90%%)",
         )
-        p.add_argument("--threads", type=int, default=None, help="recorded in the manifest; scoring uses one thread")
+        p.add_argument("--threads", type=int, default=None, help="at least 1; only recorded in the manifest")
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
     for p in (p_rank, p_sim):
@@ -342,6 +342,8 @@ def main(argv=None) -> int:
     try:
         if args.alpha is not None and not (0.0 < args.alpha < 1.0):
             raise DataError("alpha must lie in (0, 1)")
+        if args.threads is not None and args.threads < 1:
+            raise DataError(f"threads must be at least 1, got {args.threads}")
         return _COMMANDS[args.subcommand](args)
     except (DataError, OSError) as exc:
         msg = str(exc).replace("\n", " ")

@@ -38,6 +38,15 @@ class ValidationError(DataError):
     pass
 
 
+def _constant_columns(c: np.ndarray) -> np.ndarray:
+    """Which columns of ``c`` (rows on axis 0) hold one value in every row.
+
+    Decided by exact equality: the sample sd of a constant column can be a
+    rounding-level nonzero (a column of 1.1 at n=500 gives 2.2e-16).
+    """
+    return (c == c[0]).all(axis=0)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable analysis dataset: outcome, binary exposure, covariate matrix.
@@ -47,8 +56,10 @@ class Dataset:
 
     Construction also derives what every scored target shares:
     ``exposure_float``, ``arm_masks`` (rows exposure == 0 and == 1), the means
-    ``outcome_mean`` (original scale) and ``exposure_mean``, and the centered
-    ``outcome_centered`` and ``exposure_centered``.  All arrays are read-only.
+    ``outcome_mean`` (original scale) and ``exposure_mean``, the centered
+    ``outcome_centered`` and ``exposure_centered``, and ``constant_columns``,
+    which covariate columns hold one value in every row (_constant_columns).
+    All arrays are read-only.
     """
 
     outcome: np.ndarray
@@ -103,6 +114,7 @@ class Dataset:
             ("_outcome_original", outcome_original),
             ("outcome_centered", outcome_original - outcome_mean),
             ("exposure_centered", exposure_float - exposure_mean),
+            ("constant_columns", _constant_columns(covariates)),
         ):
             value.setflags(write=False)
             object.__setattr__(self, name, value)

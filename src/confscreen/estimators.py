@@ -26,7 +26,6 @@ from .data import Dataset, ValidationError
 from .nuisance import (
     BasisConfig,
     _clip_prob,
-    _constant_columns,
     _target_columns,
     fit_nuisances,
     fit_saturated,
@@ -190,30 +189,38 @@ def _score_and_mu(h: np.ndarray, y: np.ndarray, base: np.ndarray, eps: np.ndarra
     return _mean(h * (y - mu)), mu
 
 
-def _offset_logistic_mle(h: np.ndarray, y: np.ndarray, base: np.ndarray) -> np.ndarray:
+def _offset_logistic_mle(h: np.ndarray, y: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-dimensional MLE of eps for expit(base + eps * h) against y, for each row of a stack.
 
     ``h`` and ``base`` are (b, n), ``y`` is (n,) and may be fractional in
-    [0, 1]; returns eps (b,).  Each row runs Newton with step-halving on its
-    mean score and stops once |score| < NEWTON_TOL; a row whose information
-    vanishes or that runs out of NEWTON_MAX_STEPS falls back to bisection.
-    Rows that stopped leave the stack, so a row's eps does not depend on it.
+    [0, 1]; returns eps (b,) and mu = expit(base + eps * h) (b, n) at it.
+    Each row runs Newton with step-halving on its mean score and stops once
+    |score| < NEWTON_TOL; a row whose information vanishes or that runs out
+    of NEWTON_MAX_STEPS falls back to bisection.  A row that stopped leaves
+    the stack before the next step, with the mu its last step computed (a
+    bisected row's mu is computed once, at its bisected eps), so nothing of
+    a row depends on the others.
     """
     eps_out = np.zeros(len(h))
-    s0, mu = _score_and_mu(h, y, base, eps_out)
-    rows, hr, br, eps, s = np.arange(len(h)), h, base, eps_out.copy(), s0  # rows still in Newton
-    done = np.abs(s0) < NEWTON_TOL
+    mu_out = expit(base)  # bitwise expit(base + 0 * h) for finite h
+    s0 = _mean(h * (y - mu_out))
+    rows, hr, br, eps, s, mu = np.arange(len(h)), h, base, eps_out, s0, mu_out  # rows still in Newton
     fallback = []
     for _ in range(NEWTON_MAX_STEPS):
         # ``mu`` is expit(base + eps * h) at each row's current eps.
+        done = np.abs(s) < NEWTON_TOL
+        if done.any():
+            eps_out[rows[done]], mu_out[rows[done]] = eps[done], mu[done]
+            if done.all():
+                break
+            rows, hr, br, eps, s, mu = (a[~done] for a in (rows, hr, br, eps, s, mu))
         info = _mean(hr * hr * mu * (1.0 - mu))
-        stuck = ~done & (info <= 0.0)
-        fallback += rows[stuck].tolist()
-        keep = ~(done | stuck)
-        if not keep.all():
-            rows, hr, br, eps, s, mu, info = (a[keep] for a in (rows, hr, br, eps, s, mu, info))
-        if rows.size == 0:
-            break
+        stuck = info <= 0.0
+        if stuck.any():
+            fallback += rows[stuck].tolist()
+            if stuck.all():
+                break
+            rows, hr, br, eps, s, mu, info = (a[~stuck] for a in (rows, hr, br, eps, s, mu, info))
         # Step-halving: the 30th candidate is taken whatever its score.
         step = s / info
         scale = np.ones(rows.size)
@@ -227,13 +234,14 @@ def _offset_logistic_mle(h: np.ndarray, y: np.ndarray, base: np.ndarray) -> np.n
             cand[halve] = eps[halve] + scale[halve] * step[halve]
             s_cand[halve], mu_cand[halve] = _score_and_mu(hr[halve], y, br[halve], cand[halve])
         eps, s, mu = cand, s_cand, mu_cand
-        eps_out[rows] = eps
-        done = np.abs(s) < NEWTON_TOL
     else:
+        done = np.abs(s) < NEWTON_TOL
+        eps_out[rows[done]], mu_out[rows[done]] = eps[done], mu[done]
         fallback += rows[~done].tolist()
     for i in fallback:
         eps_out[i] = _bisect_eps(h[i], y, base[i], float(s0[i]))
-    return eps_out
+        mu_out[i] = expit(base[i] + eps_out[i] * h[i])
+    return eps_out, mu_out
 
 
 def _bisect_eps(h: np.ndarray, y: np.ndarray, base: np.ndarray, s0: float) -> float:
@@ -262,24 +270,32 @@ def _bisect_eps(h: np.ndarray, y: np.ndarray, base: np.ndarray, s0: float) -> fl
     return 0.5 * (a + b)
 
 
+def _with_rows(a: np.ndarray, rows, values: np.ndarray) -> np.ndarray:
+    """``a`` with its ``rows`` (a mask, or slice(None) for all of them) set to ``values``; ``a`` is not written to."""
+    if isinstance(rows, slice):
+        return values
+    a = a.copy()
+    a[rows] = values
+    return a
+
+
 def fluctuate_pi(pi: np.ndarray, q0: np.ndarray, q1: np.ndarray, dataset: Dataset):
     """Propensity update of every row along its least-favorable logistic path; returns (eps1 (b,), pi (b, n)).
 
     The path covariate is H1 = -2 pi (Q1 - Q0) - Q0 and eps1 maximizes the
-    Bernoulli log-likelihood of the exposure.  A row whose score at eps = 0
-    already vanishes (e.g. saturated fits, or H1 = 0) keeps its values.  No
-    argument is written to.
+    Bernoulli log-likelihood of the exposure; the updated pi is the clipped
+    mu that _offset_logistic_mle returns at eps1.  A row whose score at
+    eps = 0 already vanishes (e.g. saturated fits, or H1 = 0) keeps its
+    values.  No argument is written to.
     """
     h1 = -2.0 * pi * (q1 - q0) - q0
     e = dataset.exposure_float
     eps1 = np.zeros(len(pi))
     move = ~(np.abs(_mean(h1 * (e - pi))) < NEWTON_TOL)
     if move.any():
-        h1 = h1[move]
-        base = logit(_clip_prob(pi[move]))
-        eps1[move] = _offset_logistic_mle(h1, e, base)
-        pi = pi.copy()
-        pi[move] = _clip_prob(expit(base + eps1[move, None] * h1))
+        move = slice(None) if move.all() else move
+        eps1[move], mu = _offset_logistic_mle(h1[move], e, logit(_clip_prob(pi[move])))
+        pi = _with_rows(pi, move, _clip_prob(mu))
     return eps1, pi
 
 
@@ -300,17 +316,21 @@ def fluctuate_q(pi: np.ndarray, q0: np.ndarray, q1: np.ndarray, dataset: Dataset
     bounded = dataset.outcome_kind == "bounded"
     if bounded:
         move = ~(np.abs(_mean(h2 * (o - q_obs))) < NEWTON_TOL)
-        if move.any():
-            eps2[move] = _offset_logistic_mle(h2[move], o, logit(_clip_prob(q_obs[move])))
     else:
         denom = np.add.reduce(h2 * h2, axis=-1)
         move = ~(denom < 1e-14)
+    if not move.any():
+        return eps2, q0, q1
+    move = slice(None) if move.all() else move
+    if bounded:
+        eps2[move] = _offset_logistic_mle(h2[move], o, logit(_clip_prob(q_obs[move])))[0]
+    else:
         eps2[move] = np.add.reduce(h2[move] * (o - q_obs[move]), axis=-1) / denom[move]
-    if move.any():
-        shift = eps2[move, None] * h2[move]
-        q0, q1 = q0.copy(), q1.copy()
-        for q in (q0, q1):
-            q[move] = _clip_prob(expit(logit(_clip_prob(q[move])) + shift)) if bounded else q[move] + shift
+    shift = eps2[move, None] * h2[move]
+    q0, q1 = (
+        _with_rows(q, move, _clip_prob(expit(logit(_clip_prob(q[move])) + shift)) if bounded else q[move] + shift)
+        for q in (q0, q1)
+    )
     return eps2, q0, q1
 
 
@@ -430,7 +450,7 @@ def score_covariate(
         raise ValidationError(f"unknown estimator kind {estimator_kind!r}")
     cols = _target_columns(columns)
     if not isinstance(fit, ScoredRow):
-        if _constant_columns(dataset.covariates[:, cols]).all():
+        if dataset.constant_columns[list(cols)].all():
             fit = _constant_row(dataset, estimator_kind)
         else:
             if fit is None:
@@ -455,7 +475,7 @@ def _score_targets(
     """
     if estimator_kind not in ESTIMATOR_KINDS:
         raise ValidationError(f"unknown estimator kind {estimator_kind!r}")
-    constant = _constant_columns(dataset.covariates)
+    constant = dataset.constant_columns
     estimates = []
     stack: list[tuple[int, ...]] = []
 

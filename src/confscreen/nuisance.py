@@ -151,7 +151,7 @@ def _r_factor(X: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _fit_logistic(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Binomial (or quasi-binomial for fractional y) IRLS fit of each design of the stack ``X`` (b, d, n).
+    """Binomial (or quasi-binomial for fractional y) IRLS fit of each design of the stack ``X`` (b, d, n) on ``y`` (n,).
 
     Convergence: log-likelihood improvement below IRLS_TOL.  Rows whose
     coefficients diverge (perfect or quasi-separation) or whose Hessian is
@@ -159,16 +159,15 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     (coefficients (b, d), used_ridge (b,)).
     """
     X = np.ascontiguousarray(X)
-    y = np.broadcast_to(y, (len(X), X.shape[-1]))
     beta, ok = _irls(X, y, 0.0)
     ridged = ~ok
     if ridged.any():
-        beta[ridged] = _irls(X[ridged], y[ridged], 1e-6 * X.shape[-1])[0]
+        beta[ridged] = _irls(X[ridged], y, 1e-6 * X.shape[-1])[0]
     return beta, ridged
 
 
 def _irls(X, y, ridge: float) -> tuple[np.ndarray, np.ndarray]:
-    """Penalized IRLS on every row of the stack, each row under its own stopping rules.
+    """Penalized IRLS of ``y`` (n,) on every design of the stack ``X``, each row under its own stopping rules.
 
     Returns (coefficients (b, d), ok (b,)); a row is not ok when its Hessian
     is singular or its coefficients leave the finite range or pass 15.  Row
@@ -178,13 +177,13 @@ def _irls(X, y, ridge: float) -> tuple[np.ndarray, np.ndarray]:
     beta = np.zeros((b, d))
     ok = np.ones(b, dtype=bool)
     rows = np.arange(b)  # stack rows still iterating
-    Xr, yr, beta_r = X, y, beta.copy()
+    Xr, beta_r = X, beta.copy()
     mu = expit(_predict(Xr, beta_r))
-    ll = _penalized_loglik(yr, mu, beta_r, ridge)
+    ll = _penalized_loglik(y, mu, beta_r, ridge)
     ridge_eye = ridge * np.eye(d)
     for _ in range(IRLS_MAX_ITER):
         w = np.maximum(mu * (1.0 - mu), 1e-10)
-        hess, grad = _newton_terms(Xr, w, yr - mu)
+        hess, grad = _newton_terms(Xr, w, y - mu)
         step, solved = _solve_rows(hess + ridge_eye, grad - ridge * beta_r)
         ok[rows[~solved]] = False
         # Step-halving keeps each row's likelihood monotone up to the rounding of
@@ -192,7 +191,7 @@ def _irls(X, y, ridge: float) -> tuple[np.ndarray, np.ndarray]:
         scale = np.ones(rows.size)
         cand = beta_r + step
         mu_c = expit(_predict(Xr, cand))
-        ll_c = _penalized_loglik(yr, mu_c, cand, ridge)
+        ll_c = _penalized_loglik(y, mu_c, cand, ridge)
         for _ in range(29):
             halve = solved & ~(ll_c >= ll - 8 * np.spacing(np.abs(ll)))
             if not halve.any():
@@ -201,7 +200,7 @@ def _irls(X, y, ridge: float) -> tuple[np.ndarray, np.ndarray]:
             scale[h] *= 0.5
             cand[h] = beta_r[h] + scale[h, None] * step[h]
             mu_c[h] = expit(_predict(Xr[h], cand[h]))
-            ll_c[h] = _penalized_loglik(yr[h], mu_c[h], cand[h], ridge)
+            ll_c[h] = _penalized_loglik(y, mu_c[h], cand[h], ridge)
         # A row whose Hessian was singular keeps its coefficients.
         cand[~solved] = beta_r[~solved]
         # On the standardized basis, coefficients past ~15 mean the fit is
@@ -216,7 +215,7 @@ def _irls(X, y, ridge: float) -> tuple[np.ndarray, np.ndarray]:
         if stop.any():
             beta[rows[stop]] = beta_r[stop]
             keep = ~stop
-            rows, Xr, yr, beta_r, mu, ll = rows[keep], Xr[keep], yr[keep], beta_r[keep], mu[keep], ll[keep]
+            rows, Xr, beta_r, mu, ll = rows[keep], Xr[keep], beta_r[keep], mu[keep], ll[keep]
             if rows.size == 0:
                 break
     beta[rows] = beta_r
@@ -279,15 +278,6 @@ class NuisanceFit:
     warnings: list[str] = field(default_factory=list)
 
 
-def _constant_columns(c: np.ndarray) -> np.ndarray:
-    """Which columns of ``c`` (rows on axis 0) hold one value in every row.
-
-    Decided by exact equality: the sample sd of a constant column can be a
-    rounding-level nonzero (a column of 1.1 at n=500 gives 2.2e-16).
-    """
-    return (c == c[0]).all(axis=0)
-
-
 def _target_columns(target) -> tuple[int, ...]:
     """The column tuple of a target given as a column index or a sequence of them."""
     if isinstance(target, (int, np.integer)):
@@ -305,9 +295,12 @@ def _store(fits: list[NuisanceFit], part: str, values, ridged, warning: str) -> 
 
 def _designs(dataset: Dataset, columns: list[tuple[int, ...]], basis: BasisConfig) -> np.ndarray:
     """Design stack (targets, basis width, n) of each target's standardized columns, built by _row_blocks."""
-    c = dataset.covariates.T[np.array(columns)]  # (targets, members, n)
+    columns = np.array(columns)
+    c = dataset.covariates.T[columns]  # (targets, members, n)
     centers = c.mean(axis=-1)[..., None]
-    scales = np.where(_constant_columns(np.moveaxis(c, -1, 0)), 0.0, c.std(axis=-1, ddof=1))[..., None]
+    dev = c - centers  # c.std(axis=-1, ddof=1) is this reduction, after a second mean
+    sd = np.sqrt(np.add.reduce(dev * dev, axis=-1) / (dataset.n - 1))
+    scales = np.where(dataset.constant_columns[columns], 0.0, sd)[..., None]
     X = np.empty((len(columns), basis.width(c.shape[1]), dataset.n))
     for rows in _row_blocks(dataset.n):
         _design_matrix(_standardize(c[..., rows], centers, scales), basis, out=X[..., rows])

@@ -67,6 +67,8 @@ class SimScenario:
             raise ValidationError("n >= 2, p >= 1, replicates >= 1 required")
         if not (0.0 <= self.rho < 1.0):
             raise ValidationError("rho must lie in [0, 1)")
+        if not (0 <= self.seed < 2**128):
+            raise ValidationError(f"seed must lie in [0, 2^128), got {self.seed}")
         if self.kind in ("low_dim", "high_dim", "misspecified") and self.p < 15:
             raise ValidationError(f"{self.kind} designs need p >= 15")
         if self.kind == "uniform_closed_form":

@@ -308,6 +308,39 @@ def test_rank_thread_count_invariance(wide_csv, tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_exit_2(threads, wide_csv, tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"kind": "low_dim", "n": 100, "p": 15}))
+    out = tmp_path / "x.json"
+    commands = {
+        "score": ["--data", wide_csv, "--outcome", "y", "--exposure", "treat", "--estimator", "dr"],
+        "rank": ["--data", wide_csv, "--outcome", "y", "--exposure", "treat", "--estimator", "dr"],
+        "simulate": ["--scenario", str(scenario), "--estimator", "plugin-om", "--top-k", "1"],
+    }
+    for command, inputs in commands.items():
+        assert main([command, *inputs, "--threads", threads, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: threads must be at least 1, got {threads}\n"
+        assert not out.exists()
+    # One thread, which the benchmark harness passes, stays accepted.
+    assert main(["rank", *commands["rank"], "--threads", "1", "--out", str(out)]) == 0
+    assert json.loads(Path(f"{out}.manifest.json").read_text())["config"]["threads"] == 1
+
+
+@pytest.mark.parametrize("in_file, override", [(-3, None), (4, "-1"), (4, str(2**128))])
+def test_simulate_seed_out_of_range_exit_2(in_file, override, tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"kind": "low_dim", "n": 100, "p": 15, "seed": in_file}))
+    out = tmp_path / "x.json"
+    argv = ["simulate", "--scenario", str(scenario), "--top-k", "1", "--out", str(out)]
+    if override is not None:
+        argv += ["--seed", override]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must lie in [0, 2^128)") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_simulate_json_and_determinism(tmp_path):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(

@@ -373,6 +373,21 @@ def test_dataset_arrays_read_only(six_csv):
         ds.outcome[0] = 99.0
 
 
+def test_dataset_constant_columns_are_derived_once_read_only():
+    rng = np.random.default_rng(3)
+    c = rng.normal(size=(500, 5))
+    c[:, 1] = 1.1  # its sample sd is a rounding-level 2.2e-16, not 0
+    c[:, 3] = 0.0
+    c[-1, 4] = c[0, 4] = 7.0
+    c[1:-1, 4] = 7.0
+    c[7, 0] = c[0, 0]
+    ds = Dataset(rng.normal(size=500), np.tile([0, 1], 250), c, tuple(f"c{j}" for j in range(5)))
+    assert ds.constant_columns.tolist() == data._constant_columns(ds.covariates).tolist()
+    assert ds.constant_columns.tolist() == [False, True, False, True, True]
+    with pytest.raises(ValueError):
+        ds.constant_columns[0] = True
+
+
 def _dataset_pq(p):
     rng = np.random.default_rng(0)
     return Dataset(

@@ -469,8 +469,9 @@ def test_offset_logistic_mle_rows_equal_one_row_newton(monkeypatch, newton_steps
     assert expected[3][1] and expected[5] == (0.0, False)
     if newton_steps == 2:
         assert sum(bisected for _, bisected in expected) >= 2
-    eps = estimators._offset_logistic_mle(h, y, base)
+    eps, mu = estimators._offset_logistic_mle(h, y, base)
     assert eps.tolist() == [value for value, _ in expected]
+    assert np.array_equal(mu, expit(base + eps[:, None] * h))
     for i in range(len(h)):
         assert estimators._offset_logistic_mle(h[i : i + 1], y, base[i : i + 1])[0] == eps[i]
 
@@ -491,6 +492,29 @@ def _assert_same_targeting(a, b):
     """Bitwise equality of two tmle estimates, their diagnostics included."""
     _assert_same_estimate(a, b)
     assert repr(a.diagnostics) == repr(b.diagnostics)
+
+
+@pytest.mark.parametrize("outcome_kind", ["continuous", "bounded"])
+def test_fluctuations_of_mixed_stacks_equal_rows_alone(outcome_kind):
+    # Moving rows beside still ones, so each step takes its rows by a mask: the
+    # saturated row's pi score already vanishes, and the plugged row's pi of
+    # 1e-9 gives sum(H2^2) < 1e-14, so a continuous Q keeps its values.
+    ds = _mixed_dataset(outcome_kind)
+    fits = fit_nuisances(ds, [0, 1, 3], BasisConfig(degree=3), parts=("pi", "q"))
+    tiny = NuisanceFit((4,), pi=np.full(ds.n, 1e-9), q0=fits[0].q0, q1=fits[0].q1)
+    fits[1:1] = [fit_saturated(ds, 2), tiny]
+    stack = _read_only(*(estimators._values(ds, fits, part) for part in ("pi", "q0", "q1")))
+    for fluctuate, still_row, parts in ((fluctuate_pi, 1, [0]), (fluctuate_q, 2, [1, 2])):
+        eps, *out = fluctuate(*stack, ds)
+        moved = eps != 0.0
+        assert moved.any() and not moved[still_row]
+        for i in range(len(fits)):
+            eps_i, *out_i = fluctuate(*(a[i : i + 1] for a in stack), ds)
+            assert eps_i.tobytes() == eps[i : i + 1].tobytes()
+            for new, alone, part in zip(out, out_i, parts):
+                assert new[i].tobytes() == alone[0].tobytes()
+                if not moved[i]:
+                    assert new[i].tobytes() == stack[part][i].tobytes()
 
 
 @pytest.mark.parametrize("outcome_kind", ["continuous", "bounded"])

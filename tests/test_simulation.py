@@ -45,6 +45,17 @@ def test_scenario_validation():
         SimScenario(kind="low_dim", n=100, p=15, rho=1.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_scenario_seed_outside_philox_keys(seed):
+    with pytest.raises(ValidationError, match=r"seed must lie in \[0, 2\^128\)"):
+        SimScenario(kind="low_dim", n=100, p=15, seed=seed)
+
+
+def test_scenario_seed_range_ends_are_keys():
+    for seed in (0, 2**128 - 1):
+        assert generate(SimScenario(kind="low_dim", n=50, p=15, seed=seed), 0).dataset.n == 50
+
+
 def test_substream_reproducible_and_independent_of_order():
     a = substream(7, 3).random(5)
     b = substream(7, 3).random(5)
