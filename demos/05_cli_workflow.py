@@ -33,13 +33,13 @@ def main(workdir):
     csv_path = workdir / "study.csv"
     rows = ["y,treated,c1,c2"]
     rows += [f"{y[i]:.6f},{e[i]},{c1[i]:.6f},{c2[i]:.6f}" for i in range(n)]
-    csv_path.write_text("\n".join(rows) + "\n")
+    csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
     # Score every covariate with the targeted estimator.
     scores_out = workdir / "scores.json"
     run("score", "--data", str(csv_path), "--outcome", "y", "--exposure", "treated",
         "--estimator", "tmle", "--degree", "2", "--out", str(scores_out))
-    report = json.loads(scores_out.read_text())
+    report = json.loads(scores_out.read_text(encoding="utf-8"))
     for row in report["results"]:
         print(f"  {row['name']}: phi = {row['phi']:+.4f}  CI "
               f"[{row['ci_lo']:+.4f}, {row['ci_hi']:+.4f}]")
@@ -49,21 +49,21 @@ def main(workdir):
     run("rank", "--data", str(csv_path), "--outcome", "y", "--exposure", "treated",
         "--estimator", "tmle", "--degree", "2", "--alpha", "0.10",
         "--out", str(rank_out), "--format", "csv")
-    print(rank_out.read_text())
+    print(rank_out.read_text(encoding="utf-8"))
 
     # Simulation study from a scenario file.
     scenario = {"kind": "low_dim", "n": 500, "p": 15, "theta": 1.0,
                 "seed": 17, "replicates": 10}
     scenario_path = workdir / "scenario.json"
-    scenario_path.write_text(json.dumps(scenario))
+    scenario_path.write_text(json.dumps(scenario), encoding="utf-8")
     sim_out = workdir / "sim.json"
     run("simulate", "--scenario", str(scenario_path), "--estimator", "tmle",
         "--degree", "2", "--top-k", "5", "--out", str(sim_out))
-    summary = json.loads(sim_out.read_text())["aggregates"]
+    summary = json.loads(sim_out.read_text(encoding="utf-8"))["aggregates"]
     print(f"  mean sensitivity {summary['mean_sensitivity']:.3f}, "
           f"mean specificity {summary['mean_specificity']:.3f}")
 
-    manifest = json.loads((workdir / "sim.json.manifest.json").read_text())
+    manifest = json.loads((workdir / "sim.json.manifest.json").read_text(encoding="utf-8"))
     print(f"  manifest: confscreen {manifest['versions']['confscreen']}, "
           f"wall time {manifest['wall_time_seconds']:.2f}s")
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
+import io
 import json
 import os
 import platform
@@ -114,7 +116,7 @@ def _atomic_write(files: dict[str, str]) -> None:
     placed = []
     try:
         for path, text in files.items():
-            with open(tmps[path], "w", newline="") as fh:
+            with open(tmps[path], "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         for path, tmp in tmps.items():
             os.replace(tmp, path)
@@ -152,26 +154,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _rows_to_csv(rows: list[dict], se_key: str) -> str:
-    columns = [se_key if col == "se_phi" else col for col in CSV_COLUMNS]
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in columns))
-    return "\n".join(lines) + "\n"
+def _csv(columns, rows: list[dict]) -> str:
+    """The CSV table of each row's ``columns``; csv.writer quotes only the cells that need it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt(row.get(col)) for col in columns] for row in rows)
+    return buf.getvalue()
 
 
-def _emit_results(
-    args, config: dict, start: float, rows: list[dict], extra: dict | None = None, se_key: str = "se_phi"
-) -> None:
-    """Write the result rows to ``args.out`` together with the run's manifest."""
-    if args.format == "csv":
-        text = _rows_to_csv(rows, se_key)
-    else:
-        doc = {"schema_version": SCHEMA_VERSION, "config": config, "results": rows}
-        if extra:
-            doc.update(extra)
-        text = json.dumps(doc, indent=2) + "\n"
-    _atomic_write({args.out: text, **_manifest(args, config, start)})
+def _emit(args, config: dict, start: float, doc: dict, csv_files: dict) -> None:
+    """Write the command's output files and its manifest in one ``_atomic_write``.
+
+    With ``--format json`` the file ``<out>`` is ``doc``; with ``--format csv``
+    each ``suffix: part`` of ``csv_files`` is the file ``<out><suffix>``, a
+    ``(columns, rows)`` part as a CSV table and a dict part as JSON.  Every
+    JSON document starts with the schema version and the config.
+    """
+    parts = csv_files if args.format == "csv" else {"": doc}
+    files = {
+        args.out + suffix: _csv(*part)
+        if isinstance(part, tuple)
+        else json.dumps({"schema_version": SCHEMA_VERSION, "config": config, **part}, indent=2) + "\n"
+        for suffix, part in parts.items()
+    }
+    _atomic_write({**files, **_manifest(args, config, start)})
 
 
 def _row(est, row, se_key: str, **fields) -> dict:
@@ -181,7 +188,7 @@ def _row(est, row, se_key: str, **fields) -> dict:
     ``se_key`` names ("se_phi" or "se_psi"); ``fields`` override or extend the row.
     """
     out = {
-        "id": est.covariate_id if not isinstance(est.covariate_id, tuple) else list(est.covariate_id),
+        "id": est.covariate_id,
         "name": row.name,
         "theta": est.theta_hat,
         "phi": est.phi_hat,
@@ -222,10 +229,10 @@ def cmd_score(args) -> int:
     by_name, report = _screen_inputs(args, "difference", None)
     by_row = {row.name: row for row in report.rows}
     rows = [
-        _row(est, by_row[name], "se_phi", warnings=list(est.diagnostics.get("warnings", [])))
+        _row(est, by_row[name], "se_phi", warnings=est.diagnostics.get("warnings", []))
         for name, est in by_name.items()
     ]
-    _emit_results(args, config, start, rows)
+    _emit(args, config, start, {"results": rows}, {"": (CSV_COLUMNS, rows)})
     return 0
 
 
@@ -235,11 +242,12 @@ def cmd_rank(args) -> int:
     by_name, report = _screen_inputs(args, args.score, _selection_rule(args))
     se_key = "se_psi" if args.score == "ratio" else "se_phi"
     rows = [
-        _row(by_name[row.name], row, se_key, rank=row.rank, selected=bool(row.selected), flags=list(row.flags))
+        _row(by_name[row.name], row, se_key, rank=row.rank, selected=row.selected, flags=row.flags)
         for row in report.rows
     ]
-    extra = {"selection_rule": list(report.selection_rule)}
-    _emit_results(args, config, start, rows, extra=extra, se_key=se_key)
+    columns = [se_key if col == "se_phi" else col for col in CSV_COLUMNS]
+    doc = {"results": rows, "selection_rule": report.selection_rule}
+    _emit(args, config, start, doc, {"": (columns, rows)})
     return 0
 
 
@@ -292,41 +300,19 @@ def cmd_simulate(args) -> int:
     aggregates = dict(result.aggregates)
     if scenario.kind == "uniform_closed_form":
         aggregates["oracle_phi"] = [uniform_closed_form_phi(scenario, j) for j in range(scenario.p)]
-
     per_replicate = [
-        {
-            "replicate": r,
-            "sensitivity": float(result.sensitivity[r]),
-            "specificity": float(result.specificity[r]),
-        }
-        for r in range(scenario.replicates)
+        {"replicate": r, "sensitivity": sens, "specificity": spec}
+        for r, (sens, spec) in enumerate(zip(result.sensitivity.tolist(), result.specificity.tolist()))
     ]
-    roc = [[float(x), float(y)] for x, y in result.roc_mean]
-
-    if args.format == "csv":
-        lines = ["replicate,sensitivity,specificity"]
-        for row in per_replicate:
-            lines.append(f"{row['replicate']},{row['sensitivity']!r},{row['specificity']!r}")
-        roc_lines = ["k,sensitivity,false_positive_rate"]
-        for k, (sens, fpr) in enumerate(roc):
-            roc_lines.append(f"{k},{sens!r},{fpr!r}")
-        summary = {"schema_version": SCHEMA_VERSION, "config": config, "aggregates": aggregates}
-        files = {
-            args.out: "\n".join(lines) + "\n",
-            f"{args.out}.roc.csv": "\n".join(roc_lines) + "\n",
-            f"{args.out}.summary.json": json.dumps(summary, indent=2) + "\n",
-        }
-    else:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "config": config,
-            "scenario": {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(scenario).items()},
-            "per_replicate": per_replicate,
-            "aggregates": aggregates,
-            "roc": roc,
-        }
-        files = {args.out: json.dumps(doc, indent=2) + "\n"}
-    _atomic_write({**files, **_manifest(args, config, start)})
+    roc = result.roc_mean.tolist()
+    roc_rows = [{"k": k, "sensitivity": sens, "false_positive_rate": fpr} for k, (sens, fpr) in enumerate(roc)]
+    doc = {"scenario": vars(scenario), "per_replicate": per_replicate, "aggregates": aggregates, "roc": roc}
+    csv_files = {
+        "": (("replicate", "sensitivity", "specificity"), per_replicate),
+        ".roc.csv": (("k", "sensitivity", "false_positive_rate"), roc_rows),
+        ".summary.json": {"aggregates": aggregates},
+    }
+    _emit(args, config, start, doc, csv_files)
     return 0
 
 

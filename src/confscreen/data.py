@@ -313,7 +313,7 @@ def write_csv(dataset: Dataset, path, outcome_col: str = "outcome", exposure_col
     the integer exposure never need quoting) without its per-cell calls.
     """
     fmt = float.__repr__
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow([outcome_col, exposure_col, *dataset.column_names])
         for y, e, row in zip(
             dataset.outcome.tolist(), dataset.exposure.tolist(), dataset.covariates.tolist()

@@ -60,6 +60,8 @@ def rank(
         raise ValidationError(f"mixed estimator kinds in one ranking: {sorted(kinds)}")
     if names is None:
         names = [str(est.covariate_id) for est in estimates]
+    elif len(names) != len(estimates):
+        raise ValidationError(f"{len(estimates)} estimates but {len(names)} names")
     difference = score_kind == "difference"
     null = 0.0 if difference else 1.0
     scores = [est.phi_hat if difference else est.psi_hat for est in estimates]

@@ -405,6 +405,9 @@ def evaluate_selection(selected, labels) -> tuple[float, float]:
     """
     labels = list(labels)
     selected = set(int(j) for j in selected)
+    for j in sorted(selected):
+        if not 0 <= j < len(labels):
+            raise ValidationError(f"selected index {j} is out of range for {len(labels)} labels")
     confounders = {j for j, lab in enumerate(labels) if lab == LABEL_CONFOUNDER}
     others = set(range(len(labels))) - confounders
     sens = len(selected & confounders) / len(confounders) if confounders else 1.0
@@ -419,6 +422,8 @@ def roc_curve(distances, labels) -> np.ndarray:
     ties broken by ascending index.
     """
     distances = np.asarray(distances, dtype=float)
+    if distances.shape != (len(labels),):
+        raise ValidationError(f"{distances.size} distances but {len(labels)} labels")
     return _roc_along(np.lexsort((np.arange(distances.size), -distances)), labels)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import confscreen
-from confscreen import SimScenario, generate, write_csv
+from confscreen import Dataset, SimScenario, generate, load_csv, write_csv
 from confscreen.cli import CSV_COLUMNS, build_parser, main
 
 SIX_ROWS = "O,E,C\n1,1,1\n0,1,1\n1,0,1\n0,0,0\n1,1,0\n0,0,1\n"
@@ -614,3 +614,63 @@ def test_simulate_ill_typed_scenario_field_exit_2(field, value, tmp_path, capsys
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(field) in err
+
+
+def _named_csv(tmp_path, names):
+    """A low_dim sample written with covariate ``names`` (outcome y, exposure e)."""
+    ds = generate(SimScenario(kind="low_dim", n=200, p=15, seed=3), 0).dataset
+    path = tmp_path / "named.csv"
+    write_csv(Dataset(ds.outcome, ds.exposure, ds.covariates, tuple(names)), path, "y", "e")
+    return str(path)
+
+
+def test_csv_outputs_quote_names(tmp_path):
+    names = ["a,b", 'q"x', "line\nbreak", *(f"x{j}" for j in range(3, 15))]
+    data = _named_csv(tmp_path, names)
+    groups = tmp_path / "groups.json"
+    groups.write_text(json.dumps({"g,1": ["a,b", "line\nbreak"], 'q"x': ['q"x'], "rest": names[3:]}))
+    inputs = ["--data", data, "--outcome", "y", "--exposure", "e", "--estimator", "dr", "--degree", "2"]
+    for argv, expected in (
+        (["score"], names),
+        (["rank", "--top-k", "2"], names),
+        (["rank", "--groups", str(groups)], ["g,1", 'q"x', "rest"]),
+    ):
+        out = tmp_path / "out.csv"
+        assert main([*argv, *inputs, "--format", "csv", "--out", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert all(len(row) == len(header) for row in rows)
+        assert sorted(row[header.index("name")] for row in rows) == sorted(expected)
+
+
+def test_outputs_are_utf8_under_encoding_warnings(tmp_path):
+    # -X warn_default_encoding makes every open() without an encoding warn,
+    # and -W error::EncodingWarning turns that warning into a failure.
+    data = _named_csv(tmp_path, ["β1", *(f"x{j}" for j in range(1, 15))])
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"kind": "low_dim", "n": 100, "p": 15, "seed": 2}))
+    inputs = ["--data", data, "--outcome", "y", "--exposure", "e", "--estimator", "dr", "--degree", "2"]
+    runs = [
+        ["score", *inputs, "--format", "csv", "--out", str(tmp_path / "score.csv")],
+        ["rank", *inputs, "--format", "csv", "--out", str(tmp_path / "rank.csv")],
+        ["simulate", "--scenario", str(scenario), "--top-k", "2", "--estimator", "plugin-om",
+         "--format", "csv", "--out", str(tmp_path / "sim.csv")],
+    ]
+    code = (
+        "import sys; from confscreen import load_csv, write_csv; from confscreen.cli import main\n"
+        f"codes = [main(argv) for argv in {runs!r}]\n"
+        f"write_csv(load_csv({data!r}, 'y', 'e'), {str(tmp_path / 'copy.csv')!r}, 'y', 'e')\n"
+        "sys.exit(max(codes))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(confscreen.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c", code],
+        env=env, capture_output=True, encoding="utf-8",
+    )
+    assert result.returncode == 0, result.stderr
+    assert load_csv(tmp_path / "copy.csv", "y", "e").column_names[0] == "β1"
+    for name in ("score.csv", "rank.csv"):
+        with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+            assert "β1" in [row[1] for row in csv.reader(fh)]
+    for name in ("sim.csv", "sim.csv.roc.csv", "sim.csv.summary.json", "sim.csv.manifest.json"):
+        (tmp_path / name).read_text(encoding="utf-8")

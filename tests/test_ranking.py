@@ -77,6 +77,12 @@ def test_rank_empty_rejected():
         rank([], "difference")
 
 
+def test_rank_names_must_match_estimates():
+    ests = [_estimate(j, 0.1 * j) for j in range(4)]
+    with pytest.raises(ValidationError, match="4 estimates but 2 names"):
+        rank(ests, "difference", names=["a", "b"])
+
+
 def test_rank_unknown_score_kind():
     with pytest.raises(ValidationError):
         rank([_estimate(0, 0.1)], "other")

@@ -147,6 +147,35 @@ def test_oracle_gaussian_precision_variable():
     assert abs(mc.value) < 4.0 * mc.mc_se + 1e-3
 
 
+def test_oracle_misspecified_matches_a_generated_sample():
+    # At theta = 0, tau_j(c) = g_j(c) plus the other covariates' constant mean,
+    # so phi_j is the exposed-minus-unexposed difference of g_j(C_j) means,
+    # taken here on a generated sample independent of the oracle's draws.
+    sc = SimScenario(kind="misspecified", n=200_000, p=20, theta=0.0, seed=11)
+    ds = generate(sc, 0).dataset
+    exposed = ds.exposure == 1
+    phi = {}
+    for j in (0, 6, 11, 17):
+        g = simulation._mis_g(j, ds.covariates[:, j])
+        diff = g[exposed].mean() - g[~exposed].mean()
+        se = np.sqrt(g[exposed].var(ddof=1) / exposed.sum() + g[~exposed].var(ddof=1) / (~exposed).sum())
+        mc = oracle_phi(sc, j, mc_size=400_000)
+        assert abs(mc.value - diff) <= 4.0 * np.hypot(mc.mc_se, se) + 1e-12, j
+        phi[j] = mc.value
+    assert phi[0] > 0.5  # a confounder: both models use C_0
+    assert phi[11] == pytest.approx(0.0, abs=1e-12) and phi[17] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_oracle_misspecified_inner_sample():
+    # At theta != 0, tau_j adds theta * P(E = 1 | C_j), averaged over an inner
+    # sample of the other exposure terms: constant for a spurious covariate,
+    # increasing in the exposure term of an instrument.
+    sc = SimScenario(kind="misspecified", n=100, p=20, theta=1.0, seed=11)
+    assert oracle_phi(sc, 17, mc_size=20_000).value == pytest.approx(0.0, abs=1e-12)
+    mc = oracle_phi(sc, 11, mc_size=20_000)
+    assert mc.value - 4.0 * mc.mc_se > 0.0
+
+
 def test_oracle_target_out_of_range():
     with pytest.raises(ValidationError):
         oracle_phi(UNIFORM, 5, mc_size=100)
@@ -165,6 +194,20 @@ def test_evaluate_selection():
     assert sens == 0.5 and spec == 0.5
     sens, spec = evaluate_selection([0, 1], labels)
     assert sens == 1.0 and spec == 1.0
+
+
+def test_evaluate_selection_index_out_of_range():
+    labels = ["confounder", "confounder", "precision", "spurious"]
+    for bad in (7, -1):
+        with pytest.raises(ValidationError, match=f"selected index {bad} is out of range for 4 labels"):
+            evaluate_selection([0, bad], labels)
+
+
+@pytest.mark.parametrize("size", [2, 5])
+def test_roc_curve_needs_one_distance_per_label(size):
+    labels = ["confounder", "confounder", "spurious", "spurious"]
+    with pytest.raises(ValidationError, match=f"{size} distances but 4 labels"):
+        roc_curve(np.linspace(1.0, 0.0, size), labels)
 
 
 def test_roc_curve_perfect_ranking():
