@@ -15,7 +15,7 @@ affine transform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +25,7 @@ from ._stats import expit, logit
 from .data import Dataset, ValidationError
 from .nuisance import (
     BasisConfig,
+    NuisanceStack,
     _clip_prob,
     _target_columns,
     fit_nuisances,
@@ -123,28 +124,34 @@ def _mean(x: np.ndarray):
     return np.add.reduce(x, axis=-1) / x.shape[-1]
 
 
-def _values(dataset: Dataset, fits: list, part: str) -> np.ndarray:
-    """The (b, n) stack of the ``fits``' values of nuisance ``part`` ("tau", "pi", "q0" or "q1")."""
-    rows = [getattr(fit, part) for fit in fits]
+def _values(dataset: Dataset, fits, part: str) -> np.ndarray:
+    """The (b, n) values, read-only, of nuisance ``part`` ("tau", "pi", "q0" or "q1") of a stack of b targets.
+
+    A NuisanceStack gives its own array; the values of a list of NuisanceFits are checked for shape and stacked.
+    """
+    stacked = isinstance(fits, NuisanceStack)
+    rows = [getattr(fits, part)] if stacked else [getattr(fit, part) for fit in fits]
     for values in rows:
         if values is None:
             raise ValidationError(f"fit has no {part} part")
-        if np.shape(values) != (dataset.n,):
+        if not stacked and np.shape(values) != (dataset.n,):
             raise ValidationError(
                 f"fit's {part} values have shape {np.shape(values)}; the dataset has n = {dataset.n} rows"
             )
-    stack = np.stack(rows)
+    stack = rows[0].view() if stacked else np.stack(rows)
+    stack.flags.writeable = False
     if not np.isfinite(stack).all():
         raise ValidationError(f"fit's {part} values are not all finite")
     return stack
 
 
-def _warnings(fits: list) -> list[dict]:
-    """Each fit's diagnostics before estimation: a copy of its warnings."""
-    return [{"warnings": list(fit.warnings)} for fit in fits]
+def _warnings(fits) -> list[dict]:
+    """Each target's diagnostics before estimation: a copy of the stack's row warnings, or of each fit's."""
+    rows = fits.warnings if isinstance(fits, NuisanceStack) else [fit.warnings for fit in fits]
+    return [{"warnings": list(warnings)} for warnings in rows]
 
 
-def _naive(dataset: Dataset, fits: list) -> tuple[np.ndarray, np.ndarray]:
+def _naive(dataset: Dataset, fits) -> tuple[np.ndarray, np.ndarray]:
     """tau_hat (b, n) at the dataset's covariates and the naive plug-in theta (b,), on the original scale."""
     tau = dataset.to_original_scale(_values(dataset, fits, "tau"))
     return tau, _mean(dataset.exposure_float * tau)
@@ -155,7 +162,7 @@ def _target_id(columns: tuple[int, ...]):
     return columns[0] if len(columns) == 1 else columns
 
 
-def plugin_scores_om(dataset: Dataset, fits: list) -> ThetaStack:
+def plugin_scores_om(dataset: Dataset, fits) -> ThetaStack:
     """Plug-in theta of each fit from the outcome-regression route (arm means of tau_hat)."""
     tau, theta = _naive(dataset, fits)
     # Under the outcome-model plug-in measure, mu_O is the mean of tau over
@@ -164,13 +171,13 @@ def plugin_scores_om(dataset: Dataset, fits: list) -> ThetaStack:
     return ThetaStack(theta, _mean(tau), _warnings(fits))
 
 
-def plugin_scores_ps(dataset: Dataset, fits: list) -> ThetaStack:
+def plugin_scores_ps(dataset: Dataset, fits) -> ThetaStack:
     """Plug-in theta of each fit from the propensity route: E{O pi_hat(C)}; mu_O is mean(O)."""
     theta = _mean(dataset.outcome_original() * _values(dataset, fits, "pi"))
     return ThetaStack(theta, dataset.outcome_mean, _warnings(fits))
 
 
-def theta_dr(dataset: Dataset, fits: list) -> ThetaStack:
+def theta_dr(dataset: Dataset, fits) -> ThetaStack:
     """One-step doubly robust correction of each fit's naive plug-in."""
     tau, theta_n = _naive(dataset, fits)
     pi = _values(dataset, fits, "pi")
@@ -338,7 +345,7 @@ TMLE_TOL = 1e-8
 TMLE_MAX_ITER = 100
 
 
-def _target(dataset: Dataset, fits: list):
+def _target(dataset: Dataset, fits):
     """Run the TMLE fluctuation loop on the stack of ``fits``' in-sample values.
 
     Every row alternates the propensity and exposure-response fluctuations
@@ -373,7 +380,7 @@ def _target(dataset: Dataset, fits: list):
     return values, iterations, final_eps, converged
 
 
-def tmle_theta(dataset: Dataset, fits: list) -> ThetaStack:
+def tmle_theta(dataset: Dataset, fits) -> ThetaStack:
     """Targeted maximum likelihood estimate of theta for each fit, targeted as one stack.
 
     Targeting alternates the propensity and exposure-response fluctuations
@@ -389,15 +396,14 @@ def tmle_theta(dataset: Dataset, fits: list) -> ThetaStack:
     # This is the form that zeroes the empirical influence-curve equation.
     theta = _mean(pi * tau)
     diagnostics = []
-    for fit, n_iter, eps1, eps2, ok in zip(fits, iterations.tolist(), *final_eps.tolist(), converged.tolist()):
-        warnings = list(fit.warnings)
+    for d, n_iter, eps1, eps2, ok in zip(_warnings(fits), iterations.tolist(), *final_eps.tolist(), converged.tolist()):
         if not ok:
-            warnings.append(f"tmle did not converge in {n_iter} iterations (|eps1|={eps1:.3e}, |eps2|={eps2:.3e})")
-        diagnostics.append(dict(iterations=n_iter, final_eps1=eps1, final_eps2=eps2, warnings=warnings))
+            d["warnings"].append(f"tmle did not converge in {n_iter} iterations (|eps1|={eps1:.3e}, |eps2|={eps2:.3e})")
+        diagnostics.append(dict(iterations=n_iter, final_eps1=eps1, final_eps2=eps2, **d))
     return ThetaStack(theta, dataset.outcome_mean, diagnostics, pi, tau)
 
 
-def _score_stack(dataset: Dataset, estimator_kind: str, fits: list) -> list[ScoredRow]:
+def _score_stack(dataset: Dataset, estimator_kind: str, fits) -> list[ScoredRow]:
     """Score a stack of nuisance fits: the estimator's theta, then every row's scores and SEs at once."""
     estimator = {"plugin_om": plugin_scores_om, "plugin_ps": plugin_scores_ps, "dr": theta_dr, "tmle": tmle_theta}
     out = estimator[estimator_kind](dataset, fits)
@@ -430,21 +436,15 @@ def _constant_row(dataset: Dataset, estimator_kind: str) -> ScoredRow:
     return ScoredRow(dataset.outcome_mean * dataset.exposure_mean, 0.0, 1.0, se, se, diagnostics)
 
 
-def score_covariate(
-    dataset: Dataset,
-    columns,
-    estimator_kind: str,
-    basis: BasisConfig,
-    fit=None,
-) -> ScoreEstimate:
+def score_covariate(dataset: Dataset, columns, estimator_kind: str, basis: BasisConfig, fit=None) -> ScoreEstimate:
     """Estimate the confounding scores of one covariate or covariate group, with SEs for dr and tmle.
 
-    ``fit`` is the target's row of a scored stack (a ScoredRow, which is
-    only turned into the estimate), or its nuisance values at the dataset's
-    rows (a NuisanceFit from fit_nuisances, fit_saturated or any other
-    learner), scored here as a stack of one; without one, the target's
-    polynomial parts are fitted here.  A constant target gets the null
-    scores whatever its fit.
+    ``fit`` is the target's row of a scored stack (a ScoredRow, made from a
+    NuisanceStack's arrays, which is only turned into the estimate), or its
+    nuisance values at the dataset's rows: a NuisanceFit, the one-target API,
+    from ``fit_nuisances(...)[i]``, fit_saturated or any other learner, scored
+    here as a stack of one.  Without one, the target is fitted here.  A
+    constant target gets the null scores whatever its fit.
     """
     if estimator_kind not in ESTIMATOR_KINDS:
         raise ValidationError(f"unknown estimator kind {estimator_kind!r}")
@@ -468,35 +468,28 @@ def _score_targets(
 ) -> list[ScoreEstimate]:
     """Score ``targets`` in order, fitting and scoring each run of consecutive same-width targets in stacks.
 
-    A stack holds at most STACK_DOUBLES doubles of design and at least one
-    target, and is dropped once its targets are scored; each target's row
-    of it goes to ``score_covariate``.  Constant targets are scored without
-    a fit.
+    The constant targets of a run are found at once and get the null scores
+    without a fit.  The others are fitted in stacks of at most STACK_DOUBLES
+    doubles of design and at least one target, whose (b, n) arrays go to the
+    estimator as they are; a stack is dropped once its targets are scored.
     """
     if estimator_kind not in ESTIMATOR_KINDS:
         raise ValidationError(f"unknown estimator kind {estimator_kind!r}")
-    constant = dataset.constant_columns
-    estimates = []
-    stack: list[tuple[int, ...]] = []
-
-    def flush():
-        if stack:
-            fits = fit_nuisances(dataset, stack, basis, parts=ESTIMATOR_PARTS[estimator_kind])
-            for cols, row in zip(stack, _score_stack(dataset, estimator_kind, fits)):
-                estimates.append(score_covariate(dataset, cols, estimator_kind, basis, row))
-            stack.clear()
-
-    for cols in targets:
-        if constant[list(cols)].all():
-            flush()
-            estimates.append(score_covariate(dataset, cols, estimator_kind, basis))
-            continue
-        if stack and len(cols) != len(stack[0]):
-            flush()
-        stack.append(cols)
-        if len(stack) >= max(1, STACK_DOUBLES // (dataset.n * basis.width(len(cols)))):
-            flush()
-    flush()
+    estimates, parts = [], ESTIMATOR_PARTS[estimator_kind]
+    for width, run in groupby(targets, key=len):
+        run = list(run)
+        constant = dataset.constant_columns[np.array(run, dtype=np.intp).reshape(len(run), width)].all(axis=1)
+        rows = [_constant_row(dataset, estimator_kind) if c else None for c in constant.tolist()]
+        fitted = np.flatnonzero(~constant).tolist()
+        size = max(1, STACK_DOUBLES // (dataset.n * basis.width(width)))
+        for start in range(0, len(fitted), size):
+            stack = fitted[start : start + size]
+            fits = fit_nuisances(dataset, [run[i] for i in stack], basis, parts)
+            for i, row in zip(stack, _score_stack(dataset, estimator_kind, fits)):
+                rows[i] = row
+            del fits  # dropped before the next stack is fitted
+        # Per target still: perfbench's span map reads these calls' estimates (ROADMAP item 1).
+        estimates += [score_covariate(dataset, cols, estimator_kind, basis, row) for cols, row in zip(run, rows)]
     return estimates
 
 
@@ -512,10 +505,7 @@ def score_all(
     """
     basis = basis or BasisConfig()
     if saturated:
-        return [
-            score_covariate(dataset, j, estimator_kind, basis, fit_saturated(dataset, j))
-            for j in range(dataset.p)
-        ]
+        return [score_covariate(dataset, j, estimator_kind, basis, fit_saturated(dataset, j)) for j in range(dataset.p)]
     return _score_targets(dataset, [(j,) for j in range(dataset.p)], estimator_kind, basis)
 
 

@@ -16,9 +16,11 @@ one matches them to rounding.  The blocks depend on n alone, so a target's
 fit does not depend on which stack it is fitted in.
 
 Every estimator reads the nuisance models only at the dataset's own rows, so
-a fit is its values there: a NuisanceFit holds tau, pi, Q(0, c) and Q(1, c)
-at the n observations.  Any learner can supply them, from in-sample or
-cross-fitted predictions, without touching the estimator code.
+a fit is its values there: tau, pi, Q(0, c) and Q(1, c) at the n
+observations.  fit_nuisances returns a NuisanceStack of the solvers' (targets,
+n) arrays, which go to the estimators as they are.  A NuisanceFit holds one
+target's: ``fit_nuisances(...)[i]``, or any learner's in-sample or
+cross-fitted predictions, scored without touching the estimator code.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .data import Dataset, ValidationError
 __all__ = [
     "BasisConfig",
     "NuisanceFit",
+    "NuisanceStack",
     "fit_nuisances",
     "fit_saturated",
 ]
@@ -278,19 +281,36 @@ class NuisanceFit:
     warnings: list[str] = field(default_factory=list)
 
 
+@dataclass
+class NuisanceStack:
+    """Nuisance values of a stack of targets at the dataset's rows, as fit_nuisances returns them.
+
+    ``tau``, ``pi``, ``q0`` and ``q1`` are (targets, n) arrays, or None for a
+    part not fitted, and ``warnings`` holds each row's ridge warnings.
+    ``stack[i]``, and so iteration, gives target i's NuisanceFit: its rows.
+    """
+
+    columns: list[tuple[int, ...]]
+    warnings: list[list[str]]
+    tau: np.ndarray | None = None
+    pi: np.ndarray | None = None
+    q0: np.ndarray | None = None
+    q1: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __getitem__(self, i: int) -> NuisanceFit:
+        parts = {part: getattr(self, part) for part in ("tau", "pi", "q0", "q1")}
+        rows = {part: None if values is None else values[i] for part, values in parts.items()}
+        return NuisanceFit(self.columns[i], **rows, warnings=list(self.warnings[i]))
+
+
 def _target_columns(target) -> tuple[int, ...]:
     """The column tuple of a target given as a column index or a sequence of them."""
     if isinstance(target, (int, np.integer)):
         return (int(target),)
-    return tuple(int(j) for j in target)
-
-
-def _store(fits: list[NuisanceFit], part: str, values, ridged, warning: str) -> None:
-    """Give each fit its row of ``values`` for ``part``, and ``warning`` where ridged."""
-    for fit, row, flag in zip(fits, values, ridged):
-        setattr(fit, part, row)
-        if flag:
-            fit.warnings.append(warning)
+    return tuple(map(int, target))
 
 
 def _designs(dataset: Dataset, columns: list[tuple[int, ...]], basis: BasisConfig) -> np.ndarray:
@@ -307,28 +327,28 @@ def _designs(dataset: Dataset, columns: list[tuple[int, ...]], basis: BasisConfi
     return X
 
 
-def fit_nuisances(
-    dataset: Dataset, targets, basis: BasisConfig, parts=("tau", "pi", "q")
-) -> list[NuisanceFit]:
+def fit_nuisances(dataset: Dataset, targets, basis: BasisConfig, parts=("tau", "pi", "q")) -> NuisanceStack:
     """Fit the requested parts ("tau", "pi", "q") of every target from one stack of design matrices.
 
     ``targets`` lists column indices or column tuples, all with the same
-    number of columns.  Returns one NuisanceFit per target, in order, with its
-    in-sample fitted values (rows of the stack's arrays).  q holds the per-arm
-    outcome regressions (logistic for a bounded outcome).
+    number of columns.  Returns the NuisanceStack of the targets' in-sample
+    fitted values, one row per target in order; ``[i]`` gives target i's
+    NuisanceFit.  q holds the per-arm outcome regressions (logistic for a
+    bounded outcome).
     """
     columns = [_target_columns(t) for t in targets]
     if len({len(cols) for cols in columns}) != 1:
         raise ValidationError("the targets of one stack must have the same number of columns")
     X = _designs(dataset, columns, basis)
-    fits = [NuisanceFit(columns=cols) for cols in columns]
+    values, ridge = {}, []  # ridge: (ridged (targets,), warning) of each part fitted
     if "tau" in parts:
         coeffs, ridged = _solve_lstsq(X, dataset.outcome)
-        _store(fits, "tau", _predict(X, coeffs), ridged, "tau: rank-deficient design, ridge fallback used")
+        values["tau"] = _predict(X, coeffs)
+        ridge.append((ridged, "tau: rank-deficient design, ridge fallback used"))
     if "pi" in parts:
         coeffs, ridged = _fit_logistic(X, dataset.exposure_float)
-        fitted = _clip_prob(expit(_predict(X, coeffs)))
-        _store(fits, "pi", fitted, ridged, "pi: separation detected, ridge fallback used")
+        values["pi"] = _clip_prob(expit(_predict(X, coeffs)))
+        ridge.append((ridged, "pi: separation detected, ridge fallback used"))
     if "q" in parts:
         n_basis = X.shape[1]
         bounded = dataset.outcome_kind == "bounded"
@@ -344,8 +364,13 @@ def fit_nuisances(
             fitted = _predict(X, coeffs)
             if bounded:
                 fitted = _clip_prob(expit(fitted))
-            _store(fits, f"q{arm}", fitted, ridged, f"q{arm}: degenerate fit, ridge fallback used")
-    return fits
+            values[f"q{arm}"] = fitted
+            ridge.append((ridged, f"q{arm}: degenerate fit, ridge fallback used"))
+    warnings = [[] for _ in columns]
+    for ridged, warning in ridge:
+        for i in np.flatnonzero(ridged).tolist():
+            warnings[i].append(warning)
+    return NuisanceStack(columns, warnings, **values)
 
 
 def fit_saturated(dataset: Dataset, j: int) -> NuisanceFit:

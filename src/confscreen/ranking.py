@@ -73,50 +73,32 @@ def rank(
         for i, ci, p_i in zip(defined, zip(lo.tolist(), hi.tolist()), p.tolist()):
             inference[i] = (ses[i], ci, p_i)
 
-    entries = []
-    for idx, (est, name, score, (se, ci, p)) in enumerate(zip(estimates, names, scores, inference)):
-        flags = []
-        if est.diagnostics.get("constant"):
-            flags.append("constant")
-        if score is None:
-            flags.append("psi_undefined")
-        # An undefined or NaN score has no distance: it sorts after every defined score.
-        distance = abs(score - null) if score is not None and score == score else float("-inf")
-        entries.append((distance, idx, est.covariate_id, name, score, se, ci, p, tuple(flags)))
-
     k, level = 0, None  # without a rule nothing is selected
     if rule is not None:
         kind, param = rule
         if kind == "top_k":
             k = int(param)
-            if not (1 <= k <= len(entries)):
-                raise ValidationError(f"top-K must lie in 1..{len(entries)}, got {k}")
+            if not (1 <= k <= len(estimates)):
+                raise ValidationError(f"top-K must lie in 1..{len(estimates)}, got {k}")
             rule = (kind, k)
         elif kind == "alpha_test":
             level = float(param)
             if not (0.0 < level < 1.0):
                 raise ValidationError("alpha must lie in (0, 1)")
-            if any(p is None and "psi_undefined" not in flags for *_, p, flags in entries):
-                raise ValidationError(
-                    "alpha-test selection needs influence-based inference (dr or tmle estimates)"
-                )
+            if any(p is None and score is not None for (_, _, p), score in zip(inference, scores)):
+                raise ValidationError("alpha-test selection needs influence-based inference (dr or tmle estimates)")
             rule = (kind, level)
         else:
             raise ValidationError(f"unknown selection rule {kind!r}")
 
-    entries.sort(key=lambda t: (-t[0], t[1]))
-    rows = tuple(
-        RankRow(
-            id=cov_id,
-            name=name,
-            score=score,
-            se=se,
-            ci=ci,
-            p_value=p,
-            selected=pos < k or (level is not None and p is not None and p < level),
-            rank=pos + 1,
-            flags=flags,
-        )
-        for pos, (_, _, cov_id, name, score, se, ci, p, flags) in enumerate(entries)
-    )
-    return RankingReport(rows=rows, selection_rule=rule)
+    # An undefined or NaN score has no distance: it sorts after every defined score.
+    distance = np.abs(np.array([np.nan if s is None else s for s in scores], dtype=float) - null)
+    distance[np.isnan(distance)] = -np.inf
+    order = np.lexsort((np.arange(len(estimates)), -distance)).tolist()
+    rows = []
+    for pos, i in enumerate(order):
+        est, score, (se, ci, p) = estimates[i], scores[i], inference[i]
+        flags = ("constant",) * bool(est.diagnostics.get("constant")) + ("psi_undefined",) * (score is None)
+        selected = pos < k or (level is not None and p is not None and p < level)
+        rows.append(RankRow(est.covariate_id, names[i], score, se, ci, p, selected, pos + 1, flags))
+    return RankingReport(rows=tuple(rows), selection_rule=rule)

@@ -357,6 +357,8 @@ def _oracle_misspecified(scenario, cols, mc_size, oracle_seed, chunk=200_000, in
         for k in range(15):
             if k != j:
                 r_inner += _mis_f(k, zi[:, k])
+        # P(E = 1 | C_j) where the exposure term of j vanishes: the same for every draw.
+        p_free = expit(r_inner).mean()
 
     def draw(m):
         c = _normals(gen, (m, 15))
@@ -368,11 +370,12 @@ def _oracle_misspecified(scenario, cols, mc_size, oracle_seed, chunk=200_000, in
         tau = _mis_g(j, cj) + g_rest
         if scenario.theta != 0.0:
             fj = _mis_f(j, cj)
-            p_e = np.empty(m)
-            block = 8192  # bounds the m-by-inner expit buffer
-            for lo in range(0, m, block):
-                hi = min(lo + block, m)
-                p_e[lo:hi] = expit(fj[lo:hi, None] + r_inner[None, :]).mean(axis=1)
+            p_e = p_free
+            if fj.any():
+                p_e = np.empty(m)
+                block = 8192  # bounds the m-by-inner expit buffer
+                for lo in range(0, m, block):
+                    p_e[lo : lo + block] = expit(fj[lo : lo + block, None] + r_inner[None, :]).mean(axis=1)
             tau = tau + scenario.theta * p_e
         return tau, e
 

@@ -500,7 +500,7 @@ def test_fluctuations_of_mixed_stacks_equal_rows_alone(outcome_kind):
     # saturated row's pi score already vanishes, and the plugged row's pi of
     # 1e-9 gives sum(H2^2) < 1e-14, so a continuous Q keeps its values.
     ds = _mixed_dataset(outcome_kind)
-    fits = fit_nuisances(ds, [0, 1, 3], BasisConfig(degree=3), parts=("pi", "q"))
+    fits = list(fit_nuisances(ds, [0, 1, 3], BasisConfig(degree=3), parts=("pi", "q")))
     tiny = NuisanceFit((4,), pi=np.full(ds.n, 1e-9), q0=fits[0].q0, q1=fits[0].q1)
     fits[1:1] = [fit_saturated(ds, 2), tiny]
     stack = _read_only(*(estimators._values(ds, fits, part) for part in ("pi", "q0", "q1")))
@@ -531,7 +531,7 @@ def test_targeted_stack_rows_equal_targets_alone(monkeypatch, outcome_kind, max_
 
     monkeypatch.setattr(estimators, "_bisect_eps", recorded)
     ds = _mixed_dataset(outcome_kind)
-    fits = fit_nuisances(ds, list(range(ds.p)), BasisConfig(degree=3), parts=("pi", "q"))
+    fits = list(fit_nuisances(ds, list(range(ds.p)), BasisConfig(degree=3), parts=("pi", "q")))
     fits[2] = fit_saturated(ds, 2)
     _, iterations, final_eps, converged = estimators._target(ds, fits)
     basis = BasisConfig(degree=3)
@@ -587,3 +587,30 @@ def test_fit_built_from_values_scores_like_the_fitted_one(outcome_kind):
             _assert_same_targeting(
                 score_covariate(ds, j, kind, basis, plugged), score_covariate(ds, j, kind, basis, fit)
             )
+
+
+@pytest.mark.parametrize("outcome_kind", ["continuous", "bounded"])
+def test_list_of_fits_estimates_like_the_fitted_stack(outcome_kind):
+    # A fitted stack reaches the estimators as its (b, n) arrays, another
+    # learner's fits as a list of NuisanceFits; both give the same bits.
+    rng = np.random.default_rng(44)
+    n = 300
+    c = np.column_stack([np.full(n, 2.5), rng.random(n) < 0.5, rng.normal(size=(n, 2))])
+    e = (rng.random(n) < expit(0.6 * c[:, 2] - 0.4 * c[:, 1])).astype(int)
+    y = c[:, 1] + np.sin(c[:, 3]) + 0.5 * e + rng.normal(size=n)
+    ds = _dataset(expit(y) if outcome_kind == "bounded" else y, e, c, outcome_kind=outcome_kind)
+    stack = fit_nuisances(ds, list(range(ds.p)), BasisConfig(degree=3))
+    assert "tau: rank-deficient design, ridge fallback used" in stack.warnings[1]
+    fits = [
+        NuisanceFit(fit.columns, **{part: getattr(fit, part).copy() for part in ("tau", "pi", "q0", "q1")},
+                    warnings=list(fit.warnings))
+        for fit in stack
+    ]
+    for estimator in (plugin_scores_om, plugin_scores_ps, theta_dr, tmle_theta):
+        from_list, from_stack = estimator(ds, fits), estimator(ds, stack)
+        for name in ("theta", "mu_o", "pi", "tau"):
+            a, b = getattr(from_list, name), getattr(from_stack, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+        assert repr(from_list.diagnostics) == repr(from_stack.diagnostics)

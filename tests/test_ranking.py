@@ -1,9 +1,12 @@
 """Ranking, top-K selection, alpha-test selection, and the group screen."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confscreen import (
     BasisConfig,
@@ -37,6 +40,30 @@ def test_rank_orders_by_absolute_distance():
     report = rank(ests, "difference")
     assert [row.id for row in report.rows] == [1, 2, 0]
     assert [row.rank for row in report.rows] == [1, 2, 3]
+
+
+# Scores with undefined (None) and NaN values, ties, signed zeros and infinities.
+RANK_SCORES = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1.5, 2.0, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(RANK_SCORES, min_size=1, max_size=30), st.sampled_from(["difference", "ratio"]))
+def test_rank_order_is_a_sort_by_distance_then_input_order(scores, score_kind):
+    null = 0.0 if score_kind == "difference" else 1.0
+
+    def distance(score):
+        return -math.inf if score is None or math.isnan(score) else abs(score - null)
+
+    report = rank([_estimate(i, s, psi=s) for i, s in enumerate(scores)], score_kind)
+    assert [row.id for row in report.rows] == sorted(range(len(scores)), key=lambda i: (-distance(scores[i]), i))
+    assert [row.rank for row in report.rows] == list(range(1, len(scores) + 1))
+    for row in report.rows:
+        assert row.score is scores[row.id]
+        assert row.flags == (("psi_undefined",) if scores[row.id] is None else ())
 
 
 def test_rank_ties_break_on_input_order():

@@ -174,6 +174,11 @@ def test_oracle_misspecified_inner_sample():
     assert oracle_phi(sc, 17, mc_size=20_000).value == pytest.approx(0.0, abs=1e-12)
     mc = oracle_phi(sc, 11, mc_size=20_000)
     assert mc.value - 4.0 * mc.mc_se > 0.0
+    # A precision covariate has no exposure term, so theta adds a constant to
+    # tau_j and leaves its score as at theta = 0.
+    moved = oracle_phi(sc, 7, mc_size=20_000)
+    still = oracle_phi(SimScenario(kind="misspecified", n=100, p=20, theta=0.0, seed=11), 7, mc_size=20_000)
+    assert abs(moved.value - still.value) < 4.0 * np.hypot(moved.mc_se, still.mc_se)
 
 
 def test_oracle_target_out_of_range():
