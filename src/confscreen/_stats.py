@@ -18,6 +18,7 @@ with out <= 1/2 the CDF is |[x > 0] - out|, and with e = exp(-|x|) <= 1 the
 numerator of expit is max(e, [x >= 0]).  Each element goes through the same
 IEEE operations in the same order as the elementwise formulas, so results
 are bitwise those of the formulas, whatever the block or the input size.
+``norm_ppf(p, out=p)`` writes over its own input, each block read from a copy.
 """
 
 from __future__ import annotations
@@ -95,12 +96,14 @@ def _horner(coef, z):
     return out
 
 
-def _blockwise(kernel, x):
-    """Run ``kernel(xb, ob)`` over flat blocks of ``BLOCK`` elements of ``x``; return ``out``."""
-    out = np.empty(x.shape)
+def _blockwise(kernel, x, out=None):
+    """Run ``kernel(xb, ob)`` over flat blocks of ``BLOCK`` elements of ``x`` into ``out``; return ``out``."""
+    out = np.empty(x.shape) if out is None else out
     xf, of = x.reshape(-1), out.reshape(-1)
     for lo in range(0, xf.size, BLOCK):
-        kernel(xf[lo : lo + BLOCK], of[lo : lo + BLOCK])
+        xb = xf[lo : lo + BLOCK]
+        # A kernel may read its block after writing ``ob``: writing over ``x``, it reads a copy.
+        kernel(xb.copy() if out is x else xb, of[lo : lo + BLOCK])
     return out
 
 
@@ -151,12 +154,12 @@ def norm_cdf(x):
     return float(out) if out.ndim == 0 else out
 
 
-def norm_ppf(p):
-    """Standard normal quantile, vectorised over ``p`` in (0, 1)."""
+def norm_ppf(p, out=None):
+    """Standard normal quantile, vectorised over ``p`` in (0, 1); ``out`` may be the float array ``p`` itself."""
     p = np.asarray(p, dtype=float)
     if np.any(~((p > 0.0) & (p < 1.0))):
         raise ValueError("probabilities must lie strictly inside (0, 1)")
-    x = _blockwise(_ppf_block, p)
+    x = _blockwise(_ppf_block, p, out)
     return float(x) if x.ndim == 0 else x
 
 

@@ -181,8 +181,9 @@ def _irls(X, y, ridge: float) -> tuple[np.ndarray, np.ndarray]:
     ok = np.ones(b, dtype=bool)
     rows = np.arange(b)  # stack rows still iterating
     Xr, beta_r = X, beta.copy()
+    zeros = np.flatnonzero(y == 0.0) if np.all((y == 0.0) | (y == 1.0)) else None
     mu = expit(_predict(Xr, beta_r))
-    ll = _penalized_loglik(y, mu, beta_r, ridge)
+    ll = _penalized_loglik(y, mu, beta_r, ridge, zeros)
     ridge_eye = ridge * np.eye(d)
     for _ in range(IRLS_MAX_ITER):
         w = np.maximum(mu * (1.0 - mu), 1e-10)
@@ -194,7 +195,7 @@ def _irls(X, y, ridge: float) -> tuple[np.ndarray, np.ndarray]:
         scale = np.ones(rows.size)
         cand = beta_r + step
         mu_c = expit(_predict(Xr, cand))
-        ll_c = _penalized_loglik(y, mu_c, cand, ridge)
+        ll_c = _penalized_loglik(y, mu_c, cand, ridge, zeros)
         for _ in range(29):
             halve = solved & ~(ll_c >= ll - 8 * np.spacing(np.abs(ll)))
             if not halve.any():
@@ -203,7 +204,7 @@ def _irls(X, y, ridge: float) -> tuple[np.ndarray, np.ndarray]:
             scale[h] *= 0.5
             cand[h] = beta_r[h] + scale[h, None] * step[h]
             mu_c[h] = expit(_predict(Xr[h], cand[h]))
-            ll_c[h] = _penalized_loglik(y, mu_c[h], cand[h], ridge)
+            ll_c[h] = _penalized_loglik(y, mu_c[h], cand[h], ridge, zeros)
         # A row whose Hessian was singular keeps its coefficients.
         cand[~solved] = beta_r[~solved]
         # On the standardized basis, coefficients past ~15 mean the fit is
@@ -252,10 +253,15 @@ def _solve_rows(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return out, solved
 
 
-def _penalized_loglik(y: np.ndarray, mu: np.ndarray, beta: np.ndarray, ridge: float) -> np.ndarray:
+def _penalized_loglik(y: np.ndarray, mu: np.ndarray, beta: np.ndarray, ridge: float, zeros=None) -> np.ndarray:
     """Per-row Bernoulli log-likelihood of ``mu`` against ``y`` minus the ridge penalty of ``beta``."""
     mu = np.minimum(np.maximum(mu, 1e-12), 1.0 - 1e-12)
-    loglik = np.add.reduce(y * np.log(mu) + (1.0 - y) * np.log1p(-mu), axis=-1)
+    if zeros is None:
+        terms = y * np.log(mu) + (1.0 - y) * np.log1p(-mu)
+    else:  # ``zeros`` indexes a 0/1 ``y``'s zeros: log1p(-mu) only there, bitwise the two-term sum
+        terms = np.log(mu)
+        terms[..., zeros] = np.log1p(-mu[..., zeros])
+    loglik = np.add.reduce(terms, axis=-1)
     return loglik - np.add.reduce(0.5 * ridge * beta * beta, axis=-1)
 
 

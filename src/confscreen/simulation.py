@@ -10,6 +10,7 @@ normal quantile to Philox uniforms, which keeps streams platform-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -40,8 +41,6 @@ LABEL_CONFOUNDER = "confounder"
 LABEL_PRECISION = "precision"
 LABEL_INSTRUMENT = "instrument"
 LABEL_SPURIOUS = "spurious"
-
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(64)
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,9 @@ def _uniforms(gen: np.random.Generator, size) -> np.ndarray:
 
 
 def _normals(gen: np.random.Generator, size) -> np.ndarray:
-    return norm_ppf(_uniforms(gen, size))
+    """Standard normals of shape ``size``, written over the array of their own uniforms."""
+    u = _uniforms(gen, size)
+    return norm_ppf(u, out=u)
 
 
 def design_coefficients(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -231,12 +232,19 @@ def uniform_closed_form_phi(scenario: SimScenario, j: int) -> float:
     return (scenario.alphas[j] / 3.0) * (scenario.betas[j] + scenario.theta * scenario.alphas[j])
 
 
+@cache
+def _gauss_hermite() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of 64-node Gauss-Hermite quadrature, computed on first use."""
+    return np.polynomial.hermite.hermgauss(64)
+
+
 def _gh_expit_mean(mean: np.ndarray, sd: float) -> np.ndarray:
     """E expit(mean + sd * Z) for Z ~ N(0,1), by 64-node Gauss-Hermite."""
     if sd == 0.0:
         return expit(mean)
-    shifted = mean[:, None] + np.sqrt(2.0) * sd * _GH_NODES[None, :]
-    return (expit(shifted) @ _GH_WEIGHTS) / np.sqrt(np.pi)
+    nodes, weights = _gauss_hermite()
+    shifted = mean[:, None] + np.sqrt(2.0) * sd * nodes[None, :]
+    return (expit(shifted) @ weights) / np.sqrt(np.pi)
 
 
 class _ArmAccumulator:
@@ -346,8 +354,9 @@ def _oracle_misspecified(scenario, cols, mc_size, oracle_seed, chunk=200_000, in
     gen = substream(oracle_seed, 0)
 
     # Mean outcome contribution of the other covariates (independent normals).
-    z = np.sqrt(2.0) * _GH_NODES
-    w = _GH_WEIGHTS / np.sqrt(np.pi)
+    nodes, weights = _gauss_hermite()
+    z = np.sqrt(2.0) * nodes
+    w = weights / np.sqrt(np.pi)
     g_rest = sum(float(_mis_g(k, z) @ w) for k in range(15) if k != j)
 
     if scenario.theta != 0.0:

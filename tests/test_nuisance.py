@@ -12,6 +12,7 @@ from confscreen import (
     fit_nuisances,
     fit_saturated,
 )
+from confscreen import nuisance
 from confscreen._stats import expit, logit
 from confscreen.nuisance import (
     PROB_CLIP,
@@ -19,7 +20,9 @@ from confscreen.nuisance import (
     _design_matrix,
     _designs,
     _fit_logistic,
+    _irls,
     _newton_terms,
+    _penalized_loglik,
     _solve_lstsq,
     _standardize,
 )
@@ -133,6 +136,54 @@ def test_logistic_separation_ridge_fallback():
     assert any("ridge" in w for w in fit.warnings)
     (beta,), (ridged,) = _fit_logistic(_designs(ds, [(0,)], BasisConfig(degree=1)), ds.exposure_float)
     assert ridged and np.all(np.isfinite(beta))
+
+
+def _two_term_loglik(y, mu, beta, ridge):
+    mu = np.minimum(np.maximum(mu, 1e-12), 1.0 - 1e-12)
+    loglik = np.add.reduce(y * np.log(mu) + (1.0 - y) * np.log1p(-mu), axis=-1)
+    return loglik - np.add.reduce(0.5 * ridge * beta * beta, axis=-1)
+
+
+def test_penalized_loglik_of_a_0_1_response_is_bitwise_the_two_term_formula():
+    rng = np.random.default_rng(21)
+    y = (rng.random(500) < 0.4).astype(float)
+    mu = rng.random((32, 500))
+    # At, past and just inside the clip bounds, on both classes of y.
+    edges = [0.0, 1e-13, 1e-12, np.nextafter(1e-12, 1.0), 1.0 - 1e-12, np.nextafter(1.0 - 1e-12, 0.0), 1.0 - 1e-13, 1.0]
+    mu[:, : len(edges)] = edges
+    y[: len(edges)] = [0.0, 1.0] * (len(edges) // 2)
+    mu[:, len(edges) : 2 * len(edges)] = edges
+    y[len(edges) : 2 * len(edges)] = [1.0, 0.0] * (len(edges) // 2)
+    beta = rng.normal(size=(32, 4))
+    for ridge in (0.0, 0.3):
+        want = _two_term_loglik(y, mu, beta, ridge)
+        got = _penalized_loglik(y, mu, beta, ridge, np.flatnonzero(y == 0.0))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # A stack subset, as the step-halving passes it.
+        got = _penalized_loglik(y, mu[5], beta[5], ridge, np.flatnonzero(y == 0.0))
+        assert got.view(np.int64) == want[5].view(np.int64)
+
+
+def test_irls_spares_the_second_log_only_for_a_0_1_response(monkeypatch):
+    rng = np.random.default_rng(22)
+    n = 300
+    x = rng.normal(size=n)
+    e = (rng.random(n) < expit(x)).astype(int)
+    ds = _dataset(rng.random(n), e, x, outcome_kind="bounded")
+    X = _designs(ds, [(0,)], BasisConfig(degree=2))
+    seen = []
+
+    def spy(y, mu, beta, ridge, zeros=None):
+        seen.append(None if zeros is None else zeros.tolist())
+        return _penalized_loglik(y, mu, beta, ridge, zeros)
+
+    monkeypatch.setattr(nuisance, "_penalized_loglik", spy)
+    _irls(X, ds.exposure_float, 0.0)
+    assert seen and all(z == np.flatnonzero(e == 0).tolist() for z in seen)
+    seen.clear()
+    # A fractional response keeps the two-term formula.
+    _irls(X, ds.outcome, 0.0)
+    assert seen and all(z is None for z in seen)
 
 
 def test_pi_values_clipped_open_interval():

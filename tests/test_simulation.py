@@ -1,6 +1,11 @@
 """Synthetic designs, substream reproducibility, oracles, selection metrics."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from confscreen import (
     uniform_closed_form_phi,
 )
 from confscreen import simulation
+from confscreen._stats import BLOCK, norm_ppf
 
 UNIFORM = SimScenario(
     kind="uniform_closed_form",
@@ -104,6 +110,36 @@ def test_ar1_in_place_equals_two_array_recursion(rho):
         for j in range(1, p):
             c[:, j] = rho * c[:, j - 1] + np.sqrt(1.0 - rho * rho) * z[:, j]
     assert simulation._ar1_covariates(substream(9, 1), n, p, rho).tobytes() == c.tobytes()
+
+
+def test_normals_in_place_equal_quantiles_of_their_uniforms():
+    shape = (300, 500)
+    assert shape[0] * shape[1] > 2 * BLOCK  # several quantile blocks
+    z = simulation._normals(substream(9, 2), shape)
+    u = norm_ppf(simulation._uniforms(substream(9, 2), shape))
+    assert z.tobytes() == u.tobytes()
+
+
+def test_generate_holds_one_covariate_matrix():
+    # The Gaussian draw overwrites its own uniforms: no second (n, p) array.
+    scenario = SimScenario(kind="high_dim", n=500, p=1000, seed=3)
+    tracemalloc.start()
+    try:
+        c = generate(scenario, 1).dataset.covariates
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * c.nbytes
+
+
+def test_import_leaves_the_quadrature_table_uncomputed():
+    # The Gauss-Hermite table, and numpy.polynomial with it, load on an oracle's first use.
+    code = (
+        "import sys, numpy; before = 'numpy.polynomial' in sys.modules; import confscreen.cli; "
+        "sys.exit(('numpy.polynomial' in sys.modules) != before)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(simulation.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_misspecified_design_moments():

@@ -224,6 +224,10 @@ def test_expit_bitwise_on_cdf_inputs():
 def test_bitwise_across_block_edges(size):
     p = _philox_uniforms().reshape(-1)[:size]
     _assert_bitwise(norm_ppf(p), _norm_ppf_whole_array(p))
+    # Written over its own input, each block read from a copy.
+    q = p.copy()
+    assert norm_ppf(q, out=q) is q
+    _assert_bitwise(q, _norm_ppf_whole_array(p))
     # Far CDF values land on both sides of each block edge.
     x = np.resize(_cdf_inputs(), size)
     _assert_bitwise(norm_cdf(x), _norm_cdf_whole_array(x))
