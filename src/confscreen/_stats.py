@@ -157,7 +157,8 @@ def norm_cdf(x):
 def norm_ppf(p, out=None):
     """Standard normal quantile, vectorised over ``p`` in (0, 1); ``out`` may be the float array ``p`` itself."""
     p = np.asarray(p, dtype=float)
-    if np.any(~((p > 0.0) & (p < 1.0))):
+    # min and max are NaN when any p is: the comparisons then fail and raise too.
+    if p.size and not (p.min() > 0.0 and p.max() < 1.0):
         raise ValueError("probabilities must lie strictly inside (0, 1)")
     x = _blockwise(_ppf_block, p, out)
     return float(x) if x.ndim == 0 else x

@@ -95,6 +95,8 @@ def _design_matrix(z: np.ndarray, basis: BasisConfig, out: np.ndarray | None = N
 def _standardize(c: np.ndarray, centers: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """(c - centers) / scales; members with scale 0 (constant) keep their raw values."""
     constant = scales == 0.0
+    if not constant.any():
+        return (c - centers) / scales
     return np.where(constant, c, (c - centers) / np.where(constant, 1.0, scales))
 
 

@@ -34,6 +34,59 @@ class RankingReport:
     selection_rule: tuple | None = None
 
 
+def _order(distance: np.ndarray) -> np.ndarray:
+    """Indices by descending ``distance``, ties on input order; NaN distances come last, in input order."""
+    return np.argsort(-distance, kind="stable")
+
+
+def _rank_scores(score_kind, score, se, rule, alpha, undefined=None, has_se=None):
+    """Order, Wald step and selection of one score column, as ``rank`` describes them.
+
+    ``score`` (p,) is NaN where a score is undefined or NaN; ``undefined``
+    marks the undefined ones (default none).  ``se`` is None when no row
+    carries inference, else NaN where a row has none; ``has_se`` marks the
+    rows that have one (default every defined score).  Returns the indices
+    from first to last rank, the selection in input order, the
+    ``_wald_rows`` triple of every row (or None) and the validated rule.
+    """
+    if score_kind not in SCORE_KINDS:
+        raise ValidationError(f"unknown score kind {score_kind!r}")
+    null = 0.0 if score_kind == "difference" else 1.0
+    undefined = np.zeros(score.shape, dtype=bool) if undefined is None else undefined
+    wald = None
+    if se is None:
+        has_se = np.zeros(score.shape, dtype=bool)
+    else:
+        wald = _wald_rows(score, se, null, alpha)
+        has_se = ~undefined if has_se is None else has_se
+
+    k, level = 0, None  # without a rule nothing is selected
+    if rule is not None:
+        kind, param = rule
+        if kind == "top_k":
+            k = int(param)
+            if not (1 <= k <= score.size):
+                raise ValidationError(f"top-K must lie in 1..{score.size}, got {k}")
+            rule = (kind, k)
+        elif kind == "alpha_test":
+            level = float(param)
+            if not (0.0 < level < 1.0):
+                raise ValidationError("alpha must lie in (0, 1)")
+            if (~has_se & ~undefined).any():
+                raise ValidationError("alpha-test selection needs influence-based inference (dr or tmle estimates)")
+            rule = (kind, level)
+        else:
+            raise ValidationError(f"unknown selection rule {kind!r}")
+
+    # An undefined or NaN score has no distance: it sorts after every defined score.
+    order = _order(np.abs(score - null))
+    selected = np.zeros(score.shape, dtype=bool)
+    selected[order[:k]] = True
+    if level is not None and wald is not None:  # without SEs every score is undefined here
+        selected |= wald[2] < level  # a NaN p-value selects nothing
+    return order, selected, wald, rule
+
+
 def rank(
     estimates: list[ScoreEstimate],
     score_kind: str,
@@ -49,7 +102,8 @@ def rank(
     ``("alpha_test", level)`` (every score with p < level, which needs the
     SEs) or None for no selection.  Undefined ratio scores sink to the
     bottom and are flagged instead of aborting the screen; NaN scores sink
-    there too, in input order, without a flag.
+    there too, in input order, without a flag.  ``_rank_scores`` does the
+    work on the score arrays; this wraps its result into rows.
     """
     if score_kind not in SCORE_KINDS:
         raise ValidationError(f"unknown score kind {score_kind!r}")
@@ -63,42 +117,24 @@ def rank(
     elif len(names) != len(estimates):
         raise ValidationError(f"{len(estimates)} estimates but {len(names)} names")
     difference = score_kind == "difference"
-    null = 0.0 if difference else 1.0
     scores = [est.phi_hat if difference else est.psi_hat for est in estimates]
-    inference = [(None, None, None)] * len(estimates)  # (se, ci, p) of each row
+    ses = se_array = has_se = None
     if all(est.se_phi is not None for est in estimates):
         ses = [est.se_phi if difference else est.se_psi for est in estimates]
-        defined = [i for i, se in enumerate(ses) if se is not None]
-        lo, hi, p = _wald_rows(*(np.array([v[i] for i in defined]) for v in (scores, ses)), null, alpha)
-        for i, ci, p_i in zip(defined, zip(lo.tolist(), hi.tolist()), p.tolist()):
-            inference[i] = (ses[i], ci, p_i)
+        se_array, has_se = np.array(ses, dtype=float), np.array([se is not None for se in ses])
+    undefined = np.array([score is None for score in scores])
+    # None converts to NaN in a float array.
+    order, selected, wald, rule = _rank_scores(
+        score_kind, np.array(scores, dtype=float), se_array, rule, alpha, undefined, has_se
+    )
+    inference = [(None, None, None)] * len(estimates)  # (se, ci, p) of each row
+    if wald is not None:
+        lo, hi, p = (v.tolist() for v in wald)
+        inference = [(se, (lo[i], hi[i]), p[i]) if se is not None else (None, None, None) for i, se in enumerate(ses)]
 
-    k, level = 0, None  # without a rule nothing is selected
-    if rule is not None:
-        kind, param = rule
-        if kind == "top_k":
-            k = int(param)
-            if not (1 <= k <= len(estimates)):
-                raise ValidationError(f"top-K must lie in 1..{len(estimates)}, got {k}")
-            rule = (kind, k)
-        elif kind == "alpha_test":
-            level = float(param)
-            if not (0.0 < level < 1.0):
-                raise ValidationError("alpha must lie in (0, 1)")
-            if any(p is None and score is not None for (_, _, p), score in zip(inference, scores)):
-                raise ValidationError("alpha-test selection needs influence-based inference (dr or tmle estimates)")
-            rule = (kind, level)
-        else:
-            raise ValidationError(f"unknown selection rule {kind!r}")
-
-    # An undefined or NaN score has no distance: it sorts after every defined score.
-    distance = np.abs(np.array([np.nan if s is None else s for s in scores], dtype=float) - null)
-    distance[np.isnan(distance)] = -np.inf
-    order = np.lexsort((np.arange(len(estimates)), -distance)).tolist()
     rows = []
-    for pos, i in enumerate(order):
+    for pos, i in enumerate(order.tolist()):
         est, score, (se, ci, p) = estimates[i], scores[i], inference[i]
         flags = ("constant",) * bool(est.diagnostics.get("constant")) + ("psi_undefined",) * (score is None)
-        selected = pos < k or (level is not None and p is not None and p < level)
-        rows.append(RankRow(est.covariate_id, names[i], score, se, ci, p, selected, pos + 1, flags))
+        rows.append(RankRow(est.covariate_id, names[i], score, se, ci, p, bool(selected[i]), pos + 1, flags))
     return RankingReport(rows=tuple(rows), selection_rule=rule)

@@ -19,7 +19,7 @@ from .data import Dataset, ValidationError
 from .estimators import INFERENCE_KINDS, score_all
 from .influence import _wald_rows
 from .nuisance import BasisConfig, _target_columns
-from .ranking import rank
+from .ranking import _order, _rank_scores
 
 __all__ = [
     "SimScenario",
@@ -436,7 +436,7 @@ def roc_curve(distances, labels) -> np.ndarray:
     distances = np.asarray(distances, dtype=float)
     if distances.shape != (len(labels),):
         raise ValidationError(f"{distances.size} distances but {len(labels)} labels")
-    return _roc_along(np.lexsort((np.arange(distances.size), -distances)), labels)
+    return _roc_along(_order(distances), labels)
 
 
 def _roc_along(order, labels) -> np.ndarray:
@@ -487,7 +487,9 @@ def run_replicates(
 ) -> SimResult:
     """Run the scenario's replicates and collect selection metrics.
 
-    Each replicate is ranked by ``ranking.rank`` with ``rule`` and ``alpha``.
+    Each replicate is ranked, selected by ``rule`` and swept for the ROC
+    straight from its score and SE arrays, by the ranking step of
+    ``ranking.rank`` with ``rule`` and ``alpha``.
     ``oracle_values`` (length-p array) enables per-covariate CI coverage
     indicators; pass None to skip coverage.
     """
@@ -501,21 +503,28 @@ def run_replicates(
     cover = np.full((reps, p), np.nan) if oracle is not None else None
     roc_sum = np.zeros((p + 1, 2))
     labels = None
+    inference = estimator_kind in INFERENCE_KINDS
 
     for r in range(reps):
         sim = generate(scenario, r)
         labels = sim.labels
         estimates = score_all(sim.dataset, estimator_kind, basis)
-        report = rank(estimates, score_kind, list(sim.dataset.column_names), rule, alpha)
-        sens[r], spec[r] = evaluate_selection([row.id for row in report.rows if row.selected], labels)
         phis[r] = [est.phi_hat for est in estimates]
-        if estimator_kind in INFERENCE_KINDS:
+        if inference:
             ses[r] = [est.se_phi for est in estimates]
-            if cover is not None:
-                lo, hi, _ = _wald_rows(phis[r], ses[r], 0.0, alpha)
-                cover[r] = (lo <= oracle) & (oracle <= hi)
-        roc_sum += _roc_along([row.id for row in report.rows], labels)
-        del sim, estimates, report  # freed before the next replicate is drawn
+        if score_kind == "difference":
+            score, se, undefined = phis[r], ses[r] if inference else None, None
+        else:  # None, an undefined psi, converts to NaN
+            psi = [est.psi_hat for est in estimates]
+            score, undefined = np.array(psi, dtype=float), np.array([v is None for v in psi])
+            se = np.array([est.se_psi for est in estimates], dtype=float) if inference else None
+        order, selected, _, _ = _rank_scores(score_kind, score, se, rule, alpha, undefined)
+        sens[r], spec[r] = evaluate_selection(np.flatnonzero(selected).tolist(), labels)
+        if inference and cover is not None:
+            lo, hi, _ = _wald_rows(phis[r], ses[r], 0.0, alpha)
+            cover[r] = (lo <= oracle) & (oracle <= hi)
+        roc_sum += _roc_along(order, labels)
+        del sim, estimates  # freed before the next replicate is drawn
 
     roc_mean = roc_sum / reps
     aggregates = {

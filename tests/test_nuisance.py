@@ -232,6 +232,22 @@ def test_fit_nuisances_constant_column_passthrough():
         np.testing.assert_array_equal(X[2], np.full(n, value))
 
 
+def test_standardize_blends_only_where_a_member_is_constant():
+    rng = np.random.default_rng(12)
+    c = rng.normal(size=(3, 2, 40))
+    centers = c.mean(axis=-1, keepdims=True)
+    scales = c.std(axis=-1, ddof=1, keepdims=True)
+    plain = (c - centers) / scales
+    assert np.array_equal(_standardize(c, centers, scales), plain)
+    # A constant member (scale 0) keeps its raw values; every other member is unchanged.
+    scales[1, 0] = 0.0
+    z = _standardize(c, centers, scales)
+    assert np.array_equal(z[1, 0], c[1, 0])
+    others = np.ones((3, 2), dtype=bool)
+    others[1, 0] = False
+    assert np.array_equal(z[others], plain[others])
+
+
 def test_q_small_arm_error_names_arm_and_count():
     ds = _dataset([0.0, 1.0, 2.0, 3.0], [1, 0, 0, 0], np.arange(4.0))
     with pytest.raises(ValidationError, match="arm 0 has 3"):

@@ -13,12 +13,17 @@ from confscreen import (
     Dataset,
     GroupSpec,
     ScoreEstimate,
+    SimScenario,
     ValidationError,
+    evaluate_selection,
+    generate,
     rank,
     infer_scores,
+    run_replicates,
     score_all,
     score_covariate,
     score_groups,
+    simulation,
 )
 from confscreen._stats import expit
 
@@ -64,6 +69,96 @@ def test_rank_order_is_a_sort_by_distance_then_input_order(scores, score_kind):
     for row in report.rows:
         assert row.score is scores[row.id]
         assert row.flags == (("psi_undefined",) if scores[row.id] is None else ())
+
+
+# A replicate's scores and SEs as score_all would give them: a NaN SE apart from
+# a missing one, and a missing SE exactly where psi is undefined.  Finite scores
+# are bounded, so that |score| / SE cannot overflow.
+KERNEL_SES = st.sampled_from([0.0, 0.05, 0.1, 1.0, 2.0, math.nan])
+KERNEL_SCORES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, math.inf, -math.inf, math.nan]) | st.floats(-10, 10)
+KERNEL_ROWS = st.lists(
+    st.tuples(KERNEL_SCORES, st.none() | KERNEL_SCORES, KERNEL_SES, KERNEL_SES),
+    min_size=15,
+    max_size=15,
+)
+KERNEL_SCENARIO = SimScenario(kind="low_dim", n=40, p=15, seed=6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(KERNEL_ROWS)
+def test_run_replicates_ranks_as_rank_does(rows):
+    def scores(dataset, estimator_kind, basis):
+        inference = estimator_kind in ("dr", "tmle")
+        return [
+            ScoreEstimate(j, estimator_kind, 0.1, phi, psi, se_phi if inference else None,
+                          se_psi if inference and psi is not None else None)
+            for j, (phi, psi, se_phi, se_psi) in enumerate(rows)
+        ]
+
+    def outcome(call):
+        """``call()``'s selected ids (as a set), ranking, selection rates and ROC, or its error."""
+        try:
+            ids, order, rates, roc = call()
+        except ValidationError as exc:
+            return repr(exc)
+        return set(ids), list(order), rates, roc.tolist()
+
+    def rank_loop(estimator_kind, score_kind, rule):
+        """The replicate loop through ``rank``."""
+        sim = generate(KERNEL_SCENARIO, 0)
+        report = rank(scores(sim.dataset, estimator_kind, None), score_kind, list(sim.dataset.column_names), rule)
+        ids = [row.id for row in report.rows if row.selected]
+        order = [row.id for row in report.rows]
+        return ids, order, evaluate_selection(ids, sim.labels), simulation._roc_along(order, sim.labels)
+
+    def replicates(estimator_kind, score_kind, rule):
+        seen = {}  # the ids run_replicates hands to evaluate_selection and _roc_along
+
+        def spy(name):
+            real = getattr(simulation, name)
+
+            def call(ids, labels):
+                seen[name] = ids
+                return real(ids, labels)
+
+            return call
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("evaluate_selection", "_roc_along"):
+                mp.setattr(simulation, name, spy(name))
+            result = run_replicates(KERNEL_SCENARIO, estimator_kind, BasisConfig(degree=1), score_kind, rule)
+        rates = (result.sensitivity[0], result.specificity[0])
+        return seen["evaluate_selection"], seen["_roc_along"], rates, result.roc_mean
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "score_all", scores)
+        for estimator_kind in ("plugin_om", "dr"):
+            for score_kind in ("difference", "ratio"):
+                for rule in (("top_k", 4), ("alpha_test", 0.10)):
+                    want = outcome(lambda: rank_loop(estimator_kind, score_kind, rule))
+                    assert outcome(lambda: replicates(estimator_kind, score_kind, rule)) == want
+
+
+@pytest.mark.parametrize(
+    "estimator_kind, score_kind, rule, message",
+    [
+        ("dr", "other", ("top_k", 2), "unknown score kind"),
+        ("dr", "difference", ("top_k", 4), "top-K must lie in 1..3"),
+        ("plugin_om", "difference", ("alpha_test", 0.10), "needs influence-based inference"),
+        ("plugin_om", "ratio", ("alpha_test", 0.10), "needs influence-based inference"),
+    ],
+)
+def test_run_replicates_raises_the_errors_of_rank(estimator_kind, score_kind, rule, message):
+    scenario = SimScenario(
+        kind="uniform_closed_form", n=100, p=3, seed=5, alphas=(0.3, 0.3, 0.4), betas=(1.0, 0.5, 0.0)
+    )
+    basis = BasisConfig(degree=1)
+    estimates = score_all(generate(scenario, 0).dataset, estimator_kind, basis)
+    with pytest.raises(ValidationError, match=message) as from_rank:
+        rank(estimates, score_kind, rule=rule)
+    with pytest.raises(ValidationError) as from_replicates:
+        run_replicates(scenario, estimator_kind, basis, score_kind, rule)
+    assert str(from_replicates.value) == str(from_rank.value)
 
 
 def test_rank_ties_break_on_input_order():

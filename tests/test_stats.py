@@ -44,9 +44,13 @@ def test_norm_ppf_matches_scipy():
 
 
 def test_norm_ppf_rejects_nan_and_bounds():
-    for bad in ([0.3, np.nan], [0.0, 0.5], [0.5, 1.0], np.nan):
+    for bad in ([0.3, np.nan], [np.nan, 0.3], [0.0, 0.5], [0.5, 1.0], [-0.0, 0.5], [0.5, np.inf], np.nan, 0.0, 1.0):
         with pytest.raises(ValueError, match="strictly inside"):
             norm_ppf(bad)
+    # An empty input has nothing out of range.
+    for empty in ([], np.empty((0, 3))):
+        out = norm_ppf(empty)
+        assert out.shape == np.shape(empty) and out.dtype == float
 
 
 def test_norm_ppf_center():
