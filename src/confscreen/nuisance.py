@@ -92,14 +92,6 @@ def _design_matrix(z: np.ndarray, basis: BasisConfig, out: np.ndarray | None = N
     return X
 
 
-def _standardize(c: np.ndarray, centers: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """(c - centers) / scales; members with scale 0 (constant) keep their raw values."""
-    constant = scales == 0.0
-    if not constant.any():
-        return (c - centers) / scales
-    return np.where(constant, c, (c - centers) / np.where(constant, 1.0, scales))
-
-
 def _predict(X: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """coeffs @ X for designs (..., d, n) and coefficients (..., d)."""
     return np.matmul(coeffs[..., None, :], X)[..., 0, :]
@@ -328,10 +320,13 @@ def _designs(dataset: Dataset, columns: list[tuple[int, ...]], basis: BasisConfi
     centers = c.mean(axis=-1)[..., None]
     dev = c - centers  # c.std(axis=-1, ddof=1) is this reduction, after a second mean
     sd = np.sqrt(np.add.reduce(dev * dev, axis=-1) / (dataset.n - 1))
-    scales = np.where(dataset.constant_columns[columns], 0.0, sd)[..., None]
+    # A constant member keeps its raw values: x - 0.0 and x / 1.0 are exact.
+    constant = dataset.constant_columns[columns][..., None]
+    centers = np.where(constant, 0.0, centers)
+    scales = np.where(constant, 1.0, sd[..., None])
     X = np.empty((len(columns), basis.width(c.shape[1]), dataset.n))
     for rows in _row_blocks(dataset.n):
-        _design_matrix(_standardize(c[..., rows], centers, scales), basis, out=X[..., rows])
+        _design_matrix((c[..., rows] - centers) / scales, basis, out=X[..., rows])
     return X
 
 

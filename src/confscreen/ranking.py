@@ -39,26 +39,26 @@ def _order(distance: np.ndarray) -> np.ndarray:
     return np.argsort(-distance, kind="stable")
 
 
-def _rank_scores(score_kind, score, se, rule, alpha, undefined=None, has_se=None):
-    """Order, Wald step and selection of one score column, as ``rank`` describes them.
+def _rank_scores(estimates, score_kind, rule, alpha):
+    """Order, Wald step and selection of the ``score_kind`` column of ``estimates``, as ``rank`` describes them.
 
-    ``score`` (p,) is NaN where a score is undefined or NaN; ``undefined``
-    marks the undefined ones (default none).  ``se`` is None when no row
-    carries inference, else NaN where a row has none; ``has_se`` marks the
-    rows that have one (default every defined score).  Returns the indices
-    from first to last rank, the selection in input order, the
-    ``_wald_rows`` triple of every row (or None) and the validated rule.
+    Returns the indices from first to last rank, the selection in input
+    order, the ``_wald_rows`` triple of every row when every estimate
+    carries SEs (NaN where a row's score or SE is missing), else None, and
+    the validated rule.
     """
     if score_kind not in SCORE_KINDS:
         raise ValidationError(f"unknown score kind {score_kind!r}")
-    null = 0.0 if score_kind == "difference" else 1.0
-    undefined = np.zeros(score.shape, dtype=bool) if undefined is None else undefined
-    wald = None
-    if se is None:
-        has_se = np.zeros(score.shape, dtype=bool)
-    else:
-        wald = _wald_rows(score, se, null, alpha)
-        has_se = ~undefined if has_se is None else has_se
+    difference = score_kind == "difference"
+    null = 0.0 if difference else 1.0
+    scores = [est.phi_hat if difference else est.psi_hat for est in estimates]
+    undefined = np.array([s is None for s in scores], dtype=bool)
+    score = np.array(scores, dtype=float)  # None converts to NaN
+    has_se, wald = np.zeros(score.shape, dtype=bool), None
+    if all(est.se_phi is not None for est in estimates):
+        ses = [est.se_phi if difference else est.se_psi for est in estimates]
+        has_se = np.array([se is not None for se in ses], dtype=bool)
+        wald = _wald_rows(score, np.array(ses, dtype=float), null, alpha)
 
     k, level = 0, None  # without a rule nothing is selected
     if rule is not None:
@@ -102,8 +102,8 @@ def rank(
     ``("alpha_test", level)`` (every score with p < level, which needs the
     SEs) or None for no selection.  Undefined ratio scores sink to the
     bottom and are flagged instead of aborting the screen; NaN scores sink
-    there too, in input order, without a flag.  ``_rank_scores`` does the
-    work on the score arrays; this wraps its result into rows.
+    there too, in input order, without a flag.  ``_rank_scores`` orders and
+    selects; this wraps its result into rows.
     """
     if score_kind not in SCORE_KINDS:
         raise ValidationError(f"unknown score kind {score_kind!r}")
@@ -116,25 +116,18 @@ def rank(
         names = [str(est.covariate_id) for est in estimates]
     elif len(names) != len(estimates):
         raise ValidationError(f"{len(estimates)} estimates but {len(names)} names")
+    order, selected, wald, rule = _rank_scores(estimates, score_kind, rule, alpha)
     difference = score_kind == "difference"
-    scores = [est.phi_hat if difference else est.psi_hat for est in estimates]
-    ses = se_array = has_se = None
-    if all(est.se_phi is not None for est in estimates):
-        ses = [est.se_phi if difference else est.se_psi for est in estimates]
-        se_array, has_se = np.array(ses, dtype=float), np.array([se is not None for se in ses])
-    undefined = np.array([score is None for score in scores])
-    # None converts to NaN in a float array.
-    order, selected, wald, rule = _rank_scores(
-        score_kind, np.array(scores, dtype=float), se_array, rule, alpha, undefined, has_se
-    )
     inference = [(None, None, None)] * len(estimates)  # (se, ci, p) of each row
     if wald is not None:
         lo, hi, p = (v.tolist() for v in wald)
+        ses = [est.se_phi if difference else est.se_psi for est in estimates]
         inference = [(se, (lo[i], hi[i]), p[i]) if se is not None else (None, None, None) for i, se in enumerate(ses)]
 
     rows = []
     for pos, i in enumerate(order.tolist()):
-        est, score, (se, ci, p) = estimates[i], scores[i], inference[i]
+        est, (se, ci, p) = estimates[i], inference[i]
+        score = est.phi_hat if difference else est.psi_hat
         flags = ("constant",) * bool(est.diagnostics.get("constant")) + ("psi_undefined",) * (score is None)
         rows.append(RankRow(est.covariate_id, names[i], score, se, ci, p, bool(selected[i]), pos + 1, flags))
     return RankingReport(rows=tuple(rows), selection_rule=rule)

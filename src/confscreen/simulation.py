@@ -488,8 +488,8 @@ def run_replicates(
     """Run the scenario's replicates and collect selection metrics.
 
     Each replicate is ranked, selected by ``rule`` and swept for the ROC
-    straight from its score and SE arrays, by the ranking step of
-    ``ranking.rank`` with ``rule`` and ``alpha``.
+    by the ranking step of ``ranking.rank`` with ``rule`` and ``alpha``,
+    with no ``RankRow`` built.
     ``oracle_values`` (length-p array) enables per-covariate CI coverage
     indicators; pass None to skip coverage.
     """
@@ -503,26 +503,20 @@ def run_replicates(
     cover = np.full((reps, p), np.nan) if oracle is not None else None
     roc_sum = np.zeros((p + 1, 2))
     labels = None
-    inference = estimator_kind in INFERENCE_KINDS
 
     for r in range(reps):
         sim = generate(scenario, r)
         labels = sim.labels
         estimates = score_all(sim.dataset, estimator_kind, basis)
-        phis[r] = [est.phi_hat for est in estimates]
-        if inference:
-            ses[r] = [est.se_phi for est in estimates]
-        if score_kind == "difference":
-            score, se, undefined = phis[r], ses[r] if inference else None, None
-        else:  # None, an undefined psi, converts to NaN
-            psi = [est.psi_hat for est in estimates]
-            score, undefined = np.array(psi, dtype=float), np.array([v is None for v in psi])
-            se = np.array([est.se_psi for est in estimates], dtype=float) if inference else None
-        order, selected, _, _ = _rank_scores(score_kind, score, se, rule, alpha, undefined)
+        order, selected, wald, _ = _rank_scores(estimates, score_kind, rule, alpha)
         sens[r], spec[r] = evaluate_selection(np.flatnonzero(selected).tolist(), labels)
-        if inference and cover is not None:
-            lo, hi, _ = _wald_rows(phis[r], ses[r], 0.0, alpha)
-            cover[r] = (lo <= oracle) & (oracle <= hi)
+        phis[r] = [est.phi_hat for est in estimates]
+        if estimator_kind in INFERENCE_KINDS:
+            ses[r] = [est.se_phi for est in estimates]
+            if cover is not None:
+                # A difference score's Wald step is already the one of phi.
+                lo, hi, _ = wald if score_kind == "difference" else _wald_rows(phis[r], ses[r], 0.0, alpha)
+                cover[r] = (lo <= oracle) & (oracle <= hi)
         roc_sum += _roc_along(order, labels)
         del sim, estimates  # freed before the next replicate is drawn
 

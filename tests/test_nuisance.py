@@ -24,7 +24,6 @@ from confscreen.nuisance import (
     _newton_terms,
     _penalized_loglik,
     _solve_lstsq,
-    _standardize,
 )
 
 
@@ -222,8 +221,8 @@ def test_fit_nuisances_standardization_moments():
 
 
 def test_fit_nuisances_constant_column_passthrough():
-    # A constant member keeps its raw values in the design and records scale 0,
-    # also when its sample sd is rounding-level nonzero (a column of 1.1 at n=500).
+    # A constant member keeps its raw values in the design, also when its
+    # sample sd is rounding-level nonzero (a column of 1.1 at n=500).
     rng = np.random.default_rng(3)
     for n, value in ((5, 7.0), (500, 1.1)):
         c = np.column_stack([rng.normal(size=n), np.full(n, value)])
@@ -232,20 +231,20 @@ def test_fit_nuisances_constant_column_passthrough():
         np.testing.assert_array_equal(X[2], np.full(n, value))
 
 
-def test_standardize_blends_only_where_a_member_is_constant():
+def test_designs_standardize_every_member_but_a_constant_one():
+    # In one stack, a target with a constant member (-0.0 and 0.0 here) keeps
+    # that member's raw bits, and every other member is (c - mean) / sd bitwise.
     rng = np.random.default_rng(12)
-    c = rng.normal(size=(3, 2, 40))
-    centers = c.mean(axis=-1, keepdims=True)
-    scales = c.std(axis=-1, ddof=1, keepdims=True)
-    plain = (c - centers) / scales
-    assert np.array_equal(_standardize(c, centers, scales), plain)
-    # A constant member (scale 0) keeps its raw values; every other member is unchanged.
-    scales[1, 0] = 0.0
-    z = _standardize(c, centers, scales)
-    assert np.array_equal(z[1, 0], c[1, 0])
-    others = np.ones((3, 2), dtype=bool)
-    others[1, 0] = False
-    assert np.array_equal(z[others], plain[others])
+    n = 40
+    zeros = np.where(np.arange(n) % 3 == 0, -0.0, 0.0)
+    c = np.column_stack([rng.normal(size=n), zeros, rng.normal(size=n)])
+    ds = _dataset(rng.normal(size=n), np.tile([0, 1], n // 2), c)
+    X = _designs(ds, [(0, 2), (1, 0)], BasisConfig(degree=1))
+    varying = c.T[[0, 2]]
+    z = (varying - varying.mean(axis=-1, keepdims=True)) / varying.std(axis=-1, ddof=1, keepdims=True)
+    assert np.array_equal(X[0, 1:], z)
+    assert np.array_equal(X[1, 2], z[0])
+    assert np.array_equal(np.signbit(X[1, 1]), np.signbit(zeros)) and not X[1, 1].any()
 
 
 def test_q_small_arm_error_names_arm_and_count():
@@ -424,5 +423,5 @@ def test_designs_by_row_blocks_equal_one_design_matrix():
     basis = BasisConfig(degree=4)
     columns = [(0, 1), (2, 0), (1, 2)]
     c = ds.covariates.T[np.array(columns)]
-    z = _standardize(c, c.mean(axis=-1, keepdims=True), c.std(axis=-1, ddof=1, keepdims=True))
+    z = (c - c.mean(axis=-1, keepdims=True)) / c.std(axis=-1, ddof=1, keepdims=True)
     assert np.array_equal(_designs(ds, columns, basis), _design_matrix(z, basis))

@@ -329,6 +329,9 @@ def test_run_replicates_coverage_matches_hand_loop():
     np.testing.assert_array_equal(result.coverage, hits)
     np.testing.assert_array_equal(result.se_hats, ses)
     assert result.aggregates["coverage"] == hits.mean(axis=0).tolist()
+    # Coverage is phi's whatever score ranks the replicates.
+    ratio = run_replicates(scenario, "dr", basis, "ratio", rule=("top_k", 1), oracle_values=oracle)
+    np.testing.assert_array_equal(ratio.coverage, hits)
 
 
 @pytest.mark.parametrize("score_kind", ["difference", "ratio"])
