@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
+import signal
 import warnings
 from dataclasses import dataclass, field
 
@@ -192,25 +195,36 @@ def load_csv(path, outcome_col: str, exposure_col: str, outcome_kind: str = "con
     repeats a name, is a ParseError; outcome and exposure naming one column
     is a ValidationError.
 
+    A regular file with enough data rows is parsed in chunks of whole lines,
+    one per usable CPU, each but the first by a forked process
+    (_parse_split); the values are bitwise those of a one-process parse.
+
     The parsed matrix is the one full-size copy of the file: the outcome and
     exposure are copied out of it, and covariates whose columns form one run
-    are a (read-only) view of it; any other column order copies them.
+    are a (read-only) view of it; any other column order copies them.  While
+    a split parse gathers the chunks, the parent also holds the rows of its
+    own chunk beside the matrix.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+            # Through readline, not the file's iterator, which disables tell().
+            reader = csv.reader(iter(fh.readline, ""))
             try:
                 header = next(reader)
             except StopIteration:
                 raise ParseError(f"{path}: empty file") from None
-            # Where the one-call parse gives up, the rows are reread from the
-            # start, which a pipe cannot do: a pipe goes to the per-cell parse.
-            seekable = fh.seekable()
-            values = _parse_rows_fast(fh, len(header)) if seekable else None
+            # Where a faster parse gives up, the rows are reread from the first
+            # data row, which a pipe cannot do: a pipe goes to the per-cell parse.
+            values = None
+            if fh.seekable():
+                offset = fh.tell()
+                fd = fh.fileno()
+                values = _parse_split(fd, offset, os.fstat(fd).st_size, len(header))
+                if values is None:
+                    values = _parse_rows_fast(fh, len(header))
+                if values is None:
+                    fh.seek(offset)
             if values is None:
-                if seekable:
-                    fh.seek(0)
-                    next(reader)
                 rows = list(reader)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -266,7 +280,7 @@ def _data_lines(fh):
         yield line
 
 
-def _parse_rows_fast(fh, width: int):
+def _parse_rows_fast(fh, width: int, quotechar: str | None = '"'):
     """Every data row of ``fh`` in one np.loadtxt call, or None where it cannot match _parse_cells.
 
     Any parse error, any warning (a file without data rows warns), or a width
@@ -280,13 +294,164 @@ def _parse_rows_fast(fh, width: int):
         warnings.simplefilter("error")
         try:
             values = np.loadtxt(
-                _data_lines(fh), delimiter=",", quotechar='"', comments=None, ndmin=2, dtype=float
+                _data_lines(fh), delimiter=",", quotechar=quotechar, comments=None, ndmin=2, dtype=float
             )
         except UnicodeDecodeError:
             raise
         except (ValueError, Warning):
             return None
     return values if values.shape[1] == width else None
+
+
+# The fewest bytes of data rows worth a chunk of their own, so that a file under
+# 1 MiB is parsed in one process.  On a 2-core x86-64 host, a 1 MiB file parsed
+# in 19 ms split in two against 26 ms whole, and a 0.3 MB one in 8.1 against 7.2 ms.
+_CHUNK_MIN_BYTES = 1 << 19
+
+
+class _FileRange(io.RawIOBase):
+    """Bytes [start, end) of the open file ``fd``, read with os.pread, which moves no file offset."""
+
+    def __init__(self, fd: int, start: int, end: int):
+        super().__init__()
+        self._fd, self._at, self._end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def read(self, size: int = -1) -> bytes:
+        left = self._end - self._at
+        data = os.pread(self._fd, left if size < 0 else min(size, left), self._at)
+        self._at += len(data)
+        return data
+
+
+def _parse_chunk(fd: int, start: int, end: int, width: int):
+    """The rows in bytes [start, end) of ``fd`` as _parse_rows_fast reads them, or None.
+
+    A quote character fails the parse (quotechar None), since a quoted cell
+    may hold a line break that a chunk boundary would cut.
+    """
+    text = io.TextIOWrapper(_FileRange(fd, start, end), encoding="utf-8", newline="")
+    return _parse_rows_fast(text, width, quotechar=None)
+
+
+def _next_line_start(fd: int, at: int, end: int) -> int:
+    """The offset just past the first b"\\n" in bytes [at, end) of ``fd``, or ``end`` where there is none."""
+    while at < end:
+        block = os.pread(fd, min(1 << 16, end - at), at)
+        if not block:
+            break
+        newline = block.find(b"\n")
+        if newline >= 0:
+            return at + newline + 1
+        at += len(block)
+    return end
+
+
+def _write_all(fd: int, data) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _read_exactly(fd: int, buffer) -> bool:
+    """Fill ``buffer`` from ``fd``; False where the file ends first."""
+    view = memoryview(buffer).cast("B")
+    while view:
+        got = os.readv(fd, [view])
+        if got == 0:
+            return False
+        view = view[got:]
+    return True
+
+
+def _parse_split(fd: int, start: int, end: int, width: int):
+    """The data rows in bytes [start, end) of the regular file ``fd``, parsed in chunks, or None.
+
+    The rows are cut just after a b"\\n" into one chunk per usable CPU, or
+    fewer so that each holds about _CHUNK_MIN_BYTES or more.  A forked child
+    parses each chunk but the first with _parse_chunk and sends its row count
+    and rows through a pipe; the parent parses the first chunk and copies
+    every chunk into one (rows, width) matrix.  Each cell goes through the
+    routine of the one-call parse, in row order, so the matrix is bitwise
+    that parse's.  Any irregularity (fewer than two chunks, no os.fork, a
+    chunk that fails _parse_chunk or is not UTF-8, a child that sends less)
+    returns None, and the caller parses the whole file in one process, which
+    also reports any error.  Every child has exited when this returns or
+    raises.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    parts = min(cpus, (end - start) // _CHUNK_MIN_BYTES)
+    if parts < 2 or not hasattr(os, "fork"):
+        return None
+    cuts = [start]
+    for k in range(1, parts):
+        cut = _next_line_start(fd, max(cuts[-1], start + (end - start) * k // parts), end)
+        if cut == end:
+            break
+        cuts.append(cut)
+    if len(cuts) < 2:
+        return None
+    cuts.append(end)
+    children = []  # (pid, read end of its pipe)
+    done = False
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            read_end, write_end = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns that fork() in a process with threads (such
+                    # as OpenBLAS's) may deadlock the child.  The child takes no lock
+                    # another thread can hold: it imports nothing, runs no BLAS,
+                    # flushes no stdio, and leaves by os._exit.
+                    warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:  # out of processes or memory: one process parses
+                os.close(read_end)
+                os.close(write_end)
+                return None
+            if pid == 0:
+                status = 1
+                try:
+                    values = _parse_chunk(fd, lo, hi, width)
+                    if values is not None:
+                        _write_all(write_end, len(values).to_bytes(8, "little"))
+                        _write_all(write_end, values)
+                        status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((pid, read_end))
+        try:
+            first = _parse_chunk(fd, cuts[0], cuts[1], width)
+        except UnicodeDecodeError:
+            return None
+        if first is None:
+            return None
+        # A child that fails sends nothing.
+        counts = []
+        for _, read_end in children:
+            head = bytearray(8)
+            if not _read_exactly(read_end, head):
+                return None
+            counts.append(int.from_bytes(head, "little"))
+        values = np.empty((len(first) + sum(counts), width))
+        row = len(first)
+        values[:row] = first
+        del first
+        for (_, read_end), count in zip(children, counts):
+            if not _read_exactly(read_end, values[row : row + count]):
+                return None
+            row += count
+        done = True
+        return values
+    finally:
+        for pid, read_end in children:
+            os.close(read_end)
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _parse_cells(path, header: list[str], rows: list[list[str]]) -> np.ndarray:

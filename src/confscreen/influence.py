@@ -121,17 +121,25 @@ def _wald_rows(estimates: np.ndarray, se: np.ndarray, null_value: float, alpha: 
     """Wald interval bounds and p-value of each (estimate, SE) pair; returns (ci_lo, ci_hi, p), each (b,).
 
     A zero SE yields a point interval and a 0/1 p-value by exact comparison
-    with the null.  A NaN estimate or SE yields a NaN p-value, which no test
-    level selects.
+    with the null.  A NaN estimate or SE, or an infinite estimate over an
+    infinite SE, yields a NaN p-value, which no test level selects.  A
+    statistic |estimate - null| / SE that overflows is inf (p-value 0), and
+    a bound that overflows is +-inf.
     """
     if not (0.0 < alpha < 1.0):
         raise ValidationError("alpha must lie in (0, 1)")
     z = norm_ppf(1.0 - alpha / 2.0)
     p = np.where(estimates == null_value, 1.0, 0.0)
+    undefined = np.isnan(estimates) | np.isnan(se)
     varies = se != 0.0
-    p[varies] = 2.0 * norm_cdf(-np.abs(estimates[varies] - null_value) / se[varies])
-    p[np.isnan(estimates) | np.isnan(se)] = np.nan
-    return estimates - z * se, estimates + z * se, p
+    # Overflow goes to inf and inf / inf or inf - inf to NaN silently, as in ic_phi.
+    with np.errstate(over="ignore", invalid="ignore"):
+        stat = np.abs(estimates[varies] - null_value) / se[varies]
+        bounds = estimates - z * se, estimates + z * se
+    p[varies] = 2.0 * norm_cdf(-stat)
+    undefined[varies] |= np.isnan(stat)
+    p[undefined] = np.nan
+    return *bounds, p
 
 
 def infer_scores(estimate, alpha: float) -> InferenceResult:

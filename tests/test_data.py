@@ -331,6 +331,172 @@ def test_load_csv_bitwise_equals_float(tmp_path):
     assert _bits(ds.outcome.tolist()) == _bits(float(r % 3) for r in range(len(grid)))
 
 
+# The split parse (data._parse_split), forced onto small files: every chunk
+# may be a single byte, and os.sched_getaffinity reports as many CPUs as the
+# test asks for, so the cuts fall after different rows.
+
+
+def _split_on(monkeypatch, cpus):
+    """Split files of any size into ``cpus`` chunks; returns the pids load_csv forks."""
+    monkeypatch.setattr(data, "_CHUNK_MIN_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _split_file(path, header, eol, rows=23):
+    """A file of ``rows`` rows of cells of varying length; returns the _parse_cells matrix of it."""
+    rng = np.random.default_rng(rows)
+    cells = [
+        [f"{r % 3}", f"{r % 2}"] + [repr(v) for v in rng.normal(size=3).round(r % 17).tolist()]
+        for r in range(rows)
+    ]
+    cells[rows // 2][2] = BANK[rows % len(BANK)]
+    path.write_bytes(eol.join([header] + [",".join(row) for row in cells]).encode() + eol.encode())
+    with open(path, newline="", encoding="utf-8") as fh:
+        names = next(csv.reader(fh))
+    return data._parse_cells(path, names, cells)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("header", ["O,E,a,b,c", 'O,E,"a\nb",b,"c,d"'], ids=["plain", "quoted-newline"])
+@pytest.mark.parametrize("cpus", [2, 3, 5, 40])
+def test_split_parse_bitwise_equals_parse_cells(tmp_path, monkeypatch, eol, header, cpus):
+    forks = _split_on(monkeypatch, cpus)
+    quotechars = []  # of the parent's _parse_rows_fast calls: None parses a chunk, '"' the whole file
+    parse = data._parse_rows_fast
+
+    def recorded(fh, width, quotechar='"'):
+        quotechars.append(quotechar)
+        return parse(fh, width, quotechar)
+
+    monkeypatch.setattr(data, "_parse_rows_fast", recorded)
+    path = tmp_path / "split.csv"
+    reference = _split_file(path, header, eol)
+    ds = load_csv(path, "O", "E")
+    assert ds.covariates.tobytes() == np.ascontiguousarray(reference[:, 2:]).tobytes()
+    assert ds.outcome.tobytes() == reference[:, 0].tobytes()
+    # Cuts are made only after b"\n", so a file of CR line ends is not split;
+    # with more CPUs than rows, chunks of one row are cut until the file ends.
+    if eol == "\r":
+        assert forks == [] and quotechars == ['"']
+    else:
+        assert 0 < len(forks) < min(cpus, 23) and quotechars == [None]
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("where", ["first", "last"], ids=["parent-chunk", "child-chunk"])
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (b'1,1,"2.5"', None),
+        (b'1,1,"2\n"', None),
+        (b"", "row {} has 0 fields, expected 3"),
+        (b"1,1", "row {} has 2 fields, expected 3"),
+        (b"1,1,x", "non-numeric value 'x' at row {}, column 'C'"),
+        (b"1,1,\xff2", "not UTF-8 text (invalid start byte)"),
+    ],
+    ids=["quoted-cell", "quoted-line-break", "blank-line", "short-row", "bad-cell", "not-utf8"],
+)
+def test_split_parse_irregular_chunk_as_one_process(tmp_path, monkeypatch, where, row, message):
+    # An irregular row in either chunk sends the whole file down the
+    # one-process parse, which gives its values or its error.  Row 1200 lies
+    # past the 8 KiB block that the header read decodes, and before the middle
+    # of the file, where the one cut falls.
+    rows = [b"%d,%d,%d" % (r % 3, r % 2, r) for r in range(4000)]
+    at = 1200 if where == "first" else 3996
+    rows[at] = row
+    path = tmp_path / "irregular.csv"
+    path.write_bytes(b"O,E,C\n" + b"\n".join(rows) + b"\n")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    if message is None:
+        expected = load_csv(path, "O", "E").covariates.tolist()
+    else:
+        with pytest.raises(ParseError) as one_process:
+            load_csv(path, "O", "E")
+        assert str(one_process.value) == f"{path}: {message.format(at + 2)}"
+    forks = _split_on(monkeypatch, 2)
+    if message is None:
+        assert load_csv(path, "O", "E").covariates.tolist() == expected
+    else:
+        with pytest.raises(ParseError) as split:
+            load_csv(path, "O", "E")
+        assert str(split.value) == str(one_process.value)
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
+def test_split_threshold(tmp_path, monkeypatch):
+    # Data rows of 1 MiB or more are split among the usable CPUs, 512 KiB or
+    # more to a chunk; one byte less is parsed in one process.
+    cpus = len(os.sched_getaffinity(0))
+    rng = np.random.default_rng(8)
+    header = b"O,E,C\n"
+    rows = b"".join(b"%d,%d,%r\n" % (r % 5, r % 2, v) for r, v in enumerate(rng.normal(size=50_000).tolist()))
+    path = tmp_path / "threshold.csv"
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for size, chunks in ((2 * data._CHUNK_MIN_BYTES - 1, 1), (2 * data._CHUNK_MIN_BYTES, min(cpus, 2))):
+        cut = rows.rindex(b"\n", 0, size - 8) + 1
+        path.write_bytes(header + rows[:cut] + b"9" * (size - cut - 5) + b",1,0\n")
+        assert path.stat().st_size == len(header) + size
+        forks.clear()
+        ds = load_csv(path, "O", "E")
+        assert len(forks) == chunks - 1
+        with monkeypatch.context() as one_cpu:
+            one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
+            assert ds.covariates.tobytes() == load_csv(path, "O", "E").covariates.tobytes()
+        _assert_no_child()
+
+
+def test_one_usable_cpu_forks_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_CHUNK_MIN_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+
+    def no_fork():
+        raise AssertionError("forked with one usable CPU")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    path = tmp_path / "one.csv"
+    reference = _split_file(path, "O,E,a,b,c", "\n")
+    assert load_csv(path, "O", "E").covariates.tobytes() == np.ascontiguousarray(reference[:, 2:]).tobytes()
+
+
+def test_no_child_outlives_an_interrupted_split_parse(tmp_path, monkeypatch):
+    forks = _split_on(monkeypatch, 4)
+    parent = os.getpid()
+    parse_chunk = data._parse_chunk
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return parse_chunk(*args)
+
+    monkeypatch.setattr(data, "_parse_chunk", interrupted)
+    path = tmp_path / "interrupt.csv"
+    _split_file(path, "O,E,a,b,c", "\n")
+    with pytest.raises(KeyboardInterrupt):
+        load_csv(path, "O", "E")
+    assert len(forks) == 3
+    _assert_no_child()
+
+
 def _reference_csv_bytes(dataset, outcome_col, exposure_col):
     """The write_csv format as csv.writer rows of repr'd floats."""
     buf = io.StringIO(newline="")

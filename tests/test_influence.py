@@ -14,7 +14,7 @@ from confscreen import (
     score_covariate,
 )
 from confscreen import influence
-from confscreen._stats import norm_ppf
+from confscreen._stats import norm_cdf, norm_ppf
 
 
 def _phi(theta, mu_o, mu_e):
@@ -143,6 +143,19 @@ def test_wald_nan_estimate_or_se_gives_nan_p():
     # A NaN estimate with a zero SE, and a NaN SE at the null, too.
     _, _, p = influence._wald_rows(np.array([np.nan, 0.0, 0.3]), np.array([0.0, np.nan, 0.0]), 0.0, 0.05)
     assert np.isnan(p[:2]).all() and p[2] == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_wald_rows_extreme_rows_warn_nothing():
+    # |phi| / SE overflows to inf (p 0), inf / inf is undefined (p NaN, as for
+    # a NaN input), and an upper bound past the largest float is inf.
+    estimates = np.array([1e308, np.inf, 1e308, -np.inf])
+    se = np.array([1e-10, np.inf, 1e308, 1.0])
+    lo, hi, p = influence._wald_rows(estimates, se, 0.0, 0.10)
+    assert lo.tolist()[0] == hi.tolist()[0] == 1e308 and p.tolist()[0] == 0.0
+    assert np.isnan(lo[1]) and hi[1] == np.inf and np.isnan(p[1])
+    assert (lo[2], hi[2], p[2]) == (1e308 - norm_ppf(0.95) * 1e308, np.inf, 2.0 * norm_cdf(np.array([-1.0]))[0])
+    assert lo.tolist()[3] == hi.tolist()[3] == -np.inf and p.tolist()[3] == 0.0
 
 
 def test_wald_validation():

@@ -72,10 +72,11 @@ def test_rank_order_is_a_sort_by_distance_then_input_order(scores, score_kind):
 
 
 # A replicate's scores and SEs as score_all would give them: a NaN SE apart from
-# a missing one, and a missing SE exactly where psi is undefined.  Finite scores
-# are bounded, so that |score| / SE cannot overflow.
-KERNEL_SES = st.sampled_from([0.0, 0.05, 0.1, 1.0, 2.0, math.nan])
-KERNEL_SCORES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, math.inf, -math.inf, math.nan]) | st.floats(-10, 10)
+# a missing one, and a missing SE exactly where psi is undefined.  Scores are
+# unbounded, and SEs reach both ends of the float range, so that |score| / SE
+# and the CI bounds overflow.
+KERNEL_SES = st.sampled_from([0.0, 1e-300, 0.05, 0.1, 1.0, 2.0, 1e308, math.inf, math.nan])
+KERNEL_SCORES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e308, math.inf, -math.inf, math.nan]) | st.floats()
 KERNEL_ROWS = st.lists(
     st.tuples(KERNEL_SCORES, st.none() | KERNEL_SCORES, KERNEL_SES, KERNEL_SES),
     min_size=15,
