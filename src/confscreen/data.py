@@ -163,11 +163,13 @@ class GroupSpec:
             seen_groups.add(name)
             if len(members) == 0:
                 raise ValidationError(f"group {name!r} is empty")
-            for col in members:
+            for k, col in enumerate(members):
                 if col not in dataset.column_names:
                     raise MissingColumnError(
                         f"group {name!r} references unknown column {col!r}"
                     )
+                if col in members[:k]:
+                    raise ValidationError(f"group {name!r} lists column {col!r} twice")
                 if col in seen_cols:
                     raise ValidationError(
                         f"column {col!r} appears in more than one group"
@@ -375,16 +377,20 @@ def _parse_split(fd: int, start: int, end: int, width: int):
     and rows through a pipe; the parent parses the first chunk and copies
     every chunk into one (rows, width) matrix.  Each cell goes through the
     routine of the one-call parse, in row order, so the matrix is bitwise
-    that parse's.  Any irregularity (fewer than two chunks, no os.fork, a
-    chunk that fails _parse_chunk or is not UTF-8, a child that sends less)
-    returns None, and the caller parses the whole file in one process, which
-    also reports any error.  Every child has exited when this returns or
-    raises.
+    that parse's.  Any irregularity (a quote character, which would fail its
+    chunk, fewer than two chunks, no os.fork, a chunk that fails _parse_chunk
+    or is not UTF-8, a child that sends less) returns None, and the caller
+    parses the whole file in one process, which also reports any error.
+    Every child has exited when this returns or raises.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     parts = min(cpus, (end - start) // _CHUNK_MIN_BYTES)
     if parts < 2 or not hasattr(os, "fork"):
         return None
+    # Read by blocks: a mapping of the file would count each of its pages in the process's resident set.
+    for at in range(start, end, 1 << 16):
+        if b'"' in os.pread(fd, min(1 << 16, end - at), at):
+            return None
     cuts = [start]
     for k in range(1, parts):
         cut = _next_line_start(fd, max(cuts[-1], start + (end - start) * k // parts), end)
@@ -515,6 +521,8 @@ def load_groups(path) -> GroupSpec:
     raw = _read_json(path, "group")
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: group file must be an object of name -> column list")
+    if not raw:
+        raise ParseError(f"{path}: group file defines no groups")
     groups = []
     for name, members in raw.items():
         if not isinstance(members, list) or not all(isinstance(m, str) for m in members):

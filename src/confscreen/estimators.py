@@ -73,17 +73,6 @@ class ScoreEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-class ScoredRow(NamedTuple):
-    """One target's row of a scored stack: the ScoreEstimate fields after its id and kind."""
-
-    theta_hat: float
-    phi_hat: float
-    psi_hat: float | None
-    se_phi: float | None
-    se_psi: float | None
-    diagnostics: dict
-
-
 class ThetaStack(NamedTuple):
     """An estimator's estimates for a stack of b targets.
 
@@ -403,8 +392,8 @@ def tmle_theta(dataset: Dataset, fits) -> ThetaStack:
     return ThetaStack(theta, dataset.outcome_mean, diagnostics, pi, tau)
 
 
-def _score_stack(dataset: Dataset, estimator_kind: str, fits) -> list[ScoredRow]:
-    """Score a stack of nuisance fits: the estimator's theta, then every row's scores and SEs at once."""
+def _score_stack(dataset: Dataset, estimator_kind: str, targets: list[tuple[int, ...]], fits) -> list[ScoreEstimate]:
+    """Score the stack of ``targets``' nuisance fits: the estimator's theta, then every row's scores and SEs at once."""
     estimator = {"plugin_om": plugin_scores_om, "plugin_ps": plugin_scores_ps, "dr": theta_dr, "tmle": tmle_theta}
     out = estimator[estimator_kind](dataset, fits)
     mu_e = dataset.exposure_mean
@@ -426,37 +415,33 @@ def _score_stack(dataset: Dataset, estimator_kind: str, fits) -> list[ScoredRow]
         for diagnostics in compress(out.diagnostics, [not ok for ok in defined]):
             diagnostics["warnings"].append("ratio-score influence curve undefined (vanishing denominator)")
     psi = [value if ok else None for value, ok in zip(psi.tolist(), defined)]
-    return [ScoredRow(*row) for row in zip(out.theta.tolist(), phi.tolist(), psi, se_phi, se_psi, out.diagnostics)]
+    rows = zip(targets, out.theta.tolist(), phi.tolist(), psi, se_phi, se_psi, out.diagnostics)
+    return [ScoreEstimate(_target_id(cols), estimator_kind, *row) for cols, *row in rows]
 
 
-def _constant_row(dataset: Dataset, estimator_kind: str) -> ScoredRow:
-    """Row of a constant covariate: the null scores phi = 0 and psi = 1 and, for dr/tmle, SEs of 0."""
+def _constant_estimate(dataset: Dataset, estimator_kind: str, columns: tuple[int, ...]) -> ScoreEstimate:
+    """Estimate of a constant target: the null scores phi = 0 and psi = 1 and, for dr/tmle, SEs of 0."""
     se = 0.0 if estimator_kind in INFERENCE_KINDS else None
     diagnostics = {"constant": True, "warnings": ["constant covariate: scores fixed at null"]}
-    return ScoredRow(dataset.outcome_mean * dataset.exposure_mean, 0.0, 1.0, se, se, diagnostics)
+    theta = dataset.outcome_mean * dataset.exposure_mean
+    return ScoreEstimate(_target_id(columns), estimator_kind, theta, 0.0, 1.0, se, se, diagnostics)
 
 
 def score_covariate(dataset: Dataset, columns, estimator_kind: str, basis: BasisConfig, fit=None) -> ScoreEstimate:
     """Estimate the confounding scores of one covariate or covariate group, with SEs for dr and tmle.
 
-    ``fit`` is the target's row of a scored stack (a ScoredRow, made from a
-    NuisanceStack's arrays, which is only turned into the estimate), or its
-    nuisance values at the dataset's rows: a NuisanceFit, the one-target API,
-    from ``fit_nuisances(...)[i]``, fit_saturated or any other learner, scored
-    here as a stack of one.  Without one, the target is fitted here.  A
-    constant target gets the null scores whatever its fit.
+    The target is scored as a stack of one by a screen's loop, _score_targets.
+    ``fit`` is its nuisance values at the dataset's rows, a NuisanceFit from
+    ``fit_nuisances(...)[i]``, fit_saturated or any other learner; without
+    one, fit_nuisances fits it.  A constant target gets the null scores
+    whatever its fit.  A ScoreEstimate as ``fit`` is returned unchanged: the
+    loop passes each estimate through here, because perfbench reads its
+    per-target latencies and counts from these calls (until ROADMAP item 1).
     """
-    if estimator_kind not in ESTIMATOR_KINDS:
-        raise ValidationError(f"unknown estimator kind {estimator_kind!r}")
-    cols = _target_columns(columns)
-    if not isinstance(fit, ScoredRow):
-        if dataset.constant_columns[list(cols)].all():
-            fit = _constant_row(dataset, estimator_kind)
-        else:
-            if fit is None:
-                fit = fit_nuisances(dataset, [cols], basis, parts=ESTIMATOR_PARTS[estimator_kind])[0]
-            fit = _score_stack(dataset, estimator_kind, [fit])[0]
-    return ScoreEstimate(_target_id(cols), estimator_kind, *fit)
+    if isinstance(fit, ScoreEstimate):
+        return fit
+    fitter = None if fit is None else lambda *_: [fit]
+    return _score_targets(dataset, [_target_columns(columns)], estimator_kind, basis, fitter)[0]
 
 
 # Largest design stack fitted at once, in doubles (targets x n x basis width).
@@ -464,32 +449,34 @@ STACK_DOUBLES = 2**16
 
 
 def _score_targets(
-    dataset: Dataset, targets: list[tuple[int, ...]], estimator_kind: str, basis: BasisConfig
+    dataset: Dataset, targets: list[tuple[int, ...]], estimator_kind: str, basis: BasisConfig, fit=None
 ) -> list[ScoreEstimate]:
     """Score ``targets`` in order, fitting and scoring each run of consecutive same-width targets in stacks.
 
     The constant targets of a run are found at once and get the null scores
     without a fit.  The others are fitted in stacks of at most STACK_DOUBLES
-    doubles of design and at least one target, whose (b, n) arrays go to the
+    doubles of design and at least one target by ``fit(dataset, targets,
+    basis, parts)`` (fit_nuisances by default), whose fits go to the
     estimator as they are; a stack is dropped once its targets are scored.
     """
     if estimator_kind not in ESTIMATOR_KINDS:
         raise ValidationError(f"unknown estimator kind {estimator_kind!r}")
+    fit = fit or fit_nuisances  # looked up per call, so that a patched fit_nuisances is used
     estimates, parts = [], ESTIMATOR_PARTS[estimator_kind]
     for width, run in groupby(targets, key=len):
         run = list(run)
-        constant = dataset.constant_columns[np.array(run, dtype=np.intp).reshape(len(run), width)].all(axis=1)
-        rows = [_constant_row(dataset, estimator_kind) if c else None for c in constant.tolist()]
-        fitted = np.flatnonzero(~constant).tolist()
+        constant = dataset.constant_columns[np.array(run, dtype=np.intp).reshape(len(run), width)].all(axis=1).tolist()
+        fitted = list(compress(run, [not c for c in constant]))
         size = max(1, STACK_DOUBLES // (dataset.n * basis.width(width)))
+        scored = []
         for start in range(0, len(fitted), size):
             stack = fitted[start : start + size]
-            fits = fit_nuisances(dataset, [run[i] for i in stack], basis, parts)
-            for i, row in zip(stack, _score_stack(dataset, estimator_kind, fits)):
-                rows[i] = row
-            del fits  # dropped before the next stack is fitted
-        # Per target still: perfbench's span map reads these calls' estimates (ROADMAP item 1).
-        estimates += [score_covariate(dataset, cols, estimator_kind, basis, row) for cols, row in zip(run, rows)]
+            scored += _score_stack(dataset, estimator_kind, stack, fit(dataset, stack, basis, parts))
+        scored = iter(scored)
+        for cols, c in zip(run, constant):
+            est = _constant_estimate(dataset, estimator_kind, cols) if c else next(scored)
+            # Per target still: perfbench's span map reads these calls' estimates (ROADMAP item 1).
+            estimates.append(score_covariate(dataset, cols, estimator_kind, basis, est))
     return estimates
 
 
@@ -501,12 +488,11 @@ def score_all(
 ) -> list[ScoreEstimate]:
     """Score every covariate; results are returned in column order.
 
-    ``saturated`` replaces the polynomial fits with exact per-level fits.
+    ``saturated`` replaces the polynomial fits with exact per-level fits, fitted and scored in the same stacks.
     """
     basis = basis or BasisConfig()
-    if saturated:
-        return [score_covariate(dataset, j, estimator_kind, basis, fit_saturated(dataset, j)) for j in range(dataset.p)]
-    return _score_targets(dataset, [(j,) for j in range(dataset.p)], estimator_kind, basis)
+    fit = (lambda ds, targets, *_: [fit_saturated(ds, j) for (j,) in targets]) if saturated else None
+    return _score_targets(dataset, [(j,) for j in range(dataset.p)], estimator_kind, basis, fit)
 
 
 def score_groups(

@@ -387,8 +387,8 @@ def fit_saturated(dataset: Dataset, j: int) -> NuisanceFit:
     levels, index = np.unique(dataset.covariates[:, j], return_inverse=True)
     if levels.size > MAX_SATURATED_LEVELS:
         raise ValidationError(
-            f"covariate has {levels.size} levels; saturated fit supports at most "
-            f"{MAX_SATURATED_LEVELS}"
+            f"covariate {dataset.column_names[j]!r} has {levels.size} levels; "
+            f"saturated fit supports at most {MAX_SATURATED_LEVELS}"
         )
     tau = np.empty(levels.size)
     pi = np.empty(levels.size)

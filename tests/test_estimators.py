@@ -428,6 +428,39 @@ def test_score_groups_of_mixed_widths_keep_input_order():
             _assert_same_estimate(est, alone)
 
 
+def test_saturated_screen_is_scored_in_stacks(monkeypatch):
+    # A saturated screen runs the loop of a polynomial one: its columns reach
+    # the estimator as one stack, a constant column is never fitted, and each
+    # estimate is bitwise its column's scored alone with its saturated fit.
+    ds = _layout_dataset(["b", "c", "b", "b", "c", "b"], 300)
+    basis = BasisConfig(degree=3)
+    score_stack, fit_one = estimators._score_stack, estimators.fit_saturated
+    stacks, fitted = [], []
+
+    def scored(dataset, kind, targets, fits):
+        stacks.append(len(fits))
+        return score_stack(dataset, kind, targets, fits)
+
+    def fitted_saturated(dataset, j):
+        fitted.append(j)
+        return fit_one(dataset, j)
+
+    for kind in KINDS:
+        stacks.clear()
+        fitted.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(estimators, "_score_stack", scored)
+            patched.setattr(estimators, "fit_saturated", fitted_saturated)
+            screen = score_all(ds, kind, basis, saturated=True)
+        assert stacks == [4] and fitted == [0, 2, 3, 5]
+        for j, est in enumerate(screen):
+            alone = score_covariate(ds, j, kind, basis, fit=fit_saturated(ds, j))
+            _assert_same_estimate(est, alone)
+            assert repr(est.diagnostics) == repr(alone.diagnostics)
+            # The screen's loop passes each estimate through score_covariate, whose spans perfbench reads.
+            assert score_covariate(ds, j, kind, basis, fit=est) is est
+
+
 def _one_row_newton(h, y, base):
     """The Newton solve of one row, one scalar step at a time: the reference for the stacked solver."""
 
@@ -535,7 +568,8 @@ def test_targeted_stack_rows_equal_targets_alone(monkeypatch, outcome_kind, max_
     fits[2] = fit_saturated(ds, 2)
     _, iterations, final_eps, converged = estimators._target(ds, fits)
     basis = BasisConfig(degree=3)
-    for i, (fit, row) in enumerate(zip(fits, estimators._score_stack(ds, "tmle", fits))):
+    targets = [fit.columns for fit in fits]
+    for i, (fit, row) in enumerate(zip(fits, estimators._score_stack(ds, "tmle", targets, fits))):
         alone = score_covariate(ds, i, "tmle", basis, fit)
         _assert_same_targeting(score_covariate(ds, i, "tmle", basis, row), alone)
     # The saturated row already solves both score equations.

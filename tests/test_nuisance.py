@@ -280,7 +280,7 @@ def test_saturated_single_level():
 
 def test_saturated_too_many_levels():
     ds = _dataset(np.zeros(130), np.tile([0, 1], 65), np.arange(130.0))
-    with pytest.raises(ValidationError, match="levels"):
+    with pytest.raises(ValidationError, match="^covariate 'c0' has 130 levels"):
         fit_saturated(ds, 0)
 
 
