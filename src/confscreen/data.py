@@ -377,20 +377,16 @@ def _parse_split(fd: int, start: int, end: int, width: int):
     and rows through a pipe; the parent parses the first chunk and copies
     every chunk into one (rows, width) matrix.  Each cell goes through the
     routine of the one-call parse, in row order, so the matrix is bitwise
-    that parse's.  Any irregularity (a quote character, which would fail its
-    chunk, fewer than two chunks, no os.fork, a chunk that fails _parse_chunk
-    or is not UTF-8, a child that sends less) returns None, and the caller
-    parses the whole file in one process, which also reports any error.
-    Every child has exited when this returns or raises.
+    that parse's.  Any irregularity (fewer than two chunks, no os.fork, a
+    chunk that fails _parse_chunk or is not UTF-8, a child that sends less)
+    returns None, and the caller parses the whole file in one process, which
+    also reports any error.  Every child has exited when this returns or
+    raises.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     parts = min(cpus, (end - start) // _CHUNK_MIN_BYTES)
     if parts < 2 or not hasattr(os, "fork"):
         return None
-    # Read by blocks: a mapping of the file would count each of its pages in the process's resident set.
-    for at in range(start, end, 1 << 16):
-        if b'"' in os.pread(fd, min(1 << 16, end - at), at):
-            return None
     cuts = [start]
     for k in range(1, parts):
         cut = _next_line_start(fd, max(cuts[-1], start + (end - start) * k // parts), end)

@@ -430,15 +430,19 @@ def _constant_estimate(dataset: Dataset, estimator_kind: str, columns: tuple[int
 def score_covariate(dataset: Dataset, columns, estimator_kind: str, basis: BasisConfig, fit=None) -> ScoreEstimate:
     """Estimate the confounding scores of one covariate or covariate group, with SEs for dr and tmle.
 
-    The target is scored as a stack of one by a screen's loop, _score_targets.
-    ``fit`` is its nuisance values at the dataset's rows, a NuisanceFit from
-    ``fit_nuisances(...)[i]``, fit_saturated or any other learner; without
-    one, fit_nuisances fits it.  A constant target gets the null scores
-    whatever its fit.  A ScoreEstimate as ``fit`` is returned unchanged: the
-    loop passes each estimate through here, because perfbench reads its
-    per-target latencies and counts from these calls (until ROADMAP item 1).
+    Scored as a stack of one by a screen's loop, _score_targets, from ``fit``,
+    its nuisance values at the dataset's rows (a NuisanceFit of any learner),
+    else from fit_nuisances; a constant target gets the null scores.  The loop
+    passes each estimate through here as ``fit``, returned unchanged if it is
+    this target's and estimator's, since perfbench times these calls per
+    target (until ROADMAP item 1).
     """
     if isinstance(fit, ScoreEstimate):
+        target = _target_id(_target_columns(columns))
+        if (fit.covariate_id, fit.estimator_kind) != (target, estimator_kind):
+            raise ValidationError(
+                f"estimate of {fit.covariate_id!r} ({fit.estimator_kind}) passed for {target!r} ({estimator_kind})"
+            )
         return fit
     fitter = None if fit is None else lambda *_: [fit]
     return _score_targets(dataset, [_target_columns(columns)], estimator_kind, basis, fitter)[0]
@@ -454,10 +458,9 @@ def _score_targets(
     """Score ``targets`` in order, fitting and scoring each run of consecutive same-width targets in stacks.
 
     The constant targets of a run are found at once and get the null scores
-    without a fit.  The others are fitted in stacks of at most STACK_DOUBLES
-    doubles of design and at least one target by ``fit(dataset, targets,
-    basis, parts)`` (fit_nuisances by default), whose fits go to the
-    estimator as they are; a stack is dropped once its targets are scored.
+    without a fit.  The others are fitted by ``fit(dataset, targets, basis,
+    parts)``, fit_nuisances by default, in stacks of at most STACK_DOUBLES
+    doubles of design and at least one target, each dropped once scored.
     """
     if estimator_kind not in ESTIMATOR_KINDS:
         raise ValidationError(f"unknown estimator kind {estimator_kind!r}")
@@ -475,7 +478,6 @@ def _score_targets(
         scored = iter(scored)
         for cols, c in zip(run, constant):
             est = _constant_estimate(dataset, estimator_kind, cols) if c else next(scored)
-            # Per target still: perfbench's span map reads these calls' estimates (ROADMAP item 1).
             estimates.append(score_covariate(dataset, cols, estimator_kind, basis, est))
     return estimates
 

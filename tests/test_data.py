@@ -414,9 +414,9 @@ def test_split_parse_bitwise_equals_parse_cells(tmp_path, monkeypatch, eol, head
 )
 def test_split_parse_irregular_chunk_as_one_process(tmp_path, monkeypatch, where, row, message):
     # An irregular row in either chunk sends the whole file down the
-    # one-process parse, which gives its values or its error; a quote does so
-    # before any fork.  Row 1200 lies past the 8 KiB block that the header
-    # read decodes, and before the middle of the file, where the one cut falls.
+    # one-process parse, which gives its values or its error.  Row 1200 lies
+    # past the 8 KiB block that the header read decodes, and before the middle
+    # of the file, where the one cut falls.
     rows = [b"%d,%d,%d" % (r % 3, r % 2, r) for r in range(4000)]
     at = 1200 if where == "first" else 3996
     rows[at] = row
@@ -436,7 +436,7 @@ def test_split_parse_irregular_chunk_as_one_process(tmp_path, monkeypatch, where
         with pytest.raises(ParseError) as split:
             load_csv(path, "O", "E")
         assert str(split.value) == str(one_process.value)
-    assert len(forks) == (0 if b'"' in row else 1)
+    assert len(forks) == 1
     _assert_no_child()
 
 

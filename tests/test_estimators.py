@@ -461,6 +461,21 @@ def test_saturated_screen_is_scored_in_stacks(monkeypatch):
             assert score_covariate(ds, j, kind, basis, fit=est) is est
 
 
+def test_score_covariate_rejects_another_targets_estimate():
+    ds = _layout_dataset(["b", "c", "b", "b"], 200)
+    basis = BasisConfig(degree=1)
+    dr = score_all(ds, "dr", basis)
+    with pytest.raises(ValidationError, match=r"^estimate of 3 \(dr\) passed for 0 \(tmle\)$"):
+        score_covariate(ds, 0, "tmle", basis, fit=dr[3])
+    with pytest.raises(ValidationError, match=r"^estimate of 3 \(dr\) passed for 0 \(dr\)$"):
+        score_covariate(ds, 0, "dr", basis, fit=dr[3])
+    with pytest.raises(ValidationError, match=r"^estimate of 0 \(dr\) passed for 0 \(tmle\)$"):
+        score_covariate(ds, 0, "tmle", basis, fit=dr[0])
+    with pytest.raises(ValidationError, match=r"^estimate of 0 \(dr\) passed for \(0, 2\) \(dr\)$"):
+        score_covariate(ds, (0, 2), "dr", basis, fit=dr[0])
+    assert score_covariate(ds, (0,), "dr", basis, fit=dr[0]) is dr[0]
+
+
 def _one_row_newton(h, y, base):
     """The Newton solve of one row, one scalar step at a time: the reference for the stacked solver."""
 
