@@ -17,9 +17,8 @@ from confscreen import (
     uniform_closed_form_phi,
 )
 
-# The uniform design has a closed-form score (exact when the exposure
-# weights sum to 1), which makes it a good first check: the Monte Carlo
-# oracle must agree with the formula.
+# The uniform design has a closed-form score, which makes it a good first
+# check: the Monte Carlo oracle must agree with the formula.
 uniform = SimScenario(
     kind="uniform_closed_form", n=5000, p=4, theta=0.5, seed=3,
     alphas=(0.4, 0.3, 0.2, 0.1), betas=(0.5, 0.4, 0.0, 0.0),

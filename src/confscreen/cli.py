@@ -77,12 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None, help="override the scenario's seed")
     for p in (p_score, p_rank, p_sim):
         p.add_argument("--estimator", choices=sorted(_ESTIMATOR_FLAG), default="tmle")
-        p.add_argument("--degree", type=int, default=3, help="polynomial basis degree")
+        # --degree and --alpha default to None, which marks them as not passed;
+        # _check_options applies their defaults after checking that they act.
+        p.add_argument("--degree", type=int, default=None, help="polynomial basis degree (default 3)")
         p.add_argument(
-            "--alpha",
-            type=float,
-            default=DEFAULT_ALPHA,
-            help="test level; confidence intervals are at 1 - alpha (default 90%%)",
+            "--alpha", type=float, default=None, help="test level; confidence intervals are at 1 - alpha (default 90%%)"
         )
         p.add_argument("--threads", type=int, default=None, help="at least 1; only recorded in the manifest")
         p.add_argument("--out", required=True, help="output file path")
@@ -90,10 +89,27 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_rank, p_sim):
         p.add_argument("--score", choices=("difference", "ratio"), default="difference")
         p.add_argument("--top-k", type=int, default=None, help="select the top K ranks instead of testing")
-    # simulate writes no confidence intervals, so --alpha acts only without
-    # --top-k; None marks it as not passed (cmd_simulate applies the default).
-    p_sim.set_defaults(alpha=None)
     return parser
+
+
+def _check_options(args) -> None:
+    """Reject an option that is out of range or changes no result, then apply the defaults.
+
+    --alpha acts where a confidence interval is written (score or rank with dr
+    or tmle) or an alpha test runs (rank or simulate without --top-k); --degree
+    acts unless --saturated, whose per-level fits use no polynomial basis.
+    """
+    if args.alpha is not None and not (0.0 < args.alpha < 1.0):
+        raise DataError("alpha must lie in (0, 1)")
+    if args.threads is not None and args.threads < 1:
+        raise DataError(f"threads must be at least 1, got {args.threads}")
+    writes_ci = args.subcommand != "simulate" and _ESTIMATOR_FLAG[args.estimator] in INFERENCE_KINDS
+    if args.alpha is not None and not writes_ci and (args.subcommand == "score" or args.top_k is not None):
+        raise DataError("--alpha has no effect: no confidence interval is written and no alpha test runs")
+    if args.degree is not None and getattr(args, "saturated", False):
+        raise DataError("--degree has no effect with --saturated: per-level fits use no polynomial basis")
+    args.alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
+    args.degree = BasisConfig.degree if args.degree is None else args.degree
 
 
 def _resolved_config(args) -> dict:
@@ -277,10 +293,6 @@ def _load_scenario(path: str, seed_override) -> SimScenario:
 
 
 def cmd_simulate(args) -> int:
-    if args.alpha is None:
-        args.alpha = DEFAULT_ALPHA
-    elif args.top_k is not None:
-        raise DataError("--alpha has no effect with --top-k: simulate writes no confidence intervals")
     config = _resolved_config(args)
     start = time.monotonic()
     scenario = _load_scenario(args.scenario, args.seed)
@@ -326,10 +338,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.alpha is not None and not (0.0 < args.alpha < 1.0):
-            raise DataError("alpha must lie in (0, 1)")
-        if args.threads is not None and args.threads < 1:
-            raise DataError(f"threads must be at least 1, got {args.threads}")
+        _check_options(args)
         return _COMMANDS[args.subcommand](args)
     except (DataError, OSError) as exc:
         msg = str(exc).replace("\n", " ")

@@ -435,7 +435,7 @@ def score_covariate(dataset: Dataset, columns, estimator_kind: str, basis: Basis
     else from fit_nuisances; a constant target gets the null scores.  The loop
     passes each estimate through here as ``fit``, returned unchanged if it is
     this target's and estimator's, since perfbench times these calls per
-    target (until ROADMAP item 1).
+    target (until ROADMAP item 2).
     """
     if isinstance(fit, ScoreEstimate):
         target = _target_id(_target_columns(columns))

@@ -9,6 +9,7 @@ normal quantile to Philox uniforms, which keeps streams platform-stable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -36,7 +37,6 @@ __all__ = [
     "run_replicates",
 ]
 
-KINDS = ("low_dim", "high_dim", "misspecified", "uniform_closed_form")
 LABEL_CONFOUNDER = "confounder"
 LABEL_PRECISION = "precision"
 LABEL_INSTRUMENT = "instrument"
@@ -60,7 +60,7 @@ class SimScenario:
     beta0: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _DESIGNS:
             raise ValidationError(f"unknown scenario kind {self.kind!r}")
         if self.n < 2 or self.p < 1 or self.replicates < 1:
             raise ValidationError("n >= 2, p >= 1, replicates >= 1 required")
@@ -68,16 +68,20 @@ class SimScenario:
             raise ValidationError("rho must lie in [0, 1)")
         if not (0 <= self.seed < 2**128):
             raise ValidationError(f"seed must lie in [0, 2^128), got {self.seed}")
-        if self.kind in ("low_dim", "high_dim", "misspecified") and self.p < 15:
-            raise ValidationError(f"{self.kind} designs need p >= 15")
-        if self.kind == "uniform_closed_form":
-            if self.alphas is None or self.betas is None:
-                raise ValidationError("uniform design needs alphas and betas")
-            alphas = np.asarray(self.alphas, dtype=float)
-            if alphas.size != self.p or len(self.betas) != self.p:
-                raise ValidationError("alphas and betas must have length p")
-            if np.any(alphas < 0.0) or alphas.sum() > 1.0 + 1e-12:
-                raise ValidationError("uniform design needs alpha_j >= 0 with sum <= 1")
+        if self.kind != "uniform_closed_form":
+            if self.p < 15:
+                raise ValidationError(f"{self.kind} designs need p >= 15")
+            if self.alphas is not None or self.betas is not None or self.beta0 != 0.0:
+                name = "alphas" if self.alphas is not None else "betas" if self.betas is not None else "beta0"
+                raise ValidationError(f"scenario field {name!r} acts only in uniform_closed_form designs")
+            return
+        if self.alphas is None or self.betas is None:
+            raise ValidationError("uniform design needs alphas and betas")
+        alphas = np.asarray(self.alphas, dtype=float)
+        if alphas.size != self.p or len(self.betas) != self.p:
+            raise ValidationError("alphas and betas must have length p")
+        if np.any(alphas < 0.0) or not 0.0 < alphas.sum() <= 1.0 + 1e-12:
+            raise ValidationError("uniform design needs 'alphas' >= 0 with a sum in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -147,23 +151,16 @@ def _ar1_covariates(gen: np.random.Generator, n: int, p: int, rho: float) -> np.
     return c
 
 
-def _make_dataset(y, e, c):
-    names = tuple(f"c{j + 1}" for j in range(c.shape[1]))
-    return Dataset(outcome=y, exposure=e.astype(np.int64), covariates=c, column_names=names)
-
-
-def _gen_low_dim(scenario: SimScenario, replicate: int = 0) -> SimulatedData:
+def _draw_gaussian(scenario: SimScenario, gen: np.random.Generator):
     """Correlated-Gaussian design with linear outcome and logistic exposure.
 
     It is also the ``high_dim`` design, whose extra columns are spurious.
     """
-    gen = substream(scenario.seed, replicate)
     n, p = scenario.n, scenario.p
     c = _ar1_covariates(gen, n, p, scenario.rho)
     alphas, betas = design_coefficients(p)
-    e = (_uniforms(gen, n) < expit(c @ alphas)).astype(np.int64)
-    y = scenario.theta * e + c @ betas + _normals(gen, n)
-    return SimulatedData(dataset=_make_dataset(y, e, c), labels=_labels(alphas, betas))
+    e = _uniforms(gen, n) < expit(c @ alphas)
+    return scenario.theta * e + c @ betas + _normals(gen, n), e, c, alphas, betas
 
 
 def _mis_f(j: int, c: np.ndarray) -> np.ndarray:
@@ -184,9 +181,8 @@ def _mis_g(j: int, c: np.ndarray) -> np.ndarray:
     return np.zeros_like(c)
 
 
-def _gen_misspecified(scenario: SimScenario, replicate: int = 0) -> SimulatedData:
+def _draw_misspecified(scenario: SimScenario, gen: np.random.Generator):
     """Nonlinear design: sinusoidal/cubic terms in both models, C ~ N(0, I)."""
-    gen = substream(scenario.seed, replicate)
     n, p = scenario.n, scenario.p
     c = _normals(gen, (n, p))
     logits = np.full(n, -15.0)
@@ -194,42 +190,18 @@ def _gen_misspecified(scenario: SimScenario, replicate: int = 0) -> SimulatedDat
     for j in range(15):
         logits += _mis_f(j, c[:, j])
         g_sum += _mis_g(j, c[:, j])
-    e = (_uniforms(gen, n) < expit(logits)).astype(np.int64)
-    y = scenario.theta * e + g_sum + _normals(gen, n)
-    return SimulatedData(dataset=_make_dataset(y, e, c), labels=_labels(*design_coefficients(p)))
+    e = _uniforms(gen, n) < expit(logits)
+    return scenario.theta * e + g_sum + _normals(gen, n), e, c, *design_coefficients(p)
 
 
-def _gen_uniform(scenario: SimScenario, replicate: int = 0) -> SimulatedData:
+def _draw_uniform(scenario: SimScenario, gen: np.random.Generator):
     """Uniform-covariate design with a linear-probability exposure model."""
-    gen = substream(scenario.seed, replicate)
     n, p = scenario.n, scenario.p
     alphas = np.asarray(scenario.alphas, dtype=float)
     betas = np.asarray(scenario.betas, dtype=float)
     c = _uniforms(gen, (n, p))
-    e = (_uniforms(gen, n) < c @ alphas).astype(np.int64)
-    y = scenario.beta0 + scenario.theta * e + c @ betas + _normals(gen, n)
-    return SimulatedData(dataset=_make_dataset(y, e, c), labels=_labels(alphas, betas))
-
-
-_GENERATORS = {
-    "low_dim": _gen_low_dim,
-    "high_dim": _gen_low_dim,
-    "misspecified": _gen_misspecified,
-    "uniform_closed_form": _gen_uniform,
-}
-
-
-def generate(scenario: SimScenario, replicate: int = 0) -> SimulatedData:
-    return _GENERATORS[scenario.kind](scenario, replicate)
-
-
-def uniform_closed_form_phi(scenario: SimScenario, j: int) -> float:
-    """Analytic difference score of the uniform design: (alpha_j/3)(beta_j + theta alpha_j).
-
-    Exact when the exposure weights sum to 1, which makes the marginal
-    exposure rate exactly 1/2; for smaller weight totals use ``oracle_phi``.
-    """
-    return (scenario.alphas[j] / 3.0) * (scenario.betas[j] + scenario.theta * scenario.alphas[j])
+    e = _uniforms(gen, n) < c @ alphas
+    return scenario.beta0 + scenario.theta * e + c @ betas + _normals(gen, n), e, c, alphas, betas
 
 
 @cache
@@ -247,65 +219,17 @@ def _gh_expit_mean(mean: np.ndarray, sd: float) -> np.ndarray:
     return (expit(shifted) @ weights) / np.sqrt(np.pi)
 
 
-class _ArmAccumulator:
-    """Streaming arm means of tau and the delta-method Monte-Carlo SE of their difference."""
-
-    def __init__(self):
-        self.m = 0
-        self.s = np.zeros(6)  # n1, sum1, sumsq1, n0, sum0, sumsq0
-
-    def add(self, tau: np.ndarray, e: np.ndarray) -> None:
-        w1 = e.astype(float)
-        w0 = 1.0 - w1
-        self.m += tau.shape[0]
-        self.s += (
-            w1.sum(),
-            (w1 * tau).sum(),
-            (w1 * tau * tau).sum(),
-            w0.sum(),
-            (w0 * tau).sum(),
-            (w0 * tau * tau).sum(),
-        )
-
-    def result(self) -> OracleValue:
-        n1, s1, ss1, n0, s0, ss0 = self.s
-        if n1 == 0 or n0 == 0:
-            raise ValidationError("oracle Monte Carlo produced an empty exposure arm")
-        m1, m0 = s1 / n1, s0 / n0
-        p1, p0 = n1 / self.m, n0 / self.m
-        v1 = (ss1 - 2.0 * m1 * s1 + m1 * m1 * n1) / self.m
-        v0 = (ss0 - 2.0 * m0 * s0 + m0 * m0 * n0) / self.m
-        var_d = v1 / p1**2 + v0 / p0**2
-        return OracleValue(value=float(m1 - m0), mc_se=float(np.sqrt(max(var_d, 0.0) / self.m)))
-
-
-def _monte_carlo(draw, mc_size: int, chunk: int) -> OracleValue:
-    """Arm means of tau over ``mc_size`` draws, made ``chunk`` at a time by ``draw(m)`` -> (tau, e)."""
-    acc = _ArmAccumulator()
-    mc_size = int(mc_size)
-    for start in range(0, mc_size, chunk):
-        acc.add(*draw(min(chunk, mc_size - start)))
-    return acc.result()
-
-
-def _oracle_gaussian(scenario, cols, mc_size, oracle_seed, chunk=1_000_000):
+def _oracle_gaussian(scenario: SimScenario, cols, gen: np.random.Generator):
     p = scenario.p
-    offsets = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
-    sigma = scenario.rho**offsets if scenario.rho > 0.0 else np.eye(p)
-    if scenario.rho > 0.0:
-        np.fill_diagonal(sigma, 1.0)
+    sigma = scenario.rho ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))  # AR(1), unit diagonal
     alphas, betas = design_coefficients(p)
     cols = list(cols)
     sigma_gg = sigma[np.ix_(cols, cols)]
     sigma_g_all = sigma[cols, :]
     a = np.linalg.solve(sigma_gg, sigma_g_all @ alphas)  # E[L | C_G] weights
     b = np.linalg.solve(sigma_gg, sigma_g_all @ betas)  # outcome projection weights
-    var_l = alphas @ sigma @ alphas
-    s2 = max(var_l - (sigma_g_all @ alphas) @ a, 0.0)
-    s = np.sqrt(s2)
+    s = np.sqrt(max(alphas @ sigma @ alphas - (sigma_g_all @ alphas) @ a, 0.0))  # SD of L given C_G
     chol = np.linalg.cholesky(sigma_gg)
-
-    gen = substream(oracle_seed, 0)
 
     def draw(m):
         cg = _normals(gen, (m, len(cols))) @ chol.T
@@ -317,20 +241,16 @@ def _oracle_gaussian(scenario, cols, mc_size, oracle_seed, chunk=1_000_000):
             tau = tau + scenario.theta * _gh_expit_mean(l_mean, s)
         return tau, e
 
-    return _monte_carlo(draw, mc_size, chunk)
+    return draw
 
 
-def _oracle_uniform(scenario, cols, mc_size, oracle_seed, chunk=1_000_000):
+def _oracle_uniform(scenario: SimScenario, cols, gen: np.random.Generator):
     alphas = np.asarray(scenario.alphas, dtype=float)
     betas = np.asarray(scenario.betas, dtype=float)
     p = scenario.p
     cols = list(cols)
-    out_mask = np.zeros(p, dtype=bool)
-    out_mask[cols] = True
-    rest_alpha_mean = alphas[~out_mask].sum() / 2.0
-    rest_beta_mean = betas[~out_mask].sum() / 2.0
-
-    gen = substream(oracle_seed, 0)
+    rest_alpha_mean = np.delete(alphas, cols).sum() / 2.0
+    rest_beta_mean = np.delete(betas, cols).sum() / 2.0
 
     def draw(m):
         c = _uniforms(gen, (m, p))
@@ -344,14 +264,16 @@ def _oracle_uniform(scenario, cols, mc_size, oracle_seed, chunk=1_000_000):
         )
         return tau, e
 
-    return _monte_carlo(draw, mc_size, chunk)
+    return draw
 
 
-def _oracle_misspecified(scenario, cols, mc_size, oracle_seed, chunk=200_000, inner=4096):
+_MIS_INNER = 4096  # draws of the other exposure terms that P(E = 1 | C_j) averages over
+
+
+def _oracle_misspecified(scenario: SimScenario, cols, gen: np.random.Generator):
     if len(cols) != 1:
         raise ValidationError("misspecified oracle supports single covariates only")
     j = cols[0]
-    gen = substream(oracle_seed, 0)
 
     # Mean outcome contribution of the other covariates (independent normals).
     nodes, weights = _gauss_hermite()
@@ -360,9 +282,10 @@ def _oracle_misspecified(scenario, cols, mc_size, oracle_seed, chunk=200_000, in
     g_rest = sum(float(_mis_g(k, z) @ w) for k in range(15) if k != j)
 
     if scenario.theta != 0.0:
-        # Empirical distribution of the exposure-model terms excluding j.
-        r_inner = np.full(inner, -15.0)
-        zi = _normals(gen, (inner, 15))
+        # Empirical distribution of the exposure-model terms excluding j,
+        # drawn before any Monte Carlo draw.
+        r_inner = np.full(_MIS_INNER, -15.0)
+        zi = _normals(gen, (_MIS_INNER, 15))
         for k in range(15):
             if k != j:
                 r_inner += _mis_f(k, zi[:, k])
@@ -388,7 +311,59 @@ def _oracle_misspecified(scenario, cols, mc_size, oracle_seed, chunk=200_000, in
             tau = tau + scenario.theta * p_e
         return tau, e
 
-    return _monte_carlo(draw, mc_size, chunk)
+    return draw
+
+
+# kind -> (draw, oracle, chunk).  draw(scenario, gen) returns one replicate drawn
+# from ``gen`` as (outcome, exposure as bool, covariates) and the alphas and betas
+# its labels come from.  oracle(scenario, cols, gen) returns draw(m) -> (tau, e),
+# m draws of the exposure and of tau, the outcome mean given the target's columns;
+# oracle_phi takes its arm means ``chunk`` draws at a time.
+_DESIGNS = {
+    "low_dim": (_draw_gaussian, _oracle_gaussian, 1_000_000),
+    "high_dim": (_draw_gaussian, _oracle_gaussian, 1_000_000),
+    "misspecified": (_draw_misspecified, _oracle_misspecified, 200_000),
+    "uniform_closed_form": (_draw_uniform, _oracle_uniform, 1_000_000),
+}
+
+
+def generate(scenario: SimScenario, replicate: int = 0) -> SimulatedData:
+    """Replicate ``replicate`` of the scenario's design, drawn from its own substream."""
+    draw, _, _ = _DESIGNS[scenario.kind]
+    y, e, c, alphas, betas = draw(scenario, substream(scenario.seed, replicate))
+    names = tuple(f"c{j + 1}" for j in range(scenario.p))
+    dataset = Dataset(outcome=y, exposure=e.astype(np.int64), covariates=c, column_names=names)
+    return SimulatedData(dataset=dataset, labels=_labels(alphas, betas))
+
+
+def uniform_closed_form_phi(scenario: SimScenario, j: int) -> float:
+    """Analytic difference score of the uniform design: alpha_j (beta_j + theta alpha_j) / (3 A (2 - A)).
+
+    A is the total exposure weight, so the marginal exposure rate is A / 2;
+    at A = 1 the score is (alpha_j / 3)(beta_j + theta alpha_j).
+    """
+    total = math.fsum(scenario.alphas)
+    alpha = scenario.alphas[j]
+    return (alpha / (3.0 * total * (2.0 - total))) * (scenario.betas[j] + scenario.theta * alpha)
+
+
+def _monte_carlo(draw, mc_size: int, chunk: int) -> OracleValue:
+    """Arm means of tau over ``mc_size`` draws, made ``chunk`` at a time by ``draw(m)`` -> (tau, e),
+    and the delta-method Monte Carlo SE of their difference, from streaming sums."""
+    s = np.zeros(6)  # n1, sum1, sumsq1, n0, sum0, sumsq0
+    for start in range(0, mc_size, chunk):
+        tau, e = draw(min(chunk, mc_size - start))
+        w1 = e.astype(float)
+        s += [x for w in (w1, 1.0 - w1) for x in (w.sum(), (w * tau).sum(), (w * tau * tau).sum())]
+    n1, s1, ss1, n0, s0, ss0 = s
+    if n1 == 0 or n0 == 0:
+        raise ValidationError("oracle Monte Carlo produced an empty exposure arm")
+    m1, m0 = s1 / n1, s0 / n0
+    p1, p0 = n1 / mc_size, n0 / mc_size
+    v1 = (ss1 - 2.0 * m1 * s1 + m1 * m1 * n1) / mc_size
+    v0 = (ss0 - 2.0 * m0 * s0 + m0 * m0 * n0) / mc_size
+    var_d = v1 / p1**2 + v0 / p0**2
+    return OracleValue(value=float(m1 - m0), mc_se=float(np.sqrt(max(var_d, 0.0) / mc_size)))
 
 
 def oracle_phi(scenario: SimScenario, target, mc_size: int = 10_000_000, oracle_seed: int = 777) -> OracleValue:
@@ -397,16 +372,14 @@ def oracle_phi(scenario: SimScenario, target, mc_size: int = 10_000_000, oracle_
     Independent of the estimator path: tau is evaluated from the generating
     equations (conditional laws integrated by 64-node Gauss-Hermite
     quadrature where a Gaussian residual predictor appears), and the arm
-    means are taken over a fresh Monte-Carlo sample of ``mc_size`` draws.
+    means are taken over a fresh Monte-Carlo sample of ``mc_size`` draws
+    from the substream of ``oracle_seed``.
     """
     cols = _target_columns(target)
     if any(not 0 <= j < scenario.p for j in cols):
         raise ValidationError("oracle target out of range")
-    if scenario.kind in ("low_dim", "high_dim"):
-        return _oracle_gaussian(scenario, cols, mc_size, oracle_seed)
-    if scenario.kind == "uniform_closed_form":
-        return _oracle_uniform(scenario, cols, mc_size, oracle_seed)
-    return _oracle_misspecified(scenario, cols, mc_size, oracle_seed)
+    _, oracle, chunk = _DESIGNS[scenario.kind]
+    return _monte_carlo(oracle(scenario, cols, substream(oracle_seed, 0)), int(mc_size), chunk)
 
 
 def evaluate_selection(selected, labels) -> tuple[float, float]:

@@ -588,17 +588,23 @@ def test_every_option_acts(command, tmp_path):
         ["simulate", "--outcome-kind", "bounded"],
         ["simulate", "--top-k", "3", "--alpha", "0.5"],
         ["simulate", "--top-k", "3", "--alpha", "0.1"],
+        # Neither a confidence interval nor an alpha test uses --alpha here.
+        ["score", "--estimator", "plugin-ps", "--alpha", "0.05"],
+        ["rank", "--estimator", "plugin-om", "--top-k", "2", "--alpha", "0.05"],
+        # Per-level fits use no polynomial basis.
+        ["score", "--estimator", "dr", "--saturated", "--degree", "2"],
     ],
 )
-def test_option_without_effect_exit_2(argv, wide_csv, tmp_path):
+def test_option_without_effect_exit_2(argv, wide_csv, tmp_path, capsys):
     scenario = tmp_path / "s.json"
     scenario.write_text(json.dumps({"kind": "low_dim", "n": 100, "p": 15}))
-    if argv[0] == "score":
-        inputs = ["--data", wide_csv, "--outcome", "y", "--exposure", "treat"]
-    else:
+    if argv[0] == "simulate":
         inputs = ["--scenario", str(scenario)]
+    else:
+        inputs = ["--data", wide_csv, "--outcome", "y", "--exposure", "treat"]
     out = tmp_path / "x.json"
     assert main([argv[0], *inputs, *argv[1:], "--out", str(out)]) == 2
+    assert argv[-2] in capsys.readouterr().err  # the option without effect is named
     assert not out.exists()
 
 
@@ -614,6 +620,27 @@ def test_simulate_ill_typed_scenario_field_exit_2(field, value, tmp_path, capsys
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(field) in err
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("low_dim", "beta0", 5.0),
+        ("low_dim", "alphas", [0.1] * 15),
+        ("misspecified", "betas", [0.0] * 15),
+        ("uniform_closed_form", "alphas", [0.0] * 15),
+    ],
+)
+def test_simulate_scenario_field_without_effect_exit_2(kind, field, value, tmp_path, capsys):
+    # Only the uniform design reads alphas, betas and beta0, and its weights must not all be 0.
+    fields = {"alphas": [0.0] * 15, "betas": [1.0] * 15} if kind == "uniform_closed_form" else {}
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"kind": kind, "n": 100, "p": 15, **fields, field: value}))
+    out = tmp_path / "x.json"
+    assert main(["simulate", "--scenario", str(scenario), "--top-k", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(field) in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def _named_csv(tmp_path, names):

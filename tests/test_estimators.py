@@ -15,6 +15,7 @@ from confscreen import (
     fluctuate_q,
     plugin_scores_om,
     plugin_scores_ps,
+    rank,
     score_all,
     score_covariate,
     score_groups,
@@ -67,6 +68,19 @@ def test_scores_from_theta_psi_undefined():
     phi, psi = scores_from_theta(0.5, 0.5, 0.5)
     assert np.isnan(psi)
     assert phi == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kind", ["dr", "tmle"])
+def test_ratio_score_undefined_where_its_denominator_vanishes(kind):
+    # Outcome = exposure = the only covariate: theta = E[O E] = mu_O, so psi's
+    # denominator mu_O - theta vanishes and psi gets neither a value nor an SE.
+    x = np.tile([0, 1], 20)
+    data = _dataset(x, x, x)
+    est = score_covariate(data, 0, kind, BasisConfig(), fit=fit_saturated(data, 0))
+    assert est.psi_hat is None and est.se_psi is None
+    assert "ratio-score influence curve undefined (vanishing denominator)" in est.diagnostics["warnings"]
+    (row,) = rank([est], "ratio").rows
+    assert "psi_undefined" in row.flags
 
 
 def test_scores_from_theta_mu_e_domain():

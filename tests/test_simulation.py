@@ -27,7 +27,7 @@ from confscreen import (
     uniform_closed_form_phi,
 )
 from confscreen import simulation
-from confscreen._stats import BLOCK, norm_ppf
+from confscreen._stats import BLOCK, expit, norm_ppf
 
 UNIFORM = SimScenario(
     kind="uniform_closed_form",
@@ -49,6 +49,17 @@ def test_scenario_validation():
         SimScenario(kind="uniform_closed_form", n=100, p=2, alphas=(0.9, 0.9), betas=(0, 0))
     with pytest.raises(ValidationError):
         SimScenario(kind="low_dim", n=100, p=15, rho=1.0)
+    # Fields that only the uniform design reads are rejected elsewhere, by name.
+    for kind, fields in (
+        ("low_dim", {"alphas": (0.1,) * 15}),
+        ("high_dim", {"betas": (0.0,) * 15}),
+        ("misspecified", {"beta0": 5.0}),
+    ):
+        (name,) = fields
+        with pytest.raises(ValidationError, match=repr(name)):
+            SimScenario(kind=kind, n=100, p=15, **fields)
+    with pytest.raises(ValidationError, match="'alphas'"):
+        SimScenario(kind="uniform_closed_form", n=100, p=2, alphas=(0.0, 0.0), betas=(1.0, 0.0))
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128])
@@ -163,10 +174,13 @@ def test_uniform_closed_form_values():
 
 
 def test_oracle_uniform_matches_closed_form():
-    for j in range(3):
-        mc = oracle_phi(UNIFORM, j, mc_size=400_000, oracle_seed=9)
-        closed = uniform_closed_form_phi(UNIFORM, j)
-        assert abs(mc.value - closed) < 4.0 * mc.mc_se + 1e-4
+    # UNIFORM's weights total 1; these total 0.6, so the exposure rate is 0.3.
+    partial = replace(UNIFORM, theta=0.7, alphas=(0.1, 0.2, 0.3), betas=(0.4, -0.3, 0.5))
+    for scenario in (UNIFORM, partial):
+        for target in (0, 1, 2, (0, 2)):
+            mc = oracle_phi(scenario, target, mc_size=400_000, oracle_seed=9)
+            closed = sum(uniform_closed_form_phi(scenario, j) for j in np.atleast_1d(target))
+            assert abs(mc.value - closed) < 4.0 * mc.mc_se + 1e-4, (scenario.alphas, target)
 
 
 def test_oracle_gaussian_spurious_is_zero():
@@ -181,6 +195,52 @@ def test_oracle_gaussian_precision_variable():
     sc = SimScenario(kind="low_dim", n=100, p=15, rho=0.0, theta=0.0, seed=6)
     mc = oracle_phi(sc, 6, mc_size=400_000)
     assert abs(mc.value) < 4.0 * mc.mc_se + 1e-3
+
+
+def _normal_grid(sd):
+    """Nodes sd * z and weights of a dense-grid integral against the N(0, 1) density of z."""
+    z, h = np.linspace(-10.0, 10.0, 2001, retstep=True)
+    return sd * z, np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi) * h
+
+
+def _gaussian_design(p, rho):
+    sigma = rho ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+    return sigma, *simulation.design_coefficients(p)
+
+
+@pytest.mark.parametrize("target", [0, (2, 12)])
+def test_oracle_gaussian_correlated_matches_an_integral(target):
+    # At theta = 0, tau = b . C_G and E[tau | L] = k L with L = alpha . C ~ N(0, s^2),
+    # k = (b . Sigma_G alpha) / s^2, so phi = 2 k E[L (2 expit(L) - 1)].
+    sc = SimScenario(kind="low_dim", n=100, p=15, rho=0.5, theta=0.0)
+    sigma, alphas, betas = _gaussian_design(15, 0.5)
+    cols = list(np.atleast_1d(target))
+    b = np.linalg.solve(sigma[np.ix_(cols, cols)], sigma[cols] @ betas)
+    var_l = alphas @ sigma @ alphas
+    nodes, weights = _normal_grid(np.sqrt(var_l))
+    exact = 2.0 * (b @ sigma[cols] @ alphas) / var_l * ((nodes * (2.0 * expit(nodes) - 1.0)) @ weights)
+    mc = oracle_phi(sc, target, mc_size=2_000_000)
+    assert abs(mc.value - exact) < 4.0 * mc.mc_se
+
+
+def test_gh_expit_mean_matches_an_integral():
+    # The residual SD of L given each single column, in both Gaussian designs;
+    # the conditional means span four SDs of E[L | C_j] each way.
+    errors = {}
+    for rho in (0.0, 0.5):
+        sigma, alphas, _ = _gaussian_design(15, rho)
+        var_l = alphas @ sigma @ alphas
+        for j in range(15):
+            explained = (sigma[j] @ alphas) ** 2
+            sd = np.sqrt(var_l - explained)
+            means = np.linspace(-4.0, 4.0, 81) * max(np.sqrt(explained), 1.0)
+            nodes, weights = _normal_grid(sd)
+            exact = expit(means[:, None] + nodes[None, :]) @ weights
+            errors[rho, j] = np.abs(simulation._gh_expit_mean(means, sd) - exact).max()
+    assert max(errors.values()) < 3e-5, errors  # 2.9e-5 at rho = 0.5, j = 7 (sd 4.70)
+    assert max(errors[0.0, j] for j in range(15)) < 3e-7  # sd 3.0 and 3.16
+    means = np.linspace(-8.0, 8.0, 33)
+    assert simulation._gh_expit_mean(means, 0.0).tobytes() == expit(means).tobytes()
 
 
 def test_oracle_misspecified_matches_a_generated_sample():
