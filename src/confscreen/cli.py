@@ -97,7 +97,9 @@ def _check_options(args) -> None:
 
     --alpha acts where a confidence interval is written (score or rank with dr
     or tmle) or an alpha test runs (rank or simulate without --top-k); --degree
-    acts unless --saturated, whose per-level fits use no polynomial basis.
+    acts unless --saturated, whose per-level fits use no polynomial basis; a
+    bounded --outcome-kind acts on the outcome model, which plugin-ps does not
+    fit (it reads the outcome on its original scale).
     """
     if args.alpha is not None and not (0.0 < args.alpha < 1.0):
         raise DataError("alpha must lie in (0, 1)")
@@ -108,6 +110,8 @@ def _check_options(args) -> None:
         raise DataError("--alpha has no effect: no confidence interval is written and no alpha test runs")
     if args.degree is not None and getattr(args, "saturated", False):
         raise DataError("--degree has no effect with --saturated: per-level fits use no polynomial basis")
+    if getattr(args, "outcome_kind", None) == "bounded" and args.estimator == "plugin-ps":
+        raise DataError("--outcome-kind bounded has no effect with --estimator plugin-ps, which fits no outcome model")
     args.alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
     args.degree = BasisConfig.degree if args.degree is None else args.degree
 

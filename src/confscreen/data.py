@@ -6,11 +6,12 @@ import csv
 import io
 import json
 import os
-import signal
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import _fork
 
 __all__ = [
     "DataError",
@@ -351,41 +352,22 @@ def _next_line_start(fd: int, at: int, end: int) -> int:
     return end
 
 
-def _write_all(fd: int, data) -> None:
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _read_exactly(fd: int, buffer) -> bool:
-    """Fill ``buffer`` from ``fd``; False where the file ends first."""
-    view = memoryview(buffer).cast("B")
-    while view:
-        got = os.readv(fd, [view])
-        if got == 0:
-            return False
-        view = view[got:]
-    return True
-
-
 def _parse_split(fd: int, start: int, end: int, width: int):
     """The data rows in bytes [start, end) of the regular file ``fd``, parsed in chunks, or None.
 
     The rows are cut just after a b"\\n" into one chunk per usable CPU, or
     fewer so that each holds about _CHUNK_MIN_BYTES or more.  A forked child
-    parses each chunk but the first with _parse_chunk and sends its row count
-    and rows through a pipe; the parent parses the first chunk and copies
-    every chunk into one (rows, width) matrix.  Each cell goes through the
-    routine of the one-call parse, in row order, so the matrix is bitwise
-    that parse's.  Any irregularity (fewer than two chunks, no os.fork, a
-    chunk that fails _parse_chunk or is not UTF-8, a child that sends less)
-    returns None, and the caller parses the whole file in one process, which
-    also reports any error.  Every child has exited when this returns or
-    raises.
+    (_fork.forked) parses each chunk but the first with _parse_chunk and
+    sends its row count and rows through a pipe; the parent parses the first
+    chunk and copies every chunk into one (rows, width) matrix.  Each cell
+    goes through the routine of the one-call parse, in row order, so the
+    matrix is bitwise that parse's.  Any irregularity (fewer than two chunks,
+    no fork, a chunk that fails _parse_chunk or is not UTF-8, a child that
+    sends less) returns None, and the caller parses the whole file in one
+    process, which also reports any error.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    parts = min(cpus, (end - start) // _CHUNK_MIN_BYTES)
-    if parts < 2 or not hasattr(os, "fork"):
+    parts = min(_fork.usable_cpus(), (end - start) // _CHUNK_MIN_BYTES)
+    if parts < 2:
         return None
     cuts = [start]
     for k in range(1, parts):
@@ -395,65 +377,37 @@ def _parse_split(fd: int, start: int, end: int, width: int):
         cuts.append(cut)
     if len(cuts) < 2:
         return None
-    cuts.append(end)
-    children = []  # (pid, read end of its pipe)
-    done = False
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            read_end, write_end = os.pipe()
-            try:
-                with warnings.catch_warnings():
-                    # Python 3.12+ warns that fork() in a process with threads (such
-                    # as OpenBLAS's) may deadlock the child.  The child takes no lock
-                    # another thread can hold: it imports nothing, runs no BLAS,
-                    # flushes no stdio, and leaves by os._exit.
-                    warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
-                    pid = os.fork()
-            except OSError:  # out of processes or memory: one process parses
-                os.close(read_end)
-                os.close(write_end)
-                return None
-            if pid == 0:
-                status = 1
-                try:
-                    values = _parse_chunk(fd, lo, hi, width)
-                    if values is not None:
-                        _write_all(write_end, len(values).to_bytes(8, "little"))
-                        _write_all(write_end, values)
-                        status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_end)
-            children.append((pid, read_end))
+    chunks = list(zip(cuts, cuts[1:] + [end]))
+
+    def send(chunk):
+        values = _parse_chunk(fd, *chunk, width)
+        return None if values is None else [len(values).to_bytes(8, "little"), values]
+
+    with _fork.forked(chunks, send) as pipes:
+        if pipes is None:
+            return None
         try:
-            first = _parse_chunk(fd, cuts[0], cuts[1], width)
+            first = _parse_chunk(fd, *chunks[0], width)
         except UnicodeDecodeError:
             return None
         if first is None:
             return None
         # A child that fails sends nothing.
         counts = []
-        for _, read_end in children:
+        for pipe in pipes:
             head = bytearray(8)
-            if not _read_exactly(read_end, head):
+            if not _fork.read_exactly(pipe, head):
                 return None
             counts.append(int.from_bytes(head, "little"))
         values = np.empty((len(first) + sum(counts), width))
         row = len(first)
         values[:row] = first
         del first
-        for (_, read_end), count in zip(children, counts):
-            if not _read_exactly(read_end, values[row : row + count]):
+        for pipe, count in zip(pipes, counts):
+            if not _fork.read_exactly(pipe, values[row : row + count]):
                 return None
             row += count
-        done = True
         return values
-    finally:
-        for pid, read_end in children:
-            os.close(read_end)
-            if not done:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _parse_cells(path, header: list[str], rows: list[list[str]]) -> np.ndarray:

@@ -15,9 +15,10 @@ from functools import cache
 
 import numpy as np
 
+from . import _fork
 from ._stats import expit, norm_ppf
 from .data import Dataset, ValidationError
-from .estimators import INFERENCE_KINDS, score_all
+from .estimators import INFERENCE_KINDS, SLICE_MIN_DOUBLES, score_all
 from .influence import _wald_rows
 from .nuisance import BasisConfig, _target_columns
 from .ranking import _order, _rank_scores
@@ -464,34 +465,44 @@ def run_replicates(
     by the ranking step of ``ranking.rank`` with ``rule`` and ``alpha``,
     with no ``RankRow`` built.
     ``oracle_values`` (length-p array) enables per-covariate CI coverage
-    indicators; pass None to skip coverage.
+    indicators; pass None to skip coverage.  The replicates are split among
+    forked processes by design work, as a screen's stacks are
+    (_fork.map_split); a replicate depends on no other and the ROC points
+    are summed in replicate order, so the result is that of one process.
     """
     basis = basis or BasisConfig()
     reps, p = scenario.replicates, scenario.p
-    sens = np.empty(reps)
-    spec = np.empty(reps)
-    phis = np.empty((reps, p))
-    ses = np.full((reps, p), np.nan)
     oracle = None if oracle_values is None else np.asarray(oracle_values, dtype=float)
-    cover = np.full((reps, p), np.nan) if oracle is not None else None
-    roc_sum = np.zeros((p + 1, 2))
-    labels = None
 
-    for r in range(reps):
+    def replicate(r):
+        """Replicate r's (sensitivity, specificity), phi, se_phi and coverage rows (None without them), ROC and labels."""
         sim = generate(scenario, r)
-        labels = sim.labels
         estimates = score_all(sim.dataset, estimator_kind, basis)
         order, selected, wald, _ = _rank_scores(estimates, score_kind, rule, alpha)
-        sens[r], spec[r] = evaluate_selection(np.flatnonzero(selected).tolist(), labels)
-        phis[r] = [est.phi_hat for est in estimates]
+        rates = evaluate_selection(np.flatnonzero(selected).tolist(), sim.labels)
+        phi = np.array([est.phi_hat for est in estimates])
+        se = cover = None
         if estimator_kind in INFERENCE_KINDS:
-            ses[r] = [est.se_phi for est in estimates]
-            if cover is not None:
+            se = np.array([est.se_phi for est in estimates])
+            if oracle is not None:
                 # A difference score's Wald step is already the one of phi.
-                lo, hi, _ = wald if score_kind == "difference" else _wald_rows(phis[r], ses[r], 0.0, alpha)
-                cover[r] = (lo <= oracle) & (oracle <= hi)
-        roc_sum += _roc_along(order, labels)
-        del sim, estimates  # freed before the next replicate is drawn
+                lo, hi, _ = wald if score_kind == "difference" else _wald_rows(phi, se, 0.0, alpha)
+                cover = (lo <= oracle) & (oracle <= hi)
+        return rates, phi, se, cover, _roc_along(order, sim.labels), sim.labels
+
+    work = scenario.n * p * basis.width(1)
+    rows = _fork.map_split(replicate, list(range(reps)), [work] * reps, SLICE_MIN_DOUBLES)
+    rates, phis, ses, hits, rocs, labels = zip(*rows)
+    sens = np.array([sens for sens, _ in rates])
+    spec = np.array([spec for _, spec in rates])
+    phis = np.array(phis)
+    ses = np.array(ses) if estimator_kind in INFERENCE_KINDS else np.full((reps, p), np.nan)
+    cover = None if oracle is None else np.full((reps, p), np.nan)
+    if cover is not None and estimator_kind in INFERENCE_KINDS:
+        cover[:] = hits
+    roc_sum = np.zeros((p + 1, 2))
+    for roc in rocs:  # in replicate order, as one process adds them
+        roc_sum += roc
 
     roc_mean = roc_sum / reps
     aggregates = {
@@ -501,7 +512,7 @@ def run_replicates(
         "se_specificity": float(spec.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0,
         "mean_phi": phis.mean(axis=0).tolist(),
         "mc_se_phi": (phis.std(axis=0, ddof=1) / np.sqrt(reps)).tolist() if reps > 1 else [0.0] * p,
-        "labels": list(labels),
+        "labels": list(labels[-1]),
     }
     if cover is not None:
         aggregates["coverage"] = np.nanmean(cover, axis=0).tolist()

@@ -593,6 +593,9 @@ def test_every_option_acts(command, tmp_path):
         ["rank", "--estimator", "plugin-om", "--top-k", "2", "--alpha", "0.05"],
         # Per-level fits use no polynomial basis.
         ["score", "--estimator", "dr", "--saturated", "--degree", "2"],
+        # plugin-ps fits no outcome model.
+        ["score", "--estimator", "plugin-ps", "--outcome-kind", "bounded"],
+        ["rank", "--estimator", "plugin-ps", "--top-k", "2", "--outcome-kind", "bounded"],
     ],
 )
 def test_option_without_effect_exit_2(argv, wide_csv, tmp_path, capsys):

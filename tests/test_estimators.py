@@ -1,5 +1,9 @@
 """Score estimators: worked examples, fluctuation algebra, equivalences."""
 
+import os
+import pickle
+import warnings
+
 import numpy as np
 import pytest
 
@@ -677,3 +681,130 @@ def test_list_of_fits_estimates_like_the_fitted_stack(outcome_kind):
             if a is not None:
                 assert np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
         assert repr(from_list.diagnostics) == repr(from_stack.diagnostics)
+
+
+# Screens scored in forked processes (estimators._score_targets through
+# _fork.map_split), split among 2, 3 or 40 usable CPUs however small they
+# are (the split_on fixture); the stacks hold two targets each.
+
+SPLIT_LAYOUT = ["x", "b", "c", "x", "x", "b", "x", "c", "x", "x", "b", "x"]
+SPLIT_GROUPS = [("a", (0,)), ("bc", (1, 2)), ("d", (3,)), ("e", (4,)), ("f", (5,)), ("gh", (6, 7)),
+                ("ijk", (8, 9, 10)), ("l", (11,))]
+
+
+def _fields(estimates):
+    """Every field of every estimate, each float by its bits."""
+    return [[pickle.dumps(value) for value in vars(est).values()] for est in estimates]
+
+
+def _split_screens(kind, basis):
+    ds = _layout_dataset(SPLIT_LAYOUT, 120)
+    discrete = _layout_dataset(["b", "c", "b", "b", "b", "c", "b", "b", "b"], 120)
+    return {
+        "single": lambda: score_all(ds, kind, basis),
+        "groups": lambda: score_groups(ds, SPLIT_GROUPS, kind, basis),
+        "saturated": lambda: score_all(discrete, kind, basis, saturated=True),
+    }
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 40])
+@pytest.mark.parametrize("kind", KINDS)
+def test_forked_screen_equals_one_process(monkeypatch, split_on, cpus, kind):
+    basis = BasisConfig(degree=3)
+    monkeypatch.setattr(estimators, "STACK_DOUBLES", 2 * 120 * basis.width(1))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    screens = _split_screens(kind, basis)
+    one_process = {name: _fields(screen()) for name, screen in screens.items()}
+    forks = split_on(cpus)
+    for name, screen in screens.items():
+        forks.clear()
+        assert _fields(screen()) == one_process[name], name
+        assert 0 < len(forks) < cpus
+
+
+def test_no_child_outlives_an_interrupted_screen(monkeypatch, split_on):
+    forks = split_on(4)
+    parent = os.getpid()
+    score_stack = estimators._score_stack
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return score_stack(*args)
+
+    monkeypatch.setattr(estimators, "_score_stack", interrupted)
+    ds = _layout_dataset(["x"] * 8, 100)
+    monkeypatch.setattr(estimators, "STACK_DOUBLES", 2 * 100 * BasisConfig().width(1))
+    with pytest.raises(KeyboardInterrupt):
+        score_all(ds, "dr")
+    assert len(forks) == 3  # the fixture checks that each has been reaped
+
+
+@pytest.mark.parametrize("fault", ["raises", "warns"])
+def test_faulty_child_slice_is_scored_again_in_one_process(monkeypatch, split_on, fault):
+    # The stack of column 6 lies in the second of two slices.  Its child
+    # raises or warns (a warning is an error in a child), sends nothing, and
+    # the parent scores the slice itself: the error or warning is that of a
+    # screen in one process, and so is every estimate.
+    ds = _layout_dataset(["x"] * 8, 100)
+    monkeypatch.setattr(estimators, "STACK_DOUBLES", 2 * 100 * BasisConfig().width(1))
+    score_stack = estimators._score_stack
+    parent, in_parent = os.getpid(), []
+
+    def faulty(dataset, kind, targets, fits):
+        if os.getpid() == parent:
+            in_parent.append(targets[0][0])
+        if (6,) in targets:
+            if fault == "raises":
+                raise ValidationError("stack of column 6 fails")
+            warnings.warn("stack of column 6 warns", RuntimeWarning)
+        return score_stack(dataset, kind, targets, fits)
+
+    monkeypatch.setattr(estimators, "_score_stack", faulty)
+    runs = {}
+    for cpus in (1, 2):
+        forks = split_on(cpus)
+        forks.clear()
+        in_parent.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                outcome = _fields(score_all(ds, "tmle"))
+            except ValidationError as exc:
+                outcome = str(exc)
+        warned = [(w.category, str(w.message)) for w in caught]
+        runs[cpus] = dict(outcome=outcome, warned=warned, in_parent=list(in_parent), forks=len(forks))
+    one, split = runs[1], runs[2]
+    assert split["outcome"] == one["outcome"] and split["warned"] == one["warned"]
+    if fault == "raises":
+        assert one["outcome"] == "stack of column 6 fails" and one["warned"] == []
+    else:
+        assert one["warned"] == [(RuntimeWarning, "stack of column 6 warns")]
+    # Split, the parent scores the first slice's stacks (columns 0 and 2), then the second slice's again.
+    assert one["in_parent"] == split["in_parent"] == [0, 2, 4, 6]
+    assert (one["forks"], split["forks"]) == (0, 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
+def test_screen_split_threshold(monkeypatch):
+    # A screen of 2 * SLICE_MIN_DOUBLES design doubles or more is split among
+    # the usable CPUs; one target less is scored in one process.
+    cpus = len(os.sched_getaffinity(0))
+    basis = BasisConfig(degree=1)
+    n = 512
+    targets = 2 * estimators.SLICE_MIN_DOUBLES // (n * basis.width(1))
+    assert targets * n * basis.width(1) == 2 * estimators.SLICE_MIN_DOUBLES
+    rng = np.random.default_rng(27)
+    c = rng.normal(size=(n, targets))
+    y, e = c[:, 0] + rng.normal(size=n), (rng.random(n) < expit(c[:, 1])).astype(int)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for p, children in ((targets - 1, 0), (targets, min(cpus, 2) - 1)):
+        ds = _dataset(y, e, c[:, :p])
+        forks.clear()
+        screen = score_all(ds, "plugin_om", basis)
+        assert len(forks) == children, p
+        with monkeypatch.context() as one_cpu:
+            one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
+            assert _fields(screen) == _fields(score_all(ds, "plugin_om", basis))

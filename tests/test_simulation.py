@@ -1,6 +1,7 @@
 """Synthetic designs, substream reproducibility, oracles, selection metrics."""
 
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -26,7 +27,7 @@ from confscreen import (
     substream,
     uniform_closed_form_phi,
 )
-from confscreen import simulation
+from confscreen import estimators, simulation
 from confscreen._stats import BLOCK, expit, norm_ppf
 
 UNIFORM = SimScenario(
@@ -414,6 +415,51 @@ def test_run_replicates_roc_matches_roc_curve(monkeypatch, score_kind):
         scores = [est.phi_hat if score_kind == "difference" else est.psi_hat for est in estimates]
         want += roc_curve([abs(s - null) if s is not None else -np.inf for s in scores], sim.labels)
     np.testing.assert_array_equal(result.roc_mean, want / scenario.replicates)
+
+
+def _result_fields(result):
+    """Every field of a SimResult, arrays and floats by their bits."""
+    return [value.tobytes() if isinstance(value, np.ndarray) else pickle.dumps(value) for value in vars(result).values()]
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 40])
+@pytest.mark.parametrize(
+    "kind, score_kind", [("plugin_om", "difference"), ("plugin_ps", "ratio"), ("dr", "ratio"), ("tmle", "difference")]
+)
+def test_forked_replicates_equal_one_process(monkeypatch, split_on, cpus, kind, score_kind):
+    # Replicates split among forked processes give the bits of one process,
+    # oracle coverage and the ROC sum included.
+    scenario = replace(UNIFORM, n=80, replicates=5)
+    inference = kind in ("dr", "tmle")
+    oracle = [uniform_closed_form_phi(scenario, j) for j in range(scenario.p)] if inference else None
+    basis = BasisConfig(degree=2)
+    rule = ("alpha_test", 0.2) if inference else ("top_k", 1)
+
+    def run():
+        return _result_fields(run_replicates(scenario, kind, basis, score_kind, rule, 0.2, oracle))
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    one_process = run()
+    forks = split_on(cpus)
+    monkeypatch.setattr(estimators, "STACK_DOUBLES", 1)  # a stack per covariate, so a screen could split
+    assert run() == one_process
+    # One child per slice after the first, and no screen inside a slice is split again.
+    assert len(forks) == min(cpus, scenario.replicates) - 1
+
+
+def test_no_child_outlives_interrupted_replicates(monkeypatch, split_on):
+    forks = split_on(3)
+    parent = os.getpid()
+
+    def interrupted(*args, **kwargs):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return score_all(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "score_all", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_replicates(replace(UNIFORM, replicates=4), "plugin_om", BasisConfig(degree=1), rule=("top_k", 1))
+    assert len(forks) == 2  # the fixture checks that each has been reaped
 
 
 def test_run_replicates_unknown_rule():
