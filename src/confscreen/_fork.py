@@ -1,4 +1,4 @@
-"""Work split among forked child processes: the CSV parse, the screen and the replicates.
+"""Work split among forked child processes: the CSV parse, the screen, the replicates and the CSV write.
 
 A caller cuts its work into contiguous slices, one per usable CPU, does the
 first slice itself and has a forked child do each other one.  A child sends

@@ -426,20 +426,62 @@ def _parse_cells(path, header: list[str], rows: list[list[str]]) -> np.ndarray:
     return values
 
 
+# write_csv formats the data rows a window of about _WINDOW_CELLS cells at a
+# time, in items of whole rows of about _ITEM_CELLS cells, so that it holds the
+# Python floats of one item and the text of one window, not those of the file.
+_WINDOW_CELLS = 1 << 18
+_ITEM_CELLS = 1 << 12
+# The fewest cells worth a process of their own: a window of 2 * _WRITE_MIN_CELLS
+# cells or more is formatted in one process per usable CPU.  On a 2-core x86-64
+# host, 2^16 cells of 32 columns took 35.8 ms split in two against 45.4 ms whole
+# (of 1002 columns 35.2 against 44.5 ms), and 2^15 cells 21.4 against 23.9 ms
+# (21.4 against 21.7 ms).
+_WRITE_MIN_CELLS = 1 << 15
+
+
+def _csv_rows(outcome: np.ndarray, exposure: np.ndarray, covariates: np.ndarray) -> str:
+    """The text of these rows as write_csv writes them: repr'd floats, the integer exposure and \\r\\n."""
+    fmt = float.__repr__
+    return "".join(
+        f"{fmt(y)},{e},{','.join(map(fmt, row))}\r\n"
+        for y, e, row in zip(outcome.tolist(), exposure.tolist(), covariates.tolist())
+    )
+
+
 def write_csv(dataset: Dataset, path, outcome_col: str = "outcome", exposure_col: str = "exposure") -> None:
     """Write a Dataset back to comma-separated text with full float precision.
 
-    The header goes through csv.writer, which quotes names that need it; the
-    data rows are written as csv.writer would write them (repr'd floats and
-    the integer exposure never need quoting) without its per-cell calls.
+    The outcome is written on its original scale (``outcome_original``), and
+    as stored where that scale is the stored one, so that a -0.0 keeps its
+    sign.  The header goes through csv.writer, which quotes names that need
+    it; the data rows are written as csv.writer would write them (repr'd
+    floats and the integer exposure never need quoting) without its per-cell
+    calls.
+
+    The rows are formatted window by window (_WINDOW_CELLS).  A window's
+    items are cut by their cells into contiguous slices, one per usable CPU,
+    each but the first formatted by a forked child (_fork.map_split); the
+    parent writes the slices' text in row order, so the file is that of one
+    process.
     """
-    fmt = float.__repr__
+    outcome = dataset.outcome
+    if (dataset.outcome_scale, dataset.outcome_offset) != (1.0, 0.0):
+        outcome = dataset.outcome_original()
+    n, width = dataset.n, dataset.p + 2
+    step = max(1, _ITEM_CELLS // width)  # rows of an item
+    window = step * max(1, _WINDOW_CELLS // (step * width))  # rows of a window
+
+    def rows(lo: int) -> str:
+        """The text of data rows [lo, lo + step)."""
+        hi = lo + step
+        return _csv_rows(outcome[lo:hi], dataset.exposure[lo:hi], dataset.covariates[lo:hi])
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow([outcome_col, exposure_col, *dataset.column_names])
-        for y, e, row in zip(
-            dataset.outcome.tolist(), dataset.exposure.tolist(), dataset.covariates.tolist()
-        ):
-            fh.write(f"{fmt(y)},{e},{','.join(map(fmt, row))}\r\n")
+        for start in range(0, n, window):
+            items = list(range(start, min(start + window, n), step))
+            cells = [(min(lo + step, n) - lo) * width for lo in items]
+            fh.writelines(_fork.map_split(rows, items, cells, _WRITE_MIN_CELLS))
 
 
 def _read_json(path, what: str):

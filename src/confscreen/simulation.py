@@ -465,7 +465,8 @@ def run_replicates(
     by the ranking step of ``ranking.rank`` with ``rule`` and ``alpha``,
     with no ``RankRow`` built.
     ``oracle_values`` (length-p array) enables per-covariate CI coverage
-    indicators; pass None to skip coverage.  The replicates are split among
+    indicators, which need an estimator with inference (dr or tmle); pass
+    None to skip coverage.  The replicates are split among
     forked processes by design work, as a screen's stacks are
     (_fork.map_split); a replicate depends on no other and the ROC points
     are summed in replicate order, so the result is that of one process.
@@ -473,6 +474,10 @@ def run_replicates(
     basis = basis or BasisConfig()
     reps, p = scenario.replicates, scenario.p
     oracle = None if oracle_values is None else np.asarray(oracle_values, dtype=float)
+    if oracle is not None and estimator_kind not in INFERENCE_KINDS:
+        raise ValidationError(f"oracle coverage needs a dr or tmle estimator; {estimator_kind!r} gives no CI")
+    if oracle is not None and oracle.shape != (p,):
+        raise ValidationError(f"{oracle.size} oracle values for {p} covariates")
 
     def replicate(r):
         """Replicate r's (sensitivity, specificity), phi, se_phi and coverage rows (None without them), ROC and labels."""
@@ -497,9 +502,7 @@ def run_replicates(
     spec = np.array([spec for _, spec in rates])
     phis = np.array(phis)
     ses = np.array(ses) if estimator_kind in INFERENCE_KINDS else np.full((reps, p), np.nan)
-    cover = None if oracle is None else np.full((reps, p), np.nan)
-    if cover is not None and estimator_kind in INFERENCE_KINDS:
-        cover[:] = hits
+    cover = None if oracle is None else np.array(hits, dtype=float)
     roc_sum = np.zeros((p + 1, 2))
     for roc in rocs:  # in replicate order, as one process adds them
         roc_sum += roc
@@ -515,7 +518,7 @@ def run_replicates(
         "labels": list(labels[-1]),
     }
     if cover is not None:
-        aggregates["coverage"] = np.nanmean(cover, axis=0).tolist()
+        aggregates["coverage"] = cover.mean(axis=0).tolist()
     return SimResult(
         scenario=scenario,
         estimator_kind=estimator_kind,

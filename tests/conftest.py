@@ -4,12 +4,14 @@ import os
 
 import pytest
 
-from confscreen import estimators, simulation
+from confscreen import data, estimators, simulation
 
 
 @pytest.fixture
 def split_on(monkeypatch):
-    """``split_on(cpus)`` splits every screen and every run of replicates, however small, among ``cpus`` usable CPUs.
+    """``split_on(cpus)`` splits every screen, run of replicates and write_csv window, however small, among ``cpus`` usable CPUs.
+
+    A write is cut into items of one row each.
 
     It returns the list of the pids this process forks from then on.  When
     the test ends, no child of it may be left.
@@ -18,6 +20,8 @@ def split_on(monkeypatch):
     def split(cpus):
         monkeypatch.setattr(estimators, "SLICE_MIN_DOUBLES", 1)
         monkeypatch.setattr(simulation, "SLICE_MIN_DOUBLES", 1)
+        monkeypatch.setattr(data, "_WRITE_MIN_CELLS", 1)
+        monkeypatch.setattr(data, "_ITEM_CELLS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(os, "fork", counted)
         return forks

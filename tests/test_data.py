@@ -12,6 +12,7 @@ import pytest
 
 from confscreen import data
 from confscreen import (
+    BasisConfig,
     Dataset,
     GroupSpec,
     MissingColumnError,
@@ -19,6 +20,7 @@ from confscreen import (
     ValidationError,
     load_csv,
     load_groups,
+    score_covariate,
     write_csv,
 )
 
@@ -510,19 +512,26 @@ def _reference_csv_bytes(dataset, outcome_col, exposure_col):
     return buf.getvalue().encode()
 
 
-def test_write_csv_bytes_and_bitwise_roundtrip(tmp_path):
-    rng = np.random.default_rng(9)
-    n = 40
+def _bank_dataset(n):
+    """A continuous Dataset of ``n`` rows with BANK's values, -0.0, subnormals and 1e308, and a quoted name."""
+    rng = np.random.default_rng(n)
     bank = np.array([float(c) for c in BANK])
+    outcome = rng.normal(size=n)
+    outcome[::7] = -0.0
+    outcome[1:3] = 5e-324, 1e308
     covariates = np.column_stack(
         [rng.normal(size=n), np.resize(bank, n), rng.uniform(-1e-300, 1e-300, size=n)]
     )
-    ds = Dataset(
-        outcome=rng.normal(size=n),
-        exposure=np.tile([0, 1], n // 2),
+    return Dataset(
+        outcome=outcome,
+        exposure=np.arange(n) % 2,
         covariates=covariates,
         column_names=("plain", 'needs "quoting", twice', "z"),
     )
+
+
+def test_write_csv_bytes_and_bitwise_roundtrip(tmp_path):
+    ds = _bank_dataset(40)
     path = tmp_path / "w.csv"
     write_csv(ds, path, outcome_col="out,come", exposure_col="E")
     assert path.read_bytes() == _reference_csv_bytes(ds, "out,come", "E")
@@ -531,6 +540,115 @@ def test_write_csv_bytes_and_bitwise_roundtrip(tmp_path):
     assert _bits(back.outcome.tolist()) == _bits(ds.outcome.tolist())
     assert _bits(back.covariates.ravel().tolist()) == _bits(ds.covariates.ravel().tolist())
     assert np.array_equal(back.exposure, ds.exposure)
+
+
+def test_bounded_write_read_roundtrip_keeps_the_original_scale(tmp_path):
+    # A bounded outcome is written on its original scale, so that a reload
+    # finds the same affine map and the same scores.
+    rng = np.random.default_rng(12)
+    n = 200
+    outcome = rng.uniform(2.0, 9.7, size=n)
+    outcome[:2] = 2.0, 9.7
+    covariates = rng.normal(size=(n, 3))
+    path = tmp_path / "bounded.csv"
+    rows = zip(outcome.tolist(), covariates.tolist())
+    lines = ["O,E,a,b,c"] + [f"{y!r},{r % 2}," + ",".join(map(repr, row)) for r, (y, row) in enumerate(rows)]
+    path.write_text("\n".join(lines) + "\n")
+    ds = load_csv(path, "O", "E", outcome_kind="bounded")
+    copy = tmp_path / "copy.csv"
+    write_csv(ds, copy, outcome_col="O", exposure_col="E")
+    back = load_csv(copy, "O", "E", outcome_kind="bounded")
+    assert back.outcome_offset == ds.outcome_offset == 2.0
+    assert back.outcome_scale == pytest.approx(ds.outcome_scale, rel=1e-15)
+    np.testing.assert_allclose(back.outcome_original(), outcome, rtol=1e-15)
+    assert _bits(back.covariates.ravel().tolist()) == _bits(covariates.ravel().tolist())
+    basis = BasisConfig()
+    assert score_covariate(back, 1, "dr", basis).phi_hat == pytest.approx(
+        score_covariate(ds, 1, "dr", basis).phi_hat, rel=1e-9
+    )
+
+
+# The split write (write_csv through _fork.map_split), forced onto small
+# datasets by the split_on fixture: items of one row, and as many usable CPUs
+# as the test asks for.
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 40])
+@pytest.mark.parametrize("window_cells", [1 << 18, 40], ids=["one-window", "windows-of-8-rows"])
+def test_split_write_equals_csv_writer(tmp_path, monkeypatch, split_on, cpus, window_cells):
+    # Each window's rows are formatted in forked slices and written in row
+    # order: the bytes are csv.writer's at any CPU count.
+    n, width = 45, 5
+    monkeypatch.setattr(data, "_WINDOW_CELLS", window_cells)
+    ds = _bank_dataset(n)
+    forks = split_on(cpus)
+    path = tmp_path / "split.csv"
+    write_csv(ds, path, outcome_col="out,come", exposure_col="E")
+    assert path.read_bytes() == _reference_csv_bytes(ds, "out,come", "E")
+    window = max(1, window_cells // width)
+    assert len(forks) == sum(min(cpus, n - start, window) - 1 for start in range(0, n, window))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
+def test_write_split_threshold(tmp_path, monkeypatch):
+    # A window of 2 * _WRITE_MIN_CELLS cells or more is formatted in one
+    # process per usable CPU; a write of one row less forks nothing.
+    cpus = len(os.sched_getaffinity(0))
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    rng = np.random.default_rng(14)
+    width = 32
+    rows = 2 * data._WRITE_MIN_CELLS // width
+    path = tmp_path / "threshold.csv"
+    for n, slices in ((rows - 1, 1), (rows, min(cpus, 2))):
+        names = tuple(f"c{j}" for j in range(width - 2))
+        ds = Dataset(rng.normal(size=n), np.arange(n) % 2, rng.normal(size=(n, width - 2)), names)
+        forks.clear()
+        write_csv(ds, path)
+        assert len(forks) == slices - 1
+        assert path.read_bytes() == _reference_csv_bytes(ds, "outcome", "exposure")
+        _assert_no_child()
+
+
+def test_no_child_outlives_an_interrupted_write(tmp_path, monkeypatch, split_on):
+    forks = split_on(4)
+    parent = os.getpid()
+    csv_rows = data._csv_rows
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return csv_rows(*args)
+
+    monkeypatch.setattr(data, "_csv_rows", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_csv(_bank_dataset(12), tmp_path / "interrupt.csv")
+    assert len(forks) == 3  # the fixture checks that each has been reaped
+
+
+@pytest.mark.parametrize("fault", ["raises", "warns"])
+def test_faulty_child_slice_is_written_by_the_parent(tmp_path, monkeypatch, split_on, fault):
+    # Every child raises or warns (a warning is an error in a child) and sends
+    # nothing; the parent formats each child's rows itself, in row order.
+    forks = split_on(3)
+    parent, in_parent = os.getpid(), []
+    csv_rows = data._csv_rows
+
+    def faulty(outcome, exposure, covariates):
+        if os.getpid() != parent:
+            if fault == "raises":
+                raise RuntimeError("child fails")
+            warnings.warn("child warns", RuntimeWarning)
+        in_parent.extend(covariates[:, 0].tolist())
+        return csv_rows(outcome, exposure, covariates)
+
+    monkeypatch.setattr(data, "_csv_rows", faulty)
+    ds = _bank_dataset(12)
+    path = tmp_path / "faulty.csv"
+    write_csv(ds, path, outcome_col="out,come", exposure_col="E")
+    assert path.read_bytes() == _reference_csv_bytes(ds, "out,come", "E")
+    assert len(forks) == 2 and in_parent == ds.covariates[:, 0].tolist()
 
 
 def test_dataset_arrays_read_only(six_csv):

@@ -462,6 +462,20 @@ def test_no_child_outlives_interrupted_replicates(monkeypatch, split_on):
     assert len(forks) == 2  # the fixture checks that each has been reaped
 
 
+@pytest.mark.parametrize("kind", ["plugin_om", "plugin_ps"])
+def test_run_replicates_rejects_oracle_values_without_inference(kind):
+    # A plug-in estimator gives no CI, so oracle coverage cannot be computed.
+    oracle = [uniform_closed_form_phi(UNIFORM, j) for j in range(UNIFORM.p)]
+    with pytest.raises(ValidationError, match=f"oracle coverage needs a dr or tmle estimator; '{kind}' gives no CI"):
+        run_replicates(UNIFORM, kind, BasisConfig(degree=1), rule=("top_k", 1), oracle_values=oracle)
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_run_replicates_rejects_oracle_values_of_another_length(size):
+    with pytest.raises(ValidationError, match=f"^{size} oracle values for 3 covariates$"):
+        run_replicates(UNIFORM, "dr", BasisConfig(degree=1), rule=("top_k", 1), oracle_values=[0.1] * size)
+
+
 def test_run_replicates_unknown_rule():
     with pytest.raises(ValidationError, match="rule"):
         run_replicates(UNIFORM, "plugin_om", BasisConfig(degree=1), rule=("zap", 1))
