@@ -1,26 +1,35 @@
 """Work split among forked child processes: the CSV parse, the screen, the replicates and the CSV write.
 
-A caller cuts its work into contiguous slices, one per usable CPU, does the
-first slice itself and has a forked child do each other one.  A child sends
-what it made through a pipe.  Any irregularity (no os.fork, a fork that
-fails, a child that raises, warns or sends less than it should) leaves the
-work to the parent, which does it in one process, so results, errors and
-warnings are those of a run that never split.  Every child has been reaped
-when ``forked`` returns or raises.
+A caller cuts its work into numbered pieces.  The numbers go to a task pipe
+as tokens before the fork, and the parent and each forked child then take
+one token at a time, do that piece and take the next, until the pipe is
+empty: a process on a faster or idler CPU takes more pieces, and no fixed
+share waits on the slowest one.  A child keeps what it made and sends it
+through a pipe of its own once the task pipe is empty.  Any irregularity (no
+os.fork, a fork that fails, a piece that raises or warns, a child that sends
+less than it should) leaves work to the parent, which does it in one
+process, so results, errors and warnings are those of a run that never
+split.  Every child has been reaped when ``forked`` returns or raises.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import pickle
 import signal
 import warnings
 
 # True in a forked child, and in its parent while the children run: the CPUs
-# are taken, so a split inside a split (a screen inside a slice of
-# replicates) runs in one process.  It describes the process, not a caller.
+# are taken, so a split inside a split (the screen of a replicate that a
+# split hands out) runs in one process.  It describes the process, not a caller.
 _splitting = False
+
+# The most tokens one split hands out.  At 4 bytes a token they fill 4 KiB,
+# no more than PIPE_BUF, so their one write to the empty task pipe never
+# blocks, and it is made before the first fork.
+MOST_TOKENS = 1024
 
 
 def usable_cpus() -> int:
@@ -47,26 +56,44 @@ def read_exactly(fd: int, buffer) -> bool:
     return True
 
 
-@contextlib.contextmanager
-def forked(slices: list, send):
-    """Fork a child for each of ``slices`` but the first; yield the read ends of their pipes in order, or None.
+def _taken(fd: int):
+    """The tokens that this process takes from the task pipe ``fd``, until it is empty.
 
-    A child turns warnings into errors, writes the buffers that
-    ``send(slice)`` returns to its pipe (nothing where it returns None or
-    raises) and leaves by os._exit.  None is yielded where os.fork is
-    missing or fails (out of processes or memory); the caller then does all
-    the work itself.  On exit each child is killed, if it still runs, and
-    reaped: a child that the caller has read to the end has nothing left to
-    do, and one that it has not must not outlive it.
+    One os.read of 4 bytes each, on the raw fd: a buffered file would read
+    ahead and hold tokens that another process is waiting for.
+    """
+    while token := os.read(fd, 4):
+        yield int.from_bytes(token, "little")
+
+
+@contextlib.contextmanager
+def forked(tokens: int, children: int, send):
+    """Hand the tokens 0 .. ``tokens`` - 1 out to this process and ``children`` forked ones; yield the parent's tokens and the read ends of the children's pipes.
+
+    The parent takes the first token before it forks, so that it does at
+    least one piece, and its others by iterating over the first thing
+    yielded; a child takes its tokens by iterating over the one that
+    ``send`` is passed.  A child turns warnings into errors, writes the
+    buffers that ``send(tokens)`` returns to its pipe (nothing where it
+    returns None or raises) and leaves by os._exit.  Where os.fork is
+    missing or fails (out of processes or memory), fewer children are
+    forked, or none, and the parent takes the tokens they would have taken.
+    On exit each child is killed, if it still runs, and reaped: a child that
+    the caller has read to the end has nothing left to do, and one that it
+    has not must not outlive it.
     """
     global _splitting
-    if not hasattr(os, "fork"):
-        yield None
-        return
+    read_tasks, write_tasks = os.pipe()
     outer, _splitting = _splitting, True
-    children = []  # (pid, read end of its pipe)
+    pipes = []  # (pid, read end of its pipe)
     try:
-        for part in slices[1:]:
+        try:
+            _write_all(write_tasks, b"".join(token.to_bytes(4, "little") for token in range(tokens)))
+        finally:
+            # Closed before any fork, so that a read of the empty pipe ends.
+            os.close(write_tasks)
+        first = os.read(read_tasks, 4)
+        for _ in range(children if hasattr(os, "fork") else 0):
             read_end, write_end = os.pipe()
             try:
                 with warnings.catch_warnings():
@@ -88,10 +115,10 @@ def forked(slices: list, send):
                 status = 1
                 try:
                     os.close(read_end)
-                    for _, other in children:
+                    for _, other in pipes:
                         os.close(other)
                     warnings.simplefilter("error")
-                    buffers = send(part)
+                    buffers = send(_taken(read_tasks))
                     if buffers is not None:
                         for buffer in buffers:
                             _write_all(write_end, buffer)
@@ -99,28 +126,29 @@ def forked(slices: list, send):
                 finally:
                     os._exit(status)
             os.close(write_end)
-            children.append((pid, read_end))
-        yield [read_end for _, read_end in children] if len(children) == len(slices) - 1 else None
+            pipes.append((pid, read_end))
+        mine = itertools.chain([int.from_bytes(first, "little")], _taken(read_tasks))
+        yield mine, [read_end for _, read_end in pipes]
     finally:
         _splitting = outer
-        for pid, read_end in children:
+        os.close(read_tasks)
+        for pid, read_end in pipes:
             os.close(read_end)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _cuts(weights: list, min_weight: int) -> list[tuple[int, int]]:
-    """Contiguous (lo, hi) ranges of ``weights``, one per usable CPU, each near an equal share of their sum.
+def _runs(weights: list) -> list[tuple[int, int]]:
+    """Contiguous (lo, hi) runs of the items, at most MOST_TOKENS, cut where the weights' running sum passes a MOST_TOKENS-th of their total.
 
-    Fewer ranges where a share would weigh less than ``min_weight``, so that
-    work under 2 * min_weight stays in one range.
+    An item weighing that share or more ends a run, so each item is a run of
+    its own where no item weighs less.
     """
     total = sum(weights)
-    parts = min(usable_cpus(), total // min_weight, len(weights))
     bounds, acc = [0], 0
     for i, weight in enumerate(weights[:-1], 1):
         acc += weight
-        if len(bounds) < parts and acc * parts >= total * len(bounds):
+        if len(bounds) < MOST_TOKENS and acc * MOST_TOKENS >= total * len(bounds):
             bounds.append(i)
     return list(zip(bounds, bounds[1:] + [len(weights)]))
 
@@ -139,25 +167,43 @@ def _unpickled(fd: int):
     return pickle.loads(data) if read_exactly(fd, data) else None
 
 
-def map_split(fn, items: list, weights: list, min_weight: int) -> list:
-    """``[fn(item) for item in items]``, every slice of ``items`` but the first mapped by a forked child.
+def _mapped(fn, items: list, runs: list, tokens) -> list:
+    """(i, fn(items[i])) for each item in the runs that ``tokens`` name, with warnings as errors.
 
-    The items are cut by their ``weights`` (_cuts).  A child pickles its
-    slice's results through its pipe.  The parent maps the first slice, then
-    maps in order, itself, each slice whose child sent less (it raised or
-    warned), so that the results, and any error or warning, are those of the
-    one-process map.
+    An item that raises or warns is left out: the parent redoes it under
+    the caller's warning filters, where it raises or warns as in one process.
     """
-    slices = [items[lo:hi] for lo, hi in _cuts(weights, min_weight)]
-    if len(slices) < 2:
+    done = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for token in tokens:
+            for i in range(*runs[token]):
+                try:
+                    done.append((i, fn(items[i])))
+                except Exception:
+                    pass
+    return done
+
+
+def map_split(fn, items: list, weights: list, min_weight: int) -> list:
+    """``[fn(item) for item in items]``, the items handed out among this process and forked children.
+
+    The work is split among min(usable CPUs, total weight // min_weight,
+    items) processes, so that work under 2 * min_weight stays in one.  The
+    items go out one token at a time in runs cut by their ``weights``
+    (_runs).  Each process maps its items with warnings as errors, and a
+    child pickles its (index, result) pairs through its pipe.  The parent
+    then maps in item order, itself and under the caller's warning filters,
+    every item that no process returned (it raised or warned, or its child
+    sent less), so that the results, and any error or warning, are those of
+    the one-process map.
+    """
+    workers = min(usable_cpus(), sum(weights) // min_weight, len(items))
+    if workers < 2:
         return [fn(item) for item in items]
-    results = [None] * len(slices)
-    with forked(slices, lambda part: _pickled([fn(item) for item in part])) as pipes:
-        if pipes is not None:
-            results[0] = [fn(item) for item in slices[0]]
-            results[1:] = [_unpickled(pipe) for pipe in pipes]
-    return [
-        result
-        for part, done in zip(slices, results)
-        for result in (done if done is not None else [fn(item) for item in part])
-    ]
+    runs = _runs(weights)
+    with forked(len(runs), workers - 1, lambda tokens: _pickled(_mapped(fn, items, runs, tokens))) as (tokens, pipes):
+        done = dict(_mapped(fn, items, runs, tokens))
+        for pipe in pipes:
+            done.update(_unpickled(pipe) or ())
+    return [done[i] if i in done else fn(item) for i, item in enumerate(items)]

@@ -174,12 +174,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# The _fmt of a value of exactly these types, without its type tests.
+_FMT_OF_TYPE = {float: float.__repr__, int: int.__repr__, str: str.__str__}
+
+
+def _column(values: list) -> list[str]:
+    """The _fmt of each of ``values``: in one pass of its type's formatter where all share a type in _FMT_OF_TYPE."""
+    types = set(map(type, values))
+    fmt = _FMT_OF_TYPE.get(types.pop()) if len(types) == 1 else None
+    return list(map(fmt or _fmt, values))
+
+
 def _csv(columns, rows: list[dict]) -> str:
-    """The CSV table of each row's ``columns``; csv.writer quotes only the cells that need it."""
+    """The CSV table of each row's ``columns``, formatted column by column; csv.writer quotes only the cells that need it."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([_fmt(row.get(col)) for col in columns] for row in rows)
+    writer.writerows(zip(*[_column([row.get(col) for row in rows]) for col in columns]))
     return buf.getvalue()
 
 

@@ -198,15 +198,15 @@ def load_csv(path, outcome_col: str, exposure_col: str, outcome_kind: str = "con
     repeats a name, is a ParseError; outcome and exposure naming one column
     is a ValidationError.
 
-    A regular file with enough data rows is parsed in chunks of whole lines,
-    one per usable CPU, each but the first by a forked process
-    (_parse_split); the values are bitwise those of a one-process parse.
+    A regular file with enough data rows is cut into pieces of whole lines,
+    which this process and forked ones take one at a time until none is
+    left (_parse_split); the values are bitwise those of a one-process parse.
 
     The parsed matrix is the one full-size copy of the file: the outcome and
     exposure are copied out of it, and covariates whose columns form one run
     are a (read-only) view of it; any other column order copies them.  While
-    a split parse gathers the chunks, the parent also holds the rows of its
-    own chunk beside the matrix.
+    a split parse gathers the pieces, the parent also holds the rows of the
+    pieces it parsed beside the matrix.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -306,9 +306,10 @@ def _parse_rows_fast(fh, width: int, quotechar: str | None = '"'):
     return values if values.shape[1] == width else None
 
 
-# The fewest bytes of data rows worth a chunk of their own, so that a file under
-# 1 MiB is parsed in one process.  On a 2-core x86-64 host, a 1 MiB file parsed
-# in 19 ms split in two against 26 ms whole, and a 0.3 MB one in 8.1 against 7.2 ms.
+# The fewest bytes of data rows worth a process of their own, so that a file
+# under 1 MiB is parsed in one process, and the size of a piece of a split
+# parse.  On a 2-core x86-64 host, a 1 MiB file parsed in 19 ms split in two
+# against 26 ms whole, and a 0.3 MB one in 8.1 against 7.2 ms.
 _CHUNK_MIN_BYTES = 1 << 19
 
 
@@ -353,60 +354,77 @@ def _next_line_start(fd: int, at: int, end: int) -> int:
 
 
 def _parse_split(fd: int, start: int, end: int, width: int):
-    """The data rows in bytes [start, end) of the regular file ``fd``, parsed in chunks, or None.
+    """The data rows in bytes [start, end) of the regular file ``fd``, parsed in pieces, or None.
 
-    The rows are cut just after a b"\\n" into one chunk per usable CPU, or
-    fewer so that each holds about _CHUNK_MIN_BYTES or more.  A forked child
-    (_fork.forked) parses each chunk but the first with _parse_chunk and
-    sends its row count and rows through a pipe; the parent parses the first
-    chunk and copies every chunk into one (rows, width) matrix.  Each cell
-    goes through the routine of the one-call parse, in row order, so the
-    matrix is bitwise that parse's.  Any irregularity (fewer than two chunks,
-    no fork, a chunk that fails _parse_chunk or is not UTF-8, a child that
-    sends less) returns None, and the caller parses the whole file in one
-    process, which also reports any error.
+    The rows are cut just after a b"\\n" into pieces of about
+    _CHUNK_MIN_BYTES, or larger so that there are at most
+    _fork.MOST_TOKENS, and handed out one at a time (_fork.forked) among
+    min(usable CPUs, bytes // _CHUNK_MIN_BYTES, pieces) processes: this one
+    and forked children.  Each parses its pieces with _parse_chunk.  A child
+    sends a header of (piece, rows) pairs, then the rows of those pieces,
+    through a pipe.  Once every count is known, the parent allocates one
+    (rows, width) matrix, copies its own pieces into it and reads each
+    child's rows straight to their place.  Each cell goes through the
+    routine of the one-call parse, so the matrix is bitwise that parse's.
+    Any irregularity (fewer than two pieces, a piece that fails _parse_chunk
+    or is not UTF-8, a child that sends less) returns None, and the caller
+    parses the whole file in one process, which also reports any error.
     """
-    parts = min(_fork.usable_cpus(), (end - start) // _CHUNK_MIN_BYTES)
-    if parts < 2:
+    workers = min(_fork.usable_cpus(), (end - start) // _CHUNK_MIN_BYTES)
+    if workers < 2:
         return None
+    size = max(_CHUNK_MIN_BYTES, -(-(end - start) // _fork.MOST_TOKENS))
     cuts = [start]
-    for k in range(1, parts):
-        cut = _next_line_start(fd, max(cuts[-1], start + (end - start) * k // parts), end)
-        if cut == end:
-            break
+    while (cut := _next_line_start(fd, cuts[-1] + size, end)) < end:
         cuts.append(cut)
-    if len(cuts) < 2:
+    pieces = list(zip(cuts, cuts[1:] + [end]))
+    if len(pieces) < 2:
         return None
-    chunks = list(zip(cuts, cuts[1:] + [end]))
 
-    def send(chunk):
-        values = _parse_chunk(fd, *chunk, width)
-        return None if values is None else [len(values).to_bytes(8, "little"), values]
+    def parse(tokens) -> dict | None:
+        """The rows of each piece that ``tokens`` name, by piece; None at the first that fails."""
+        parsed = {}
+        for piece in tokens:
+            values = _parse_chunk(fd, *pieces[piece], width)
+            if values is None:
+                return None
+            parsed[piece] = values
+        return parsed
 
-    with _fork.forked(chunks, send) as pipes:
-        if pipes is None:
+    def send(tokens):
+        parsed = parse(tokens)
+        if parsed is None:
             return None
+        head = np.array([(piece, len(values)) for piece, values in parsed.items()], dtype=np.int64)
+        return [len(parsed).to_bytes(8, "little"), head.tobytes(), *parsed.values()]
+
+    with _fork.forked(len(pieces), min(workers, len(pieces)) - 1, send) as (tokens, pipes):
         try:
-            first = _parse_chunk(fd, *chunks[0], width)
+            parsed = parse(tokens)
         except UnicodeDecodeError:
             return None
-        if first is None:
+        if parsed is None:
             return None
-        # A child that fails sends nothing.
-        counts = []
+        rows = {piece: len(values) for piece, values in parsed.items()}
+        heads = []  # each child's pieces, in the order it sends their rows
         for pipe in pipes:
-            head = bytearray(8)
+            count = bytearray(8)
+            if not _fork.read_exactly(pipe, count):
+                return None
+            head = bytearray(16 * int.from_bytes(count, "little"))
             if not _fork.read_exactly(pipe, head):
                 return None
-            counts.append(int.from_bytes(head, "little"))
-        values = np.empty((len(first) + sum(counts), width))
-        row = len(first)
-        values[:row] = first
-        del first
-        for pipe, count in zip(pipes, counts):
-            if not _fork.read_exactly(pipe, values[row : row + count]):
-                return None
-            row += count
+            pairs = np.frombuffer(head, dtype=np.int64).reshape(-1, 2).tolist()
+            heads.append([piece for piece, _ in pairs])
+            rows.update(pairs)
+        offsets = np.cumsum([0] + [rows[piece] for piece in range(len(pieces))]).tolist()
+        values = np.empty((offsets[-1], width))
+        for piece in list(parsed):
+            values[offsets[piece] : offsets[piece + 1]] = parsed.pop(piece)
+        for pipe, head in zip(pipes, heads):
+            for piece in head:
+                if not _fork.read_exactly(pipe, values[offsets[piece] : offsets[piece + 1]]):
+                    return None
         return values
 
 
@@ -432,7 +450,7 @@ def _parse_cells(path, header: list[str], rows: list[list[str]]) -> np.ndarray:
 _WINDOW_CELLS = 1 << 18
 _ITEM_CELLS = 1 << 12
 # The fewest cells worth a process of their own: a window of 2 * _WRITE_MIN_CELLS
-# cells or more is formatted in one process per usable CPU.  On a 2-core x86-64
+# cells or more is formatted by as many processes as usable CPUs, or fewer.  On a 2-core x86-64
 # host, 2^16 cells of 32 columns took 35.8 ms split in two against 45.4 ms whole
 # (of 1002 columns 35.2 against 44.5 ms), and 2^15 cells 21.4 against 23.9 ms
 # (21.4 against 21.7 ms).
@@ -459,10 +477,10 @@ def write_csv(dataset: Dataset, path, outcome_col: str = "outcome", exposure_col
     calls.
 
     The rows are formatted window by window (_WINDOW_CELLS).  A window's
-    items are cut by their cells into contiguous slices, one per usable CPU,
-    each but the first formatted by a forked child (_fork.map_split); the
-    parent writes the slices' text in row order, so the file is that of one
-    process.
+    items are handed out, in runs cut by their cells, among this process and
+    forked children, each taking the next run when it is done with the last
+    (_fork.map_split); the parent writes the items' text in row order, so
+    the file is that of one process.
     """
     outcome = dataset.outcome
     if (dataset.outcome_scale, dataset.outcome_offset) != (1.0, 0.0):

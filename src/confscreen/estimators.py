@@ -451,11 +451,11 @@ def score_covariate(dataset: Dataset, columns, estimator_kind: str, basis: Basis
 # Largest design stack fitted at once, in doubles (targets x n x basis width).
 STACK_DOUBLES = 2**16
 # The least design work worth a process of its own, in doubles: a screen of
-# 2 * SLICE_MIN_DOUBLES or more is scored in one process per usable CPU.  On a
-# 2-core x86-64 host (n = 500, degree 3, one BLAS thread), a plugin_om screen
-# of 2^19 doubles took 11.5 ms split in two against 12.9 ms whole (dr 19.6
-# against 25.8, tmle 36.9 against 53.5 ms), and one of 2^18 6.2 against 4.4 ms
-# (dr 15.7 against 14.4, tmle 25.6 against 30.6 ms).
+# 2 * SLICE_MIN_DOUBLES or more is scored by as many processes as usable
+# CPUs.  On a 2-core x86-64 host (n = 500, degree 3, one BLAS thread), a
+# plugin_om screen of 2^19 doubles took 11.5 ms split in two against 12.9 ms
+# whole (dr 19.6 against 25.8, tmle 36.9 against 53.5 ms), and one of 2^18
+# 6.2 against 4.4 ms (dr 15.7 against 14.4, tmle 25.6 against 30.6 ms).
 SLICE_MIN_DOUBLES = 2**18
 
 
@@ -468,10 +468,10 @@ def _score_targets(
     without a fit.  The others are fitted by ``fit(dataset, targets, basis,
     parts)``, fit_nuisances by default, in stacks of at most STACK_DOUBLES
     doubles of design and at least one target, each dropped once scored.
-    The stacks of every run are cut by design work into contiguous slices,
-    each but the first scored by a forked child (_fork.map_split); a stack's
-    estimates depend on no other stack, so they are bitwise those of one
-    process.
+    The stacks of every run are handed out one at a time, in runs cut by
+    design work, among this process and forked children (_fork.map_split); a
+    stack's estimates depend on no other stack, so they are bitwise those of
+    one process.
     """
     if estimator_kind not in ESTIMATOR_KINDS:
         raise ValidationError(f"unknown estimator kind {estimator_kind!r}")

@@ -466,8 +466,8 @@ def run_replicates(
     with no ``RankRow`` built.
     ``oracle_values`` (length-p array) enables per-covariate CI coverage
     indicators, which need an estimator with inference (dr or tmle); pass
-    None to skip coverage.  The replicates are split among
-    forked processes by design work, as a screen's stacks are
+    None to skip coverage.  The replicates are handed out one at a time
+    among this process and forked children, as a screen's stacks are
     (_fork.map_split); a replicate depends on no other and the ROC points
     are summed in replicate order, so the result is that of one process.
     """

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import io
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 
 import confscreen
 from confscreen import Dataset, SimScenario, generate, load_csv, write_csv
-from confscreen.cli import CSV_COLUMNS, build_parser, main
+from confscreen.cli import CSV_COLUMNS, _csv, _fmt, build_parser, main
 
 SIX_ROWS = "O,E,C\n1,1,1\n0,1,1\n1,0,1\n0,0,0\n1,1,0\n0,0,1\n"
 
@@ -704,3 +705,22 @@ def test_outputs_are_utf8_under_encoding_warnings(tmp_path):
             assert "β1" in [row[1] for row in csv.reader(fh)]
     for name in ("sim.csv", "sim.csv.roc.csv", "sim.csv.summary.json", "sim.csv.manifest.json"):
         (tmp_path / name).read_text(encoding="utf-8")
+
+
+def test_csv_table_equals_cell_by_cell_csv_writer():
+    # Columns of one type go through that type's formatter in one pass, mixed
+    # ones through _fmt cell by cell: the text is that of csv.writer over
+    # each row's _fmt cells, quotes included.
+    columns = ["id", "name", "phi", "psi", "rank", "selected", "flags"]
+    rows = [
+        {"id": 3, "name": 'a "b", c', "phi": -0.0, "psi": None, "rank": 1, "selected": True, "flags": []},
+        {"id": 7, "name": "β\nγ", "phi": 5e-324, "psi": 1.5, "rank": 2, "selected": False, "flags": ["x, y"]},
+        {"id": 8, "name": "plain", "phi": float("nan"), "psi": 2, "selected": None, "flags": ["z"]},
+    ]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(row.get(col)) for col in columns])
+    assert _csv(columns, rows) == buf.getvalue()
+    assert _csv(columns, []) == ",".join(columns) + "\n"

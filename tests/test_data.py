@@ -4,6 +4,7 @@ import csv
 import io
 import os
 import re
+import select
 import struct
 import warnings
 
@@ -379,7 +380,7 @@ def _split_file(path, header, eol, rows=23):
 @pytest.mark.parametrize("cpus", [2, 3, 5, 40])
 def test_split_parse_bitwise_equals_parse_cells(tmp_path, monkeypatch, eol, header, cpus):
     forks = _split_on(monkeypatch, cpus)
-    quotechars = []  # of the parent's _parse_rows_fast calls: None parses a chunk, '"' the whole file
+    quotechars = []  # of the parent's _parse_rows_fast calls: None parses a piece, '"' the whole file
     parse = data._parse_rows_fast
 
     def recorded(fh, width, quotechar='"'):
@@ -393,11 +394,12 @@ def test_split_parse_bitwise_equals_parse_cells(tmp_path, monkeypatch, eol, head
     assert ds.covariates.tobytes() == np.ascontiguousarray(reference[:, 2:]).tobytes()
     assert ds.outcome.tobytes() == reference[:, 0].tobytes()
     # Cuts are made only after b"\n", so a file of CR line ends is not split;
-    # with more CPUs than rows, chunks of one row are cut until the file ends.
+    # pieces of one row are cut until the file ends, and the parent parses
+    # those it takes, however many, and never the whole file.
     if eol == "\r":
         assert forks == [] and quotechars == ['"']
     else:
-        assert 0 < len(forks) < min(cpus, 23) and quotechars == [None]
+        assert 0 < len(forks) < min(cpus, 23) and '"' not in quotechars
     _assert_no_child()
 
 
@@ -415,10 +417,9 @@ def test_split_parse_bitwise_equals_parse_cells(tmp_path, monkeypatch, eol, head
     ids=["quoted-cell", "quoted-line-break", "blank-line", "short-row", "bad-cell", "not-utf8"],
 )
 def test_split_parse_irregular_chunk_as_one_process(tmp_path, monkeypatch, where, row, message):
-    # An irregular row in either chunk sends the whole file down the
-    # one-process parse, which gives its values or its error.  Row 1200 lies
-    # past the 8 KiB block that the header read decodes, and before the middle
-    # of the file, where the one cut falls.
+    # An irregular row early or late in the file sends the whole file down
+    # the one-process parse, which gives its values or its error.  Row 1200
+    # lies past the 8 KiB block that the header read decodes.
     rows = [b"%d,%d,%d" % (r % 3, r % 2, r) for r in range(4000)]
     at = 1200 if where == "first" else 3996
     rows[at] = row
@@ -439,6 +440,53 @@ def test_split_parse_irregular_chunk_as_one_process(tmp_path, monkeypatch, where
             load_csv(path, "O", "E")
         assert str(split.value) == str(one_process.value)
     assert len(forks) == 1
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 40])
+@pytest.mark.parametrize(
+    "row, message",
+    [(b'1,1,"2.5"', None), (b"1,1,x", "non-numeric value 'x' at row 302, column 'C'")],
+    ids=["quoted-cell", "bad-cell"],
+)
+def test_split_parse_irregular_piece_of_a_child_as_one_process(tmp_path, monkeypatch, cpus, row, message):
+    # Pieces of one row each.  The parent holds its first piece until a
+    # child has taken the piece of the irregular row 302; that child sends
+    # nothing, and the file is parsed in one process.
+    rows = [b"%d,%d,%d" % (r % 3, r % 2, r) for r in range(400)]
+    rows[300] = row
+    path = tmp_path / "pieces.csv"
+    path.write_bytes(b"O,E,C\n" + b"\n".join(rows) + b"\n")
+    at = len(b"O,E,C\n" + b"\n".join(rows[:300]) + b"\n")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    if message is None:
+        expected = load_csv(path, "O", "E").covariates.tobytes()
+    else:
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_csv(path, "O", "E")
+    forks = _split_on(monkeypatch, cpus)
+    parent, waited = os.getpid(), []
+    taken, take = os.pipe()
+    parse_chunk = data._parse_chunk
+
+    def held(fd, start, end, width):
+        if os.getpid() != parent and start == at:
+            os.write(take, b"1")
+        elif os.getpid() == parent and not waited:
+            waited.append(select.select([taken], [], [], 30)[0])
+        return parse_chunk(fd, start, end, width)
+
+    monkeypatch.setattr(data, "_parse_chunk", held)
+    try:
+        if message is None:
+            assert load_csv(path, "O", "E").covariates.tobytes() == expected
+        else:
+            with pytest.raises(ParseError, match=re.escape(message)):
+                load_csv(path, "O", "E")
+    finally:
+        os.close(taken)
+        os.close(take)
+    assert waited == [[taken]] and len(forks) == cpus - 1
     _assert_no_child()
 
 
@@ -629,8 +677,9 @@ def test_no_child_outlives_an_interrupted_write(tmp_path, monkeypatch, split_on)
 
 @pytest.mark.parametrize("fault", ["raises", "warns"])
 def test_faulty_child_slice_is_written_by_the_parent(tmp_path, monkeypatch, split_on, fault):
-    # Every child raises or warns (a warning is an error in a child) and sends
-    # nothing; the parent formats each child's rows itself, in row order.
+    # Every child raises or warns (a warning is an error in a child) on every
+    # row it takes and returns none of them; the parent formats each of those
+    # rows itself, once, after its own, and the file is csv.writer's.
     forks = split_on(3)
     parent, in_parent = os.getpid(), []
     csv_rows = data._csv_rows
@@ -648,7 +697,7 @@ def test_faulty_child_slice_is_written_by_the_parent(tmp_path, monkeypatch, spli
     path = tmp_path / "faulty.csv"
     write_csv(ds, path, outcome_col="out,come", exposure_col="E")
     assert path.read_bytes() == _reference_csv_bytes(ds, "out,come", "E")
-    assert len(forks) == 2 and in_parent == ds.covariates[:, 0].tolist()
+    assert len(forks) == 2 and sorted(in_parent) == sorted(ds.covariates[:, 0].tolist())
 
 
 def test_dataset_arrays_read_only(six_csv):

@@ -741,19 +741,20 @@ def test_no_child_outlives_an_interrupted_screen(monkeypatch, split_on):
 
 
 @pytest.mark.parametrize("fault", ["raises", "warns"])
-def test_faulty_child_slice_is_scored_again_in_one_process(monkeypatch, split_on, fault):
-    # The stack of column 6 lies in the second of two slices.  Its child
-    # raises or warns (a warning is an error in a child), sends nothing, and
-    # the parent scores the slice itself: the error or warning is that of a
-    # screen in one process, and so is every estimate.
+def test_faulty_child_slice_is_scored_again_in_one_process(monkeypatch, split_on, tmp_path, fault):
+    # The stack of column 6 raises or warns in whichever process takes it (a
+    # warning is an error while the stacks are handed out), and the parent
+    # scores it again, once, after every other stack: the error or warning is
+    # that of a screen in one process, and so is every estimate.  Each
+    # process logs the stacks it scores to a file.
     ds = _layout_dataset(["x"] * 8, 100)
     monkeypatch.setattr(estimators, "STACK_DOUBLES", 2 * 100 * BasisConfig().width(1))
     score_stack = estimators._score_stack
-    parent, in_parent = os.getpid(), []
+    parent, log = os.getpid(), tmp_path / "scored"
 
     def faulty(dataset, kind, targets, fits):
-        if os.getpid() == parent:
-            in_parent.append(targets[0][0])
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{int(os.getpid() == parent)} {targets[0][0]}\n")
         if (6,) in targets:
             if fault == "raises":
                 raise ValidationError("stack of column 6 fails")
@@ -765,7 +766,7 @@ def test_faulty_child_slice_is_scored_again_in_one_process(monkeypatch, split_on
     for cpus in (1, 2):
         forks = split_on(cpus)
         forks.clear()
-        in_parent.clear()
+        log.write_text("", encoding="utf-8")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
@@ -773,15 +774,19 @@ def test_faulty_child_slice_is_scored_again_in_one_process(monkeypatch, split_on
             except ValidationError as exc:
                 outcome = str(exc)
         warned = [(w.category, str(w.message)) for w in caught]
-        runs[cpus] = dict(outcome=outcome, warned=warned, in_parent=list(in_parent), forks=len(forks))
+        scored = [tuple(map(int, line.split())) for line in log.read_text(encoding="utf-8").splitlines()]
+        runs[cpus] = dict(outcome=outcome, warned=warned, scored=scored, forks=len(forks))
     one, split = runs[1], runs[2]
     assert split["outcome"] == one["outcome"] and split["warned"] == one["warned"]
     if fault == "raises":
         assert one["outcome"] == "stack of column 6 fails" and one["warned"] == []
     else:
         assert one["warned"] == [(RuntimeWarning, "stack of column 6 warns")]
-    # Split, the parent scores the first slice's stacks (columns 0 and 2), then the second slice's again.
-    assert one["in_parent"] == split["in_parent"] == [0, 2, 4, 6]
+    assert one["scored"] == [(1, 0), (1, 2), (1, 4), (1, 6)]
+    # Split, each stack is scored once by the process that takes it, and the
+    # stack of column 6 once more, last, by the parent.
+    assert sorted(column for _, column in split["scored"][:-1]) == [0, 2, 4, 6]
+    assert split["scored"][-1] == (1, 6)
     assert (one["forks"], split["forks"]) == (0, 1)
 
 
