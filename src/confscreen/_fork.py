@@ -9,12 +9,11 @@ through a pipe of its own once the task pipe is empty.  Any irregularity (no
 os.fork, a fork that fails, a piece that raises or warns, a child that sends
 less than it should) leaves work to the parent, which does it in one
 process, so results, errors and warnings are those of a run that never
-split.  Every child has been reaped when ``forked`` returns or raises.
+split.  Every child has been reaped when ``map_split`` returns or raises.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import os
 import pickle
@@ -45,17 +44,6 @@ def _write_all(fd: int, data) -> None:
         view = view[os.write(fd, view) :]
 
 
-def read_exactly(fd: int, buffer) -> bool:
-    """Fill ``buffer`` from ``fd``; False where the file ends first."""
-    view = memoryview(buffer).cast("B")
-    while view:
-        got = os.readv(fd, [view])
-        if got == 0:
-            return False
-        view = view[got:]
-    return True
-
-
 def _taken(fd: int):
     """The tokens that this process takes from the task pipe ``fd``, until it is empty.
 
@@ -64,78 +52,6 @@ def _taken(fd: int):
     """
     while token := os.read(fd, 4):
         yield int.from_bytes(token, "little")
-
-
-@contextlib.contextmanager
-def forked(tokens: int, children: int, send):
-    """Hand the tokens 0 .. ``tokens`` - 1 out to this process and ``children`` forked ones; yield the parent's tokens and the read ends of the children's pipes.
-
-    The parent takes the first token before it forks, so that it does at
-    least one piece, and its others by iterating over the first thing
-    yielded; a child takes its tokens by iterating over the one that
-    ``send`` is passed.  A child turns warnings into errors, writes the
-    buffers that ``send(tokens)`` returns to its pipe (nothing where it
-    returns None or raises) and leaves by os._exit.  Where os.fork is
-    missing or fails (out of processes or memory), fewer children are
-    forked, or none, and the parent takes the tokens they would have taken.
-    On exit each child is killed, if it still runs, and reaped: a child that
-    the caller has read to the end has nothing left to do, and one that it
-    has not must not outlive it.
-    """
-    global _splitting
-    read_tasks, write_tasks = os.pipe()
-    outer, _splitting = _splitting, True
-    pipes = []  # (pid, read end of its pipe)
-    try:
-        try:
-            _write_all(write_tasks, b"".join(token.to_bytes(4, "little") for token in range(tokens)))
-        finally:
-            # Closed before any fork, so that a read of the empty pipe ends.
-            os.close(write_tasks)
-        first = os.read(read_tasks, 4)
-        for _ in range(children if hasattr(os, "fork") else 0):
-            read_end, write_end = os.pipe()
-            try:
-                with warnings.catch_warnings():
-                    # Python 3.12+ warns that fork() in a process with threads may
-                    # deadlock the child, which inherits any lock another thread
-                    # held.  The only other threads here are OpenBLAS's: its
-                    # pthread_atfork handler joins them before the fork (numpy
-                    # 2.4's OpenBLAS, with 2 BLAS threads: 2 threads before, 1 in
-                    # parent and child after), and the next BLAS call of either
-                    # process starts them again.  Python resets its own locks in
-                    # the child; the child flushes no stdio and leaves by os._exit.
-                    warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
-                    pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                break
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read_end)
-                    for _, other in pipes:
-                        os.close(other)
-                    warnings.simplefilter("error")
-                    buffers = send(_taken(read_tasks))
-                    if buffers is not None:
-                        for buffer in buffers:
-                            _write_all(write_end, buffer)
-                        status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_end)
-            pipes.append((pid, read_end))
-        mine = itertools.chain([int.from_bytes(first, "little")], _taken(read_tasks))
-        yield mine, [read_end for _, read_end in pipes]
-    finally:
-        _splitting = outer
-        os.close(read_tasks)
-        for pid, read_end in pipes:
-            os.close(read_end)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _runs(weights: list) -> list[tuple[int, int]]:
@@ -153,18 +69,23 @@ def _runs(weights: list) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:] + [len(weights)]))
 
 
-def _pickled(obj) -> list[bytes]:
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    return [len(data).to_bytes(8, "little"), data]
+def _read(fd: int, size: int) -> bytearray | None:
+    """``size`` bytes from ``fd``, or None where the file ends first."""
+    buffer = bytearray(size)
+    view = memoryview(buffer)
+    while view:
+        got = os.readv(fd, [view])
+        if got == 0:
+            return None
+        view = view[got:]
+    return buffer
 
 
 def _unpickled(fd: int):
-    """The object a child sent with _pickled, or None where it sent less."""
-    head = bytearray(8)
-    if not read_exactly(fd, head):
-        return None
-    data = bytearray(int.from_bytes(head, "little"))
-    return pickle.loads(data) if read_exactly(fd, data) else None
+    """The object a child pickled to ``fd`` behind its 8-byte length, or None where it sent less."""
+    head = _read(fd, 8)
+    data = head and _read(fd, int.from_bytes(head, "little"))
+    return None if data is None else pickle.loads(data)
 
 
 def _mapped(fn, items: list, runs: list, tokens) -> list:
@@ -190,20 +111,77 @@ def map_split(fn, items: list, weights: list, min_weight: int) -> list:
 
     The work is split among min(usable CPUs, total weight // min_weight,
     items) processes, so that work under 2 * min_weight stays in one.  The
-    items go out one token at a time in runs cut by their ``weights``
-    (_runs).  Each process maps its items with warnings as errors, and a
-    child pickles its (index, result) pairs through its pipe.  The parent
+    items go out in runs cut by their ``weights`` (_runs), one token per
+    run: the parent writes every token to the task pipe and takes the first
+    before it forks, so that it maps at least one run.  Each process maps
+    its items with warnings as errors (_mapped), and a child pickles its
+    (index, result) pairs through a pipe of its own and leaves by os._exit.
+    Where os.fork is missing or fails (out of processes or memory), fewer
+    children are forked, or none, and the parent takes the tokens they would
+    have taken.  Once it has read every child's pipe, each child is killed,
+    if it still runs, and reaped, also where the parent raises.  The parent
     then maps in item order, itself and under the caller's warning filters,
     every item that no process returned (it raised or warned, or its child
     sent less), so that the results, and any error or warning, are those of
     the one-process map.
     """
+    global _splitting
     workers = min(usable_cpus(), sum(weights) // min_weight, len(items))
     if workers < 2:
         return [fn(item) for item in items]
     runs = _runs(weights)
-    with forked(len(runs), workers - 1, lambda tokens: _pickled(_mapped(fn, items, runs, tokens))) as (tokens, pipes):
-        done = dict(_mapped(fn, items, runs, tokens))
-        for pipe in pipes:
-            done.update(_unpickled(pipe) or ())
+    read_tasks, write_tasks = os.pipe()
+    outer, _splitting = _splitting, True
+    pipes = []  # (pid, read end of its pipe)
+    try:
+        try:
+            _write_all(write_tasks, b"".join(token.to_bytes(4, "little") for token in range(len(runs))))
+        finally:
+            # Closed before any fork, so that a read of the empty pipe ends.
+            os.close(write_tasks)
+        first = os.read(read_tasks, 4)
+        for _ in range(workers - 1 if hasattr(os, "fork") else 0):
+            read_end, write_end = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns that fork() in a process with threads may
+                    # deadlock the child, which inherits any lock another thread
+                    # held.  The only other threads here are OpenBLAS's: its
+                    # pthread_atfork handler joins them before the fork (numpy
+                    # 2.4's OpenBLAS, with 2 BLAS threads: 2 threads before, 1 in
+                    # parent and child after), and the next BLAS call of either
+                    # process starts them again.  Python resets its own locks in
+                    # the child; the child flushes no stdio and leaves by os._exit.
+                    warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_end)
+                    for _, other in pipes:
+                        os.close(other)
+                    warnings.simplefilter("error")
+                    data = pickle.dumps(_mapped(fn, items, runs, _taken(read_tasks)), pickle.HIGHEST_PROTOCOL)
+                    _write_all(write_end, len(data).to_bytes(8, "little"))
+                    _write_all(write_end, data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            pipes.append((pid, read_end))
+        mine = itertools.chain([int.from_bytes(first, "little")], _taken(read_tasks))
+        done = dict(_mapped(fn, items, runs, mine))
+        for _, read_end in pipes:
+            done.update(_unpickled(read_end) or ())
+    finally:
+        _splitting = outer
+        os.close(read_tasks)
+        for pid, read_end in pipes:
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return [done[i] if i in done else fn(item) for i, item in enumerate(items)]

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import mmap
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -195,8 +197,9 @@ def load_csv(path, outcome_col: str, exposure_col: str, outcome_kind: str = "con
     exposure become covariates in file order.  A bounded outcome whose raw
     range exceeds [0, 1] is affinely rescaled into [0, 1] and the affine map
     recorded on the Dataset.  A file that is not UTF-8 text, or whose header
-    repeats a name, is a ParseError; outcome and exposure naming one column
-    is a ValidationError.
+    repeats a name, is a ParseError; outcome and exposure naming one column,
+    or a cell that reads as a non-finite number (``nan``, ``inf``), is a
+    ValidationError, which names the first such cell's row and column.
 
     A regular file with enough data rows is cut into pieces of whole lines,
     which this process and forked ones take one at a time until none is
@@ -204,9 +207,9 @@ def load_csv(path, outcome_col: str, exposure_col: str, outcome_kind: str = "con
 
     The parsed matrix is the one full-size copy of the file: the outcome and
     exposure are copied out of it, and covariates whose columns form one run
-    are a (read-only) view of it; any other column order copies them.  While
-    a split parse gathers the pieces, the parent also holds the rows of the
-    pieces it parsed beside the matrix.
+    are a (read-only) view of it; any other column order copies them.  A
+    split parse writes its rows into that matrix, and holds the children's
+    rows in a shared mapping only until each piece is copied.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -241,6 +244,11 @@ def load_csv(path, outcome_col: str, exposure_col: str, outcome_kind: str = "con
         raise ValidationError(f"{path}: outcome and exposure name the same column {outcome_col!r}")
     if values is None:
         values = _parse_cells(path, header, rows)
+    if not np.isfinite(values).all():
+        r, c = np.argwhere(~np.isfinite(values))[0]
+        raise ValidationError(
+            f"{path}: non-finite value {float(values[r, c])!r} at row {r + 2}, column {header[c]!r}"
+        )
     o_idx = header.index(outcome_col)
     e_idx = header.index(exposure_col)
     cov_idx = [i for i in range(len(header)) if i not in (o_idx, e_idx)]
@@ -358,17 +366,19 @@ def _parse_split(fd: int, start: int, end: int, width: int):
 
     The rows are cut just after a b"\\n" into pieces of about
     _CHUNK_MIN_BYTES, or larger so that there are at most
-    _fork.MOST_TOKENS, and handed out one at a time (_fork.forked) among
-    min(usable CPUs, bytes // _CHUNK_MIN_BYTES, pieces) processes: this one
-    and forked children.  Each parses its pieces with _parse_chunk.  A child
-    sends a header of (piece, rows) pairs, then the rows of those pieces,
-    through a pipe.  Once every count is known, the parent allocates one
-    (rows, width) matrix, copies its own pieces into it and reads each
-    child's rows straight to their place.  Each cell goes through the
-    routine of the one-call parse, so the matrix is bitwise that parse's.
-    Any irregularity (fewer than two pieces, a piece that fails _parse_chunk
-    or is not UTF-8, a child that sends less) returns None, and the caller
-    parses the whole file in one process, which also reports any error.
+    _fork.MOST_TOKENS, and each piece's lines are counted, which places its
+    rows in the one (rows, width) matrix.  The pieces are handed out one at a
+    time (_fork.map_split) among min(usable CPUs, bytes // _CHUNK_MIN_BYTES,
+    pieces) processes: this one and forked children.  Each parses a piece
+    with _parse_chunk; this process writes the rows into the matrix, a child
+    into an anonymous shared mapping at the same place, from which this
+    process then copies them, releasing each copied page.  Each cell goes
+    through the routine of the one-call parse, so the matrix is bitwise that
+    parse's.  Any irregular piece (one that fails _parse_chunk or is not
+    UTF-8, or whose rows are not its lines, as where a lone b"\\r" ends a
+    row) returns None, and the caller parses the whole file in one process,
+    which also reports any error; a shared flag stops every process at its
+    next piece once one is irregular.
     """
     workers = min(_fork.usable_cpus(), (end - start) // _CHUNK_MIN_BYTES)
     if workers < 2:
@@ -380,52 +390,58 @@ def _parse_split(fd: int, start: int, end: int, width: int):
     pieces = list(zip(cuts, cuts[1:] + [end]))
     if len(pieces) < 2:
         return None
+    buffer = np.empty(max(hi - lo for lo, hi in pieces), np.uint8)
+    lines = []
+    for lo, hi in pieces:
+        got = os.preadv(fd, [buffer[: hi - lo]], lo)
+        lines.append(np.count_nonzero(buffer[:got] == ord("\n")))
+    lines[-1] += buffer[got - 1] != ord("\n")
+    offsets = np.cumsum([0] + lines).tolist()
+    values = np.empty((offsets[-1], width))
+    # Freed only now, so that its heap space lies below the matrix and takes
+    # the small allocations of the parse and of the rest of the command.
+    # Above the matrix, one that outlives the command would keep the freed
+    # matrix from rejoining the heap's free top, and the next command's
+    # matrix would then grow the heap (by 1.7 MB in about a third of
+    # perfbench's screen_tmle runs).
+    del buffer
+    shared = mmap.mmap(-1, values.nbytes + 1)  # the children's rows, then the flag of an irregular piece
+    staged = np.frombuffer(shared, count=values.size).reshape(values.shape)
+    parent = os.getpid()
 
-    def parse(tokens) -> dict | None:
-        """The rows of each piece that ``tokens`` name, by piece; None at the first that fails."""
-        parsed = {}
-        for piece in tokens:
-            values = _parse_chunk(fd, *pieces[piece], width)
-            if values is None:
-                return None
-            parsed[piece] = values
-        return parsed
+    def parse(piece: int) -> bool | None:
+        """Whether the rows of ``piece`` went to the staging (a child) or the matrix; None where a piece is irregular.
 
-    def send(tokens):
-        parsed = parse(tokens)
-        if parsed is None:
+        Piece 0, which the parent takes before it forks, is parsed whatever
+        the flag says, so that the parent's first piece does not depend on
+        how far the children have got; any other is not once the flag is set.
+        """
+        if piece and shared[-1]:
             return None
-        head = np.array([(piece, len(values)) for piece, values in parsed.items()], dtype=np.int64)
-        return [len(parsed).to_bytes(8, "little"), head.tobytes(), *parsed.values()]
-
-    with _fork.forked(len(pieces), min(workers, len(pieces)) - 1, send) as (tokens, pipes):
+        lo, hi = offsets[piece], offsets[piece + 1]
         try:
-            parsed = parse(tokens)
+            rows = _parse_chunk(fd, *pieces[piece], width)
         except UnicodeDecodeError:
+            rows = None
+        if rows is None or len(rows) != hi - lo:
+            shared[-1] = 1
             return None
-        if parsed is None:
-            return None
-        rows = {piece: len(values) for piece, values in parsed.items()}
-        heads = []  # each child's pieces, in the order it sends their rows
-        for pipe in pipes:
-            count = bytearray(8)
-            if not _fork.read_exactly(pipe, count):
-                return None
-            head = bytearray(16 * int.from_bytes(count, "little"))
-            if not _fork.read_exactly(pipe, head):
-                return None
-            pairs = np.frombuffer(head, dtype=np.int64).reshape(-1, 2).tolist()
-            heads.append([piece for piece, _ in pairs])
-            rows.update(pairs)
-        offsets = np.cumsum([0] + [rows[piece] for piece in range(len(pieces))]).tolist()
-        values = np.empty((offsets[-1], width))
-        for piece in list(parsed):
-            values[offsets[piece] : offsets[piece + 1]] = parsed.pop(piece)
-        for pipe, head in zip(pipes, heads):
-            for piece in head:
-                if not _fork.read_exactly(pipe, values[offsets[piece] : offsets[piece + 1]]):
-                    return None
-        return values
+        in_child = os.getpid() != parent
+        (staged if in_child else values)[lo:hi] = rows
+        return in_child
+
+    staged_at = _fork.map_split(parse, list(range(len(pieces))), [hi - lo for lo, hi in pieces], _CHUNK_MIN_BYTES)
+    if None in staged_at:
+        return None
+    released = 0  # the bytes of the staging below this are no longer mapped here
+    for piece in itertools.compress(range(len(pieces)), staged_at):
+        lo, hi = offsets[piece], offsets[piece + 1]
+        values[lo:hi] = staged[lo:hi]
+        page_end = hi * width * 8 // mmap.PAGESIZE * mmap.PAGESIZE
+        if page_end > released:
+            shared.madvise(mmap.MADV_DONTNEED, released, page_end - released)
+            released = page_end
+    return values
 
 
 def _parse_cells(path, header: list[str], rows: list[list[str]]) -> np.ndarray:

@@ -208,6 +208,22 @@ def test_nonfinite_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("O,E,C\n1,1,1\n0,0,nan\n", "non-finite value nan at row 3, column 'C'"),
+        ("O,E,C,D\n1,1,1,2\n0,0,2,Infinity\n1,0,nan,1\n", "non-finite value inf at row 3, column 'D'"),
+        ('"O",E,C\n-inf,1,1\n0,0,2\n', "non-finite value -inf at row 2, column 'O'"),
+    ],
+    ids=["nan", "first-of-two", "outcome"],
+)
+def test_load_csv_names_non_finite_cell(tmp_path, text, message):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+        load_csv(path, "O", "E")
+
+
 def test_duplicate_column_names_rejected():
     with pytest.raises(ValidationError, match="duplicate"):
         Dataset(
@@ -334,26 +350,10 @@ def test_load_csv_bitwise_equals_float(tmp_path):
     assert _bits(ds.outcome.tolist()) == _bits(float(r % 3) for r in range(len(grid)))
 
 
-# The split parse (data._parse_split), forced onto small files: every chunk
-# may be a single byte, and os.sched_getaffinity reports as many CPUs as the
-# test asks for, so the cuts fall after different rows.
-
-
-def _split_on(monkeypatch, cpus):
-    """Split files of any size into ``cpus`` chunks; returns the pids load_csv forks."""
-    monkeypatch.setattr(data, "_CHUNK_MIN_BYTES", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    forks = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
+# The split parse (data._parse_split), forced onto small files by the
+# split_on fixture: every piece may be a single byte, and os.sched_getaffinity
+# reports as many CPUs as the test asks for, so the cuts fall after different
+# rows.
 
 
 def _assert_no_child():
@@ -378,8 +378,8 @@ def _split_file(path, header, eol, rows=23):
 @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
 @pytest.mark.parametrize("header", ["O,E,a,b,c", 'O,E,"a\nb",b,"c,d"'], ids=["plain", "quoted-newline"])
 @pytest.mark.parametrize("cpus", [2, 3, 5, 40])
-def test_split_parse_bitwise_equals_parse_cells(tmp_path, monkeypatch, eol, header, cpus):
-    forks = _split_on(monkeypatch, cpus)
+def test_split_parse_bitwise_equals_parse_cells(tmp_path, monkeypatch, split_on, eol, header, cpus):
+    forks = split_on(cpus)
     quotechars = []  # of the parent's _parse_rows_fast calls: None parses a piece, '"' the whole file
     parse = data._parse_rows_fast
 
@@ -416,7 +416,7 @@ def test_split_parse_bitwise_equals_parse_cells(tmp_path, monkeypatch, eol, head
     ],
     ids=["quoted-cell", "quoted-line-break", "blank-line", "short-row", "bad-cell", "not-utf8"],
 )
-def test_split_parse_irregular_chunk_as_one_process(tmp_path, monkeypatch, where, row, message):
+def test_split_parse_irregular_chunk_as_one_process(tmp_path, monkeypatch, split_on, where, row, message):
     # An irregular row early or late in the file sends the whole file down
     # the one-process parse, which gives its values or its error.  Row 1200
     # lies past the 8 KiB block that the header read decodes.
@@ -432,7 +432,7 @@ def test_split_parse_irregular_chunk_as_one_process(tmp_path, monkeypatch, where
         with pytest.raises(ParseError) as one_process:
             load_csv(path, "O", "E")
         assert str(one_process.value) == f"{path}: {message.format(at + 2)}"
-    forks = _split_on(monkeypatch, 2)
+    forks = split_on(2)
     if message is None:
         assert load_csv(path, "O", "E").covariates.tolist() == expected
     else:
@@ -449,10 +449,10 @@ def test_split_parse_irregular_chunk_as_one_process(tmp_path, monkeypatch, where
     [(b'1,1,"2.5"', None), (b"1,1,x", "non-numeric value 'x' at row 302, column 'C'")],
     ids=["quoted-cell", "bad-cell"],
 )
-def test_split_parse_irregular_piece_of_a_child_as_one_process(tmp_path, monkeypatch, cpus, row, message):
+def test_split_parse_irregular_piece_of_a_child_as_one_process(tmp_path, monkeypatch, split_on, cpus, row, message):
     # Pieces of one row each.  The parent holds its first piece until a
-    # child has taken the piece of the irregular row 302; that child sends
-    # nothing, and the file is parsed in one process.
+    # child has taken the piece of the irregular row 302; that piece fails,
+    # and the file is parsed in one process.
     rows = [b"%d,%d,%d" % (r % 3, r % 2, r) for r in range(400)]
     rows[300] = row
     path = tmp_path / "pieces.csv"
@@ -464,7 +464,7 @@ def test_split_parse_irregular_piece_of_a_child_as_one_process(tmp_path, monkeyp
     else:
         with pytest.raises(ParseError, match=re.escape(message)):
             load_csv(path, "O", "E")
-    forks = _split_on(monkeypatch, cpus)
+    forks = split_on(cpus)
     parent, waited = os.getpid(), []
     taken, take = os.pipe()
     parse_chunk = data._parse_chunk
@@ -488,6 +488,33 @@ def test_split_parse_irregular_piece_of_a_child_as_one_process(tmp_path, monkeyp
         os.close(take)
     assert waited == [[taken]] and len(forks) == cpus - 1
     _assert_no_child()
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 40])
+def test_split_parse_lone_cr_as_one_process(tmp_path, monkeypatch, split_on, cpus):
+    # A lone b"\r" inside a piece ends a row in every parse, but the pieces'
+    # lines are counted by b"\n": that piece has a row more than it has
+    # lines, and the whole file goes to the one-process parse.
+    forks = split_on(cpus)
+    quotechars = []  # of the parent's _parse_rows_fast calls, as above
+    parse = data._parse_rows_fast
+
+    def recorded(fh, width, quotechar='"'):
+        quotechars.append(quotechar)
+        return parse(fh, width, quotechar)
+
+    monkeypatch.setattr(data, "_parse_rows_fast", recorded)
+    rows = [b"%d,%d,%d.5" % (r % 3, r % 2, r) for r in range(23)]
+    path = tmp_path / "lone-cr.csv"
+    path.write_bytes(b"O,E,C\n" + b"\n".join(rows[:11]) + b"\r" + b"\n".join(rows[11:]) + b"\n")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        reference = data._parse_cells(path, next(reader), list(reader))
+    assert len(reference) == 23
+    ds = load_csv(path, "O", "E")
+    assert ds.covariates.tobytes() == np.ascontiguousarray(reference[:, 2:]).tobytes()
+    assert ds.outcome.tobytes() == reference[:, 0].tobytes()
+    assert quotechars[-1] == '"' and len(forks) == min(cpus, 22) - 1
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
@@ -528,8 +555,8 @@ def test_one_usable_cpu_forks_nothing(tmp_path, monkeypatch):
     assert load_csv(path, "O", "E").covariates.tobytes() == np.ascontiguousarray(reference[:, 2:]).tobytes()
 
 
-def test_no_child_outlives_an_interrupted_split_parse(tmp_path, monkeypatch):
-    forks = _split_on(monkeypatch, 4)
+def test_no_child_outlives_an_interrupted_split_parse(tmp_path, monkeypatch, split_on):
+    forks = split_on(4)
     parent = os.getpid()
     parse_chunk = data._parse_chunk
 
